@@ -2,9 +2,10 @@
 
 The package provides the exact quadratic-time MMD statistic, its projection
 onto the span of sampled landmark points (Nystrom) or random Fourier
-features, leverage-score landmark sampling, an exact-level permutation test
-built on a single-pass accumulation of all permuted statistics, seeded
-synthetic data generators, and a benchmark harness for level/power studies.
+features, leverage-score landmark sampling from the pooled data, an
+exact-level permutation test built on a single-pass accumulation of all
+permuted statistics, seeded synthetic data generators, and a harness for
+level/power studies.  Importing the package does not load scipy.stats.
 """
 
 from .kernels import GaussianKernel, as_points, median_heuristic
@@ -24,7 +25,6 @@ from .statistics import (
     feature_mmd,
     permuted_statistics,
     signed_weights,
-    ustat_decomposition,
 )
 from .permutation import (
     ExactMethod,
@@ -37,8 +37,6 @@ from .permutation import (
     run_test,
 )
 from .data import (
-    CorrelatedGaussianSpec,
-    MixtureSpec,
     equicorrelation_matrix,
     load_csv,
     sample_correlated_gaussians,
@@ -64,10 +62,10 @@ __all__ = [
     "effective_dimension", "exact_krls", "sample_landmarks",
     "FeatureMap", "NystromMap", "RffMap", "build_nystrom", "build_rff",
     "PooledSample", "exact_mmd", "feature_mmd", "permuted_statistics",
-    "signed_weights", "ustat_decomposition",
+    "signed_weights",
     "ExactMethod", "NystromMethod", "RffMethod", "TestConfig", "TestOutcome",
     "decide", "quantile_index", "run_test",
-    "CorrelatedGaussianSpec", "MixtureSpec", "equicorrelation_matrix",
+    "equicorrelation_matrix",
     "load_csv", "sample_correlated_gaussians", "sample_mixture", "write_csv",
     "ExperimentSpec", "RateEstimate", "accumulation_profile", "estimate_rate",
     "fit_power_law", "results_to_csv", "parse_results_csv", "wilson_interval",

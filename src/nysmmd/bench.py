@@ -20,13 +20,13 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import load_csv, sample_correlated_gaussians, sample_mixture
-from .kernels import DEFAULT_BANDWIDTH_SUBSET, GaussianKernel, median_heuristic
-from .leverage import DEFAULT_AKRLS_BUDGET, DEFAULT_EXACT_FALLBACK, sample_landmarks
+from .kernels import GaussianKernel, median_heuristic
+from .leverage import sample_landmarks
 from .features import build_nystrom
 from .permutation import (
     ExactMethod,
@@ -62,7 +62,7 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    z = float(norm.ppf((1.0 + confidence) / 2.0))
+    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     p_hat = successes / trials
     denominator = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denominator
@@ -133,6 +133,9 @@ class ExperimentSpec:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown spec keys {sorted(unknown)}")
+        missing = {"scenario", "methods", "sample_sizes"} - set(raw)
+        if missing:
+            raise ValueError(f"spec is missing required keys {sorted(missing)}")
         return cls(
             scenario=dict(raw["scenario"]),
             methods=tuple(raw["methods"]),
@@ -166,18 +169,14 @@ class ExperimentSpec:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def method_from_name(name: str, ell: int,
-                     akrls_budget: int = DEFAULT_AKRLS_BUDGET,
-                     akrls_fallback: int = DEFAULT_EXACT_FALLBACK):
+def method_from_name(name: str, ell: int):
     """Instantiate the method spec for a grid method name and feature count."""
     if name == "exact":
         return ExactMethod()
     if name == "nystrom-uniform":
         return NystromMethod(n_landmarks=ell, sampler="uniform")
     if name == "nystrom-akrls":
-        return NystromMethod(n_landmarks=ell, sampler="akrls",
-                             budget=akrls_budget,
-                             fallback_threshold=akrls_fallback)
+        return NystromMethod(n_landmarks=ell, sampler="akrls")
     if name == "nystrom-exact-krls":
         return NystromMethod(n_landmarks=ell, sampler="exact_krls")
     if name == "rff":
@@ -264,30 +263,21 @@ def _worker_count(n_threads: int | None) -> int:
 
 
 def estimate_rate(spec: ExperimentSpec, regime: str, *,
-                  paired: bool = False, n_threads: int | None = None,
-                  akrls_budget: int = DEFAULT_AKRLS_BUDGET,
-                  akrls_fallback: int = DEFAULT_EXACT_FALLBACK,
-                  bandwidth_subset: int = DEFAULT_BANDWIDTH_SUBSET) -> list[RateEstimate]:
+                  n_threads: int | None = None) -> list[RateEstimate]:
     """Run every grid cell of the spec and estimate its rejection rate.
 
     Args:
         spec: The experiment grid.
         regime: "null" (both samples from the base distribution) or
             "alternative" (second sample from the shifted distribution).
-        paired: When true, the data draw of a repetition depends only on
-            the cell's (n, param) coordinates, so all methods see identical
-            datasets within a repetition (a variance-reduction option);
-            by default every cell resamples everything independently.
         n_threads: Worker threads for repetitions; defaults to the
             NYSMMD_THREADS environment variable (1 if unset).  Results are
             identical for a fixed seed regardless of thread count.
-        akrls_budget, akrls_fallback: Options for the approximate
-            leverage-score sampler.
-        bandwidth_subset: Subset size for the median-heuristic bandwidth.
 
     Returns:
         One RateEstimate per cell, in grid order.  A failing cell yields an
-        entry with its ``error`` field set instead of aborting the grid.
+        entry with its ``error`` field set to "ExceptionType: message"
+        instead of aborting the grid.
     """
     if regime not in ("null", "alternative"):
         raise ValueError("regime must be 'null' or 'alternative'")
@@ -307,23 +297,18 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
 
     for method_index, method_name, ell, n, param_index, param in cells:
         try:
-            method = method_from_name(method_name, ell, akrls_budget, akrls_fallback)
+            method = method_from_name(method_name, ell)
 
             def one_repetition(rep: int) -> tuple[bool, float]:
-                data_key = [spec.seed, 11, regime_code, n, param_index, rep]
-                test_key = [spec.seed, 13, regime_code, n, param_index, rep,
-                            method_index, ell]
-                if not paired:
-                    data_key += [method_index, ell]
-                data_seed = np.random.SeedSequence(data_key)
-                test_seed = int(np.random.SeedSequence(test_key)
+                cell = [regime_code, n, param_index, rep, method_index, ell]
+                data_seed = np.random.SeedSequence([spec.seed, 11, *cell])
+                test_seed = int(np.random.SeedSequence([spec.seed, 13, *cell])
                                 .generate_state(2, np.uint64)[0])
                 x, y = scenario.draw_pair(regime, n, param,
                                           np.random.default_rng(data_seed))
                 config = TestConfig(alpha=spec.alpha,
                                     n_permutations=spec.permutations,
                                     seed=test_seed,
-                                    bandwidth_subset=bandwidth_subset,
                                     keep_statistics=False)
                 start = time.perf_counter()
                 outcome = run_test(x, y, config, method)
@@ -350,7 +335,8 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
                 method=method_name, ell=ell, n_x=n, n_y=n, param=param,
                 successes=0, trials=0, rate=float("nan"),
                 wilson_low=float("nan"), wilson_high=float("nan"),
-                mean_runtime_s=float("nan"), error=str(exc)))
+                mean_runtime_s=float("nan"),
+                error=f"{type(exc).__name__}: {exc}"))
     return results
 
 

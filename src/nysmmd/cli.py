@@ -9,6 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime error, 2 usage error; `test` exits 3 when
 the null hypothesis is rejected, so shell scripts can branch on the outcome.
+`level` and `power` exit 4 when some grid cells fail and others succeed (the
+failures go to stderr, the successful rows to the results CSV) and 1 when
+every cell fails.
 """
 
 from __future__ import annotations
@@ -149,7 +152,9 @@ def _cmd_grid(args, regime: str) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 1 if len(failures) == len(estimates) else 0
+    if not failures:
+        return 0
+    return 1 if len(failures) == len(estimates) else 4
 
 
 def _cmd_bench(args) -> int:

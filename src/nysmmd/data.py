@@ -9,7 +9,6 @@ reproduces the same dataset bit for bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,31 +137,3 @@ def sample_mixture(background, signal, mix_fraction: float, n: int,
         picks = rng.choice(background.shape[0], size=n_background, replace=False)
         out[~from_signal] = background[picks]
     return out
-
-
-@dataclass(frozen=True)
-class CorrelatedGaussianSpec:
-    """Recipe for a seeded equicorrelated-Gaussian sample."""
-
-    n: int
-    dim: int
-    rho: float
-    seed: int
-
-    def sample(self) -> np.ndarray:
-        return sample_correlated_gaussians(self.n, self.dim, self.rho, self.seed)
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureSpec:
-    """Recipe for a seeded background/signal mixture sample."""
-
-    background: np.ndarray
-    signal: np.ndarray
-    mix_fraction: float
-    n: int
-    seed: int
-
-    def sample(self) -> np.ndarray:
-        return sample_mixture(self.background, self.signal, self.mix_fraction,
-                              self.n, self.seed)

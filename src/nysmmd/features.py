@@ -8,7 +8,7 @@ Gaussian kernel, so downstream statistics only ever see an object with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .linalg import pseudo_inverse_sqrt
 DEFAULT_RANK_TOLERANCE = 1e-10
 
 
-@runtime_checkable
 class FeatureMap(Protocol):
     """Deterministic map from points to ell-dimensional feature vectors."""
 
@@ -51,10 +50,6 @@ class NystromMap:
     def dimension(self) -> int:
         return self.transform.shape[0]
 
-    def feature(self, x) -> np.ndarray:
-        """Feature vector of a single point."""
-        return self.features(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def features(self, points) -> np.ndarray:
         points = as_points(points)
         return self.kernel.gram(points, self.landmarks.points) @ self.transform
@@ -76,9 +71,6 @@ class RffMap:
     @property
     def dimension(self) -> int:
         return 2 * self.frequencies.shape[0]
-
-    def feature(self, x) -> np.ndarray:
-        return self.features(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     def features(self, points) -> np.ndarray:
         points = as_points(points)

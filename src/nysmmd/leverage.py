@@ -29,23 +29,16 @@ class LeverageScores:
 
     Attributes:
         scores: Nonnegative weights, one per data point.  Exact scores lie
-            in [0, 1); approximate scores are capped at 1 but only
-            guaranteed within a multiplicative factor ``z`` of the exact
-            ones.
+            in [0, 1); approximate scores are Nystrom-style overestimates
+            capped at 1.
         regularization: The ridge parameter lambda (the solve uses
             lambda * n on the kernel matrix).
         kind: "exact" or "approximate".
-        z, lambda_min, delta: Approximation parameters; the approximate
-            scores are within a factor z of the exact scores for every
-            ridge level >= lambda_min, with probability at least 1 - delta.
     """
 
     scores: np.ndarray
     regularization: float
     kind: str
-    z: float | None = None
-    lambda_min: float | None = None
-    delta: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +180,7 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float, seed: int
 
     Returns:
         LeverageScores of kind "exact" when the fallback was taken, else
-        kind "approximate" with nominal factor z = 4.
+        kind "approximate".
     """
     points = as_points(points)
     if regularization <= 0:
@@ -200,8 +193,7 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float, seed: int
     rng = np.random.default_rng(seed)
     scores = _recursive_scores(points, kernel, regularization * n, budget, rng)
     return LeverageScores(scores=scores, regularization=regularization,
-                          kind="approximate", z=4.0,
-                          lambda_min=regularization, delta=0.05)
+                          kind="approximate")
 
 
 def sample_landmarks(points, ell: int, seed: int,

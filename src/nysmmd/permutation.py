@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,17 +20,15 @@ from .kernels import GaussianKernel, median_heuristic, DEFAULT_BANDWIDTH_SUBSET
 from .leverage import (
     DEFAULT_AKRLS_BUDGET,
     DEFAULT_EXACT_FALLBACK,
-    LandmarkSet,
     approx_krls,
     default_regularization,
     exact_krls,
     sample_landmarks,
 )
-from .features import DEFAULT_RANK_TOLERANCE, build_nystrom, build_rff
+from .features import build_nystrom, build_rff
 from .statistics import PooledSample, permutation_weights, permuted_statistics
 
 NYSTROM_SAMPLERS = ("uniform", "akrls", "exact_krls")
-LANDMARK_SOURCES = ("pooled", "split")
 
 # Statistics are bounded by 2 for a unit-bounded kernel, so replicates below
 # this are pure cancellation round-off.  When EVERY replicate is that small
@@ -42,37 +40,27 @@ DEGENERATE_TIE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class NystromMethod:
-    """Projected-MMD statistic with landmarks sampled from the data.
+    """Projected-MMD statistic with landmarks sampled from the pooled data.
+
+    Leverage scores use the ridge level 16 * log(4 / 0.05) / n, and the
+    landmark pseudo-inverse the default spectral cutoff of build_nystrom.
 
     Attributes:
         n_landmarks: Feature dimension ell.
         sampler: "uniform", "akrls", or "exact_krls".
-        source: "pooled" samples landmarks from the stacked data (the
-            default; required for the exact-level guarantee).  "split"
-            computes scores and draws landmarks from each sample
-            separately, proportionally to the sample sizes; it mirrors a
-            common experimental setup but voids exactness of the level.
-        regularization: Ridge level for the leverage scores; defaults to
-            16 * log(4 / 0.05) / n.
         budget, fallback_threshold: Passed to the approximate scores.
-        rank_tolerance: Spectral cutoff for the landmark pseudo-inverse.
     """
 
     n_landmarks: int
     sampler: str = "uniform"
-    source: str = "pooled"
-    regularization: float | None = None
     budget: int = DEFAULT_AKRLS_BUDGET
     fallback_threshold: int = DEFAULT_EXACT_FALLBACK
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE
 
     def __post_init__(self):
         if self.n_landmarks < 1:
             raise ValueError("n_landmarks must be at least 1")
         if self.sampler not in NYSTROM_SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.source not in LANDMARK_SOURCES:
-            raise ValueError(f"unknown landmark source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -108,11 +96,12 @@ class TestConfig:
     costs power (a warning is emitted).
     """
 
+    __test__ = False  # not a pytest test class despite the name
+
     alpha: float = 0.05
     n_permutations: int = 199
     seed: int = 0
     bandwidth: float | None = None
-    bandwidth_subset: int = DEFAULT_BANDWIDTH_SUBSET
     keep_statistics: bool = True
 
     def __post_init__(self):
@@ -144,6 +133,8 @@ class TestOutcome:
             when not retained.
         bandwidth: Kernel bandwidth the test ran with.
     """
+
+    __test__ = False  # not a pytest test class despite the name
 
     reject: bool
     statistic: float
@@ -229,60 +220,20 @@ def _seed_int(seed_sequence: np.random.SeedSequence) -> int:
     return int(seed_sequence.generate_state(2, np.uint64)[0])
 
 
-def _split_landmarks(pooled: PooledSample, method: NystromMethod,
-                     kernel: GaussianKernel, regularization: float,
-                     scores_seed: int, draw_seed: int) -> LandmarkSet:
-    """Landmarks drawn separately from each sample, proportionally to size."""
-    ell_x = int(round(method.n_landmarks * pooled.n_x / pooled.n))
-    ell_x = min(max(ell_x, 0), method.n_landmarks)
-    ell_y = method.n_landmarks - ell_x
-    parts = []
-    indices = []
-    sampler = "uniform"
-    sides = [(pooled.points[:pooled.n_x], ell_x, 0),
-             (pooled.points[pooled.n_x:], ell_y, pooled.n_x)]
-    for side_number, (side_points, ell_side, offset) in enumerate(sides):
-        if ell_side == 0:
-            continue
-        scores = _side_scores(side_points, method, kernel, regularization,
-                              scores_seed + side_number)
-        drawn = sample_landmarks(side_points, ell_side, draw_seed + side_number,
-                                 scores=scores)
-        sampler = drawn.sampler
-        parts.append(drawn.points)
-        indices.append(drawn.indices + offset)
-    return LandmarkSet(indices=np.concatenate(indices),
-                       points=np.vstack(parts), sampler=sampler)
-
-
-def _side_scores(side_points, method, kernel, regularization, seed):
+def _nystrom_map(pooled, method, kernel, scores_seed, draw_seed):
+    regularization = default_regularization(pooled.n)
     if method.sampler == "uniform":
-        return None
-    if method.sampler == "exact_krls":
-        return exact_krls(kernel.gram(side_points, side_points), regularization)
-    return approx_krls(side_points, kernel, regularization, seed,
-                       budget=method.budget,
-                       fallback_threshold=method.fallback_threshold)
-
-
-def _nystrom_statistics(pooled, method, kernel, config, perm_seed,
-                        scores_ss, draw_ss):
-    regularization = (method.regularization
-                      if method.regularization is not None
-                      else default_regularization(pooled.n))
-    scores_seed = _seed_int(scores_ss)
-    draw_seed = _seed_int(draw_ss)
-    if method.source == "split":
-        landmarks = _split_landmarks(pooled, method, kernel, regularization,
-                                     scores_seed, draw_seed)
+        scores = None
+    elif method.sampler == "exact_krls":
+        scores = exact_krls(kernel.gram(pooled.points, pooled.points),
+                            regularization)
     else:
-        scores = _side_scores(pooled.points, method, kernel, regularization,
-                              scores_seed)
-        landmarks = sample_landmarks(pooled.points, method.n_landmarks,
-                                     draw_seed, scores=scores)
-    feature_map = build_nystrom(landmarks, kernel, method.rank_tolerance)
-    return permuted_statistics(pooled, feature_map, config.n_permutations,
-                               perm_seed)
+        scores = approx_krls(pooled.points, kernel, regularization, scores_seed,
+                             budget=method.budget,
+                             fallback_threshold=method.fallback_threshold)
+    landmarks = sample_landmarks(pooled.points, method.n_landmarks, draw_seed,
+                                 scores=scores)
+    return build_nystrom(landmarks, kernel)
 
 
 def _exact_statistics(pooled, kernel, config, perm_seed):
@@ -310,31 +261,28 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     if config.bandwidth is not None:
         bandwidth = float(config.bandwidth)
     else:
-        bandwidth = median_heuristic(pooled.points, config.bandwidth_subset,
+        bandwidth = median_heuristic(pooled.points, DEFAULT_BANDWIDTH_SUBSET,
                                      seed=_seed_int(bandwidth_ss))
     kernel = GaussianKernel(bandwidth)
     perm_seed = _seed_int(perm_ss)
 
-    if isinstance(method, NystromMethod):
-        statistics = _nystrom_statistics(pooled, method, kernel, config,
-                                         perm_seed, scores_ss, draw_ss)
-    elif isinstance(method, RffMethod):
-        feature_map = build_rff(pooled.points.shape[1], method.n_features,
-                                kernel, _seed_int(draw_ss))
-        statistics = permuted_statistics(pooled, feature_map,
-                                         config.n_permutations, perm_seed)
-    elif isinstance(method, ExactMethod):
+    if isinstance(method, ExactMethod):
         statistics = _exact_statistics(pooled, kernel, config, perm_seed)
     else:
-        raise TypeError(f"unknown method spec {method!r}")
+        if isinstance(method, NystromMethod):
+            feature_map = _nystrom_map(pooled, method, kernel,
+                                       _seed_int(scores_ss), _seed_int(draw_ss))
+        elif isinstance(method, RffMethod):
+            feature_map = build_rff(pooled.points.shape[1], method.n_features,
+                                    kernel, _seed_int(draw_ss))
+        else:
+            raise TypeError(f"unknown method spec {method!r}")
+        statistics = permuted_statistics(pooled, feature_map,
+                                         config.n_permutations, perm_seed)
 
     if statistics.max() <= DEGENERATE_TIE_TOLERANCE:
         statistics = np.zeros_like(statistics)
     outcome = decide(statistics, config.alpha, tie_break)
-    return TestOutcome(reject=outcome.reject, statistic=outcome.statistic,
-                       threshold=outcome.threshold,
-                       threshold_index=outcome.threshold_index,
-                       randomized=outcome.randomized,
-                       rejection_probability=outcome.rejection_probability,
-                       statistics=outcome.statistics if config.keep_statistics else None,
-                       bandwidth=bandwidth)
+    return replace(
+        outcome, bandwidth=bandwidth,
+        statistics=outcome.statistics if config.keep_statistics else None)

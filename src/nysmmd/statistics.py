@@ -3,8 +3,10 @@
 The projected statistic is the norm of the difference of empirical feature
 means.  All permuted replicates are accumulated in a single pass over the
 pooled data: each point's feature vector is computed exactly once and
-scattered into the (P + 1) accumulators with its signed permuted weights, so
-the accumulation stage needs O((P + 1) * ell) storage regardless of n.
+scattered into the (P + 1) accumulators with its signed permuted weights.
+The accumulators take O((P + 1) * ell) storage and the per-chunk features
+O(chunk * ell), but the signed permuted weights are held as a dense
+(P + 1) x n float64 matrix, so total storage is O((P + 1) * (n + ell)).
 """
 
 from __future__ import annotations
@@ -136,50 +138,3 @@ def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
     accumulated = accumulate_weighted_features(weights, pooled.points,
                                                feature_map, chunk_size)
     return np.linalg.norm(accumulated, axis=1)
-
-
-def ustat_decomposition(pooled: PooledSample, permutation, feature_map: FeatureMap):
-    """Split the squared permuted statistic into a U-statistic plus remainder.
-
-    With a_i, b_j the permuted first and second sample and
-    G(u, v) = phi(u) . phi(v), the squared statistic satisfies
-
-        stat^2 = (n_x - 1)(n_y - 1) / (n_x * n_y) * U + R
-
-    exactly (up to round-off), where U is the unbiased off-diagonal
-    combination and R collects the diagonal-index terms.  Both are computed
-    here from feature-vector sums in O(n * ell) without forming any n x n
-    matrix.
-
-    Args:
-        pooled: Pooled sample with n_x >= 2 and n_y >= 2.
-        permutation: Array containing a permutation of range(n).
-        feature_map: Map defining the approximate kernel.
-
-    Returns:
-        Tuple (u_statistic, remainder).
-    """
-    n_x, n_y = pooled.n_x, pooled.n_y
-    if n_x < 2 or n_y < 2:
-        raise ValueError("the U-statistic needs at least two points per sample")
-    permutation = np.asarray(permutation)
-    if sorted(permutation.tolist()) != list(range(pooled.n)):
-        raise ValueError("not a permutation of range(n)")
-
-    feats_x = feature_map.features(pooled.points[permutation[:n_x]])
-    feats_y = feature_map.features(pooled.points[permutation[n_x:]])
-    sum_x = feats_x.sum(axis=0)
-    sum_y = feats_y.sum(axis=0)
-    self_x = float(np.einsum("ij,ij->", feats_x, feats_x))
-    self_y = float(np.einsum("ij,ij->", feats_y, feats_y))
-    cross = float(sum_x @ sum_y)
-    off_xx = float(sum_x @ sum_x) - self_x
-    off_yy = float(sum_y @ sum_y) - self_y
-
-    u_stat = (off_xx / (n_x * (n_x - 1))
-              - 2.0 * cross / (n_x * n_y)
-              + off_yy / (n_y * (n_y - 1)))
-    remainder = (n_y * (n_y - 1) * self_x - 2.0 * (n_y - 1) * cross + n_x * off_yy
-                 + n_y * off_xx - 2.0 * (n_x - 1) * cross + n_x * (n_x - 1) * self_y
-                 + n_y * self_x - 2.0 * cross + n_x * self_y) / (n_x**2 * n_y**2)
-    return u_stat, remainder

@@ -127,6 +127,33 @@ class TestGridCommands:
         assert len(rows) == 1
         assert rows[0].trials == 20
 
+    def test_spec_missing_keys_is_runtime_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"scenario": {"kind": "csv"}}))
+        code, _, err = run_cli(capsys, "level", "--spec", str(spec_path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "['methods', 'sample_sizes']" in err
+
+    def test_partial_grid_failure_exits_four(self, tmp_path, capsys):
+        pool_path = tmp_path / "pool.csv"
+        write_csv(np.zeros((10, 2)) + np.arange(10)[:, None], pool_path)
+        spec = {"scenario": {"kind": "csv", "x": str(pool_path),
+                             "y": str(pool_path)},
+                "methods": ["nystrom-uniform"], "landmarks": [2],
+                "sample_sizes": [3, 50], "alpha": 0.1, "permutations": 9,
+                "repetitions": 5, "seed": 0}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "level", "--spec", str(spec_path))
+        assert code == 4
+        assert "n=50" in err and "ValueError: pool of 10 rows too small" in err
+        rows = parse_results_csv(out)
+        assert [row.n_x for row in rows] == [3]
+        spec_path.write_text(json.dumps({**spec, "sample_sizes": [50]}))
+        code, _, _ = run_cli(capsys, "level", "--spec", str(spec_path))
+        assert code == 1
+
     def test_power_with_flags_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "power.csv"
         code, _, _ = run_cli(capsys, "power", "--rho1", "0.0", "--rho2", "0.6",

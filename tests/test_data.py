@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from nysmmd import (
-    CorrelatedGaussianSpec,
-    MixtureSpec,
     equicorrelation_matrix,
     load_csv,
     sample_correlated_gaussians,
@@ -97,11 +95,6 @@ class TestCorrelatedGaussians:
             error = np.abs(np.cov(draws.T) - equicorrelation_matrix(3, rho)).max()
             assert error <= bound
 
-    def test_spec_dataclass_samples(self):
-        spec = CorrelatedGaussianSpec(n=50, dim=3, rho=0.5, seed=4)
-        np.testing.assert_array_equal(
-            spec.sample(), sample_correlated_gaussians(50, 3, 0.5, 4))
-
 
 class TestSampleMixture:
     @pytest.fixture
@@ -143,13 +136,6 @@ class TestSampleMixture:
         first = sample_mixture(background, signal, 0.3, 100, seed=7)
         second = sample_mixture(background, signal, 0.3, 100, seed=7)
         np.testing.assert_array_equal(first, second)
-
-    def test_spec_dataclass_samples(self, pools):
-        background, signal = pools
-        spec = MixtureSpec(background=background, signal=signal,
-                           mix_fraction=0.1, n=64, seed=5)
-        np.testing.assert_array_equal(
-            spec.sample(), sample_mixture(background, signal, 0.1, 64, 5))
 
     def test_fraction_bounds_validated(self, pools):
         background, signal = pools

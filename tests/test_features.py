@@ -65,7 +65,7 @@ class TestNystromApply:
         rng = np.random.default_rng(4)
         landmarks = rng.standard_normal((8, 3)) * 2.0
         fmap = build_nystrom(landmark_set(landmarks), GaussianKernel(1.0))
-        assert np.linalg.norm(fmap.feature(landmarks[0])) == pytest.approx(
+        assert np.linalg.norm(fmap.features(landmarks[:1])[0]) == pytest.approx(
             1.0, abs=1e-8)
 
     def test_contraction_everywhere(self):
@@ -82,8 +82,8 @@ class TestNystromApply:
         kernel = GaussianKernel(1.1)
         fmap = build_nystrom(landmark_set(landmark), kernel)
         x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(fmap.feature(x), [kernel(landmark[0], x)],
-                                   atol=1e-12)
+        np.testing.assert_allclose(fmap.features(x[None])[0],
+                                   [kernel(landmark[0], x)], atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         fmap = build_nystrom(landmark_set([[0.0, 0.0]]), GaussianKernel(1.0))
@@ -101,7 +101,7 @@ class TestBuildRff:
         rng = np.random.default_rng(6)
         fmap = build_rff(3, 64, GaussianKernel(1.0), seed=0)
         for x in rng.standard_normal((20, 3)):
-            feats = fmap.feature(x)
+            feats = fmap.features(x[None])[0]
             assert feats @ feats == pytest.approx(1.0, abs=1e-12)
 
     def test_inner_products_concentrate_on_kernel(self):
@@ -117,7 +117,7 @@ class TestBuildRff:
         trials = 200
         for seed in range(trials):
             fmap = build_rff(4, 2048, kernel, seed)
-            approx = float(fmap.feature(x) @ fmap.feature(y))
+            approx = float(fmap.features(x[None])[0] @ fmap.features(y[None])[0])
             hits += abs(approx - target) <= 0.05
         assert hits >= int(0.99 * trials)
 

@@ -147,8 +147,7 @@ class TestApproxKrls:
         result = approx_krls(points, kernel, 1.0 / 512, 0, budget=128,
                              fallback_threshold=256)
         assert result.kind == "approximate"
-        assert result.z >= 1.0
-        assert 0 < result.delta <= 1.0
+        assert result.regularization == 1.0 / 512
 
     def test_budget_floor(self, gaussian_data):
         points, kernel = gaussian_data

@@ -161,7 +161,8 @@ class TestRunTest:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((12, 2))
         y = rng.standard_normal((9, 2)) + 0.2
-        config = TestConfig(n_permutations=12, seed=11, bandwidth=1.3)
+        with pytest.warns(UserWarning, match="cannot reject"):
+            config = TestConfig(n_permutations=12, seed=11, bandwidth=1.3)
         outcome = run_test(x, y, config, ExactMethod())
         pooled = PooledSample.from_samples(x, y)
         perm_seed = None
@@ -182,12 +183,10 @@ class TestRunTest:
         x = rng.standard_normal((60, 2))
         y = rng.standard_normal((50, 2))
         for sampler in ("uniform", "akrls", "exact_krls"):
-            for source in ("pooled", "split"):
-                method = NystromMethod(n_landmarks=6, sampler=sampler,
-                                       source=source, budget=16,
-                                       fallback_threshold=32)
-                outcome = run_test(x, y, TestConfig(seed=2), method)
-                assert np.isfinite(outcome.statistic)
+            method = NystromMethod(n_landmarks=6, sampler=sampler, budget=16,
+                                   fallback_threshold=32)
+            outcome = run_test(x, y, TestConfig(seed=2), method)
+            assert np.isfinite(outcome.statistic)
 
     def test_fixed_bandwidth_skips_heuristic(self):
         rng = np.random.default_rng(10)

@@ -13,7 +13,6 @@ from nysmmd import (
     permuted_statistics,
     sample_landmarks,
     signed_weights,
-    ustat_decomposition,
 )
 from nysmmd.leverage import LandmarkSet
 from nysmmd.statistics import accumulate_weighted_features, permutation_weights
@@ -31,46 +30,6 @@ def pooled_map(x, y, ell, seed=0, bandwidth=1.0):
     kernel = GaussianKernel(bandwidth)
     landmarks = sample_landmarks(pooled.points, ell, seed=seed)
     return pooled, build_nystrom(landmarks, kernel)
-
-
-def brute_force_decomposition(pooled, sigma, feature_map):
-    """Literal quadruple loop over the paired-index kernel combination."""
-    n_x, n_y = pooled.n_x, pooled.n_y
-    feats = feature_map.features(pooled.points[np.asarray(sigma)])
-    gram = feats @ feats.T  # approximate-kernel values between permuted rows
-
-    def h(i, ip, j, jp):
-        return (gram[i, ip] - gram[i, n_x + jp]
-                - gram[n_x + j, ip] + gram[n_x + j, n_x + jp])
-
-    u_sum = 0.0
-    for i in range(n_x):
-        for ip in range(n_x):
-            if ip == i:
-                continue
-            for j in range(n_y):
-                for jp in range(n_y):
-                    if jp == j:
-                        continue
-                    u_sum += h(i, ip, j, jp)
-    u_stat = u_sum / (n_x * (n_x - 1) * n_y * (n_y - 1))
-
-    r_sum = 0.0
-    for i in range(n_x):
-        for j in range(n_y):
-            for jp in range(n_y):
-                if jp != j:
-                    r_sum += h(i, i, j, jp)
-    for i in range(n_x):
-        for ip in range(n_x):
-            if ip != i:
-                for j in range(n_y):
-                    r_sum += h(i, ip, j, j)
-    for i in range(n_x):
-        for j in range(n_y):
-            r_sum += h(i, i, j, j)
-    remainder = r_sum / (n_x**2 * n_y**2)
-    return u_stat, remainder
 
 
 class TestExactMmd:
@@ -238,71 +197,6 @@ class TestPermutedStatistics:
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
         assert chisquare(counts).pvalue > 1e-3
-
-
-class TestUstatDecomposition:
-    def test_degenerate_identical_points(self):
-        x = np.full((3, 2), 0.5)
-        pooled, fmap = pooled_map(x, x, ell=2)
-        u_stat, remainder = ustat_decomposition(pooled, np.arange(6), fmap)
-        n_x = n_y = 3
-        scale = (n_x - 1) * (n_y - 1) / (n_x * n_y)
-        assert scale * u_stat + remainder == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_quadruple_loop_brute_force(self):
-        rng = np.random.default_rng(11)
-        for trial in range(10):
-            x = rng.standard_normal((4, 2))
-            y = rng.standard_normal((3, 2)) + 0.2
-            pooled, fmap = pooled_map(x, y, ell=3, seed=trial)
-            sigma = rng.permutation(7)
-            u_stat, remainder = ustat_decomposition(pooled, sigma, fmap)
-            u_brute, r_brute = brute_force_decomposition(pooled, sigma, fmap)
-            assert u_stat == pytest.approx(u_brute, abs=1e-10)
-            assert remainder == pytest.approx(r_brute, abs=1e-10)
-
-    def test_identity_reconstructs_squared_statistic(self):
-        rng = np.random.default_rng(12)
-        for trial in range(10):
-            n_x = int(rng.integers(2, 9))
-            n_y = int(rng.integers(2, 9))
-            x = rng.standard_normal((n_x, 3))
-            y = rng.standard_normal((n_y, 3)) - 0.4
-            pooled, fmap = pooled_map(x, y, ell=4, seed=trial)
-            sigma = rng.permutation(n_x + n_y)
-            u_stat, remainder = ustat_decomposition(pooled, sigma, fmap)
-            feats = fmap.features(pooled.points[sigma])
-            stat_sq = float(np.linalg.norm(
-                feats[:n_x].mean(axis=0) - feats[n_x:].mean(axis=0))) ** 2
-            scale = (n_x - 1) * (n_y - 1) / (n_x * n_y)
-            assert stat_sq == pytest.approx(scale * u_stat + remainder,
-                                            abs=1e-10)
-
-    def test_remainder_bounded_for_unit_kernel(self):
-        rng = np.random.default_rng(13)
-        for trial in range(20):
-            n_x = int(rng.integers(2, 10))
-            n_y = int(rng.integers(2, 10))
-            x = rng.standard_normal((n_x, 2))
-            y = rng.standard_normal((n_y, 2))
-            pooled, fmap = pooled_map(x, y, ell=5, seed=trial)
-            sigma = rng.permutation(n_x + n_y)
-            _, remainder = ustat_decomposition(pooled, sigma, fmap)
-            assert abs(remainder) <= (1.0 / n_x + 1.0 / n_y) * 4.0
-
-    def test_needs_two_points_per_sample(self):
-        x = np.zeros((1, 2))
-        y = np.zeros((3, 2))
-        pooled, fmap = pooled_map(x, y, ell=2)
-        with pytest.raises(ValueError, match="two points"):
-            ustat_decomposition(pooled, np.arange(4), fmap)
-
-    def test_rejects_non_permutation(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((3, 2))
-        pooled, fmap = pooled_map(x, x, ell=2)
-        with pytest.raises(ValueError, match="permutation"):
-            ustat_decomposition(pooled, np.zeros(6, dtype=int), fmap)
 
 
 class TestPooledSample:
