@@ -35,12 +35,7 @@ from .permutation import (
     TestConfig,
     run_test,
 )
-from .statistics import (
-    DEFAULT_CHUNK_SIZE,
-    PooledSample,
-    accumulate_weighted_features,
-    permutation_weights,
-)
+from .statistics import DEFAULT_CHUNK_SIZE, PooledSample, permuted_statistics
 
 METHOD_NAMES = ("exact", "nystrom-uniform", "nystrom-akrls", "nystrom-exact-krls", "rff")
 RESULTS_HEADER = ("method", "ell", "n_x", "n_y", "param", "rate",
@@ -184,6 +179,12 @@ def method_from_name(name: str, ell: int):
     raise ValueError(f"unknown method {name!r}")
 
 
+def _require_keys(raw: dict, *keys: str) -> None:
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ValueError(f"{raw['kind']} scenario is missing required keys {missing}")
+
+
 class _Scenario:
     """Resolved scenario: loads CSV pools once, draws (x, y) pairs on demand."""
 
@@ -196,9 +197,11 @@ class _Scenario:
             rho2 = raw.get("rho2", self.rho1)
             self.rho2_grid = tuple(float(v) for v in np.atleast_1d(rho2))
         elif self.kind == "csv":
+            _require_keys(raw, "x", "y")
             self.x_pool = load_csv(raw["x"], bool(raw.get("has_header", False)))
             self.y_pool = load_csv(raw["y"], bool(raw.get("has_header", False)))
         elif self.kind == "mixture":
+            _require_keys(raw, "background", "signal")
             self.background = load_csv(raw["background"],
                                        bool(raw.get("has_header", False)))
             self.signal = load_csv(raw["signal"], bool(raw.get("has_header", False)))
@@ -378,7 +381,7 @@ def parse_results_csv(text: str) -> list[RateEstimate]:
 
 @dataclass(frozen=True)
 class AccumulationMeasurement:
-    """Timing and peak incremental memory of the single-pass accumulation."""
+    """Timing and peak incremental memory of the permuted-statistics pass."""
 
     n: int
     seconds: float
@@ -389,12 +392,12 @@ def accumulation_profile(sample_sizes, n_landmarks: int = 64,
                          n_permutations: int = 199, dim: int = 3, seed: int = 0,
                          repeats: int = 5,
                          chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[AccumulationMeasurement]:
-    """Measure the accumulation stage across pooled sample sizes.
+    """Measure the permuted-statistics pass across pooled sample sizes.
 
-    For each pooled size n, builds the landmarks, feature map, and permuted
-    weight matrix once (setup), then times only the single pass that
-    accumulates weighted features.  The timing is the median over
-    ``repeats`` runs; peak memory is traced over one extra run.
+    For each pooled size n, builds the landmarks and feature map once
+    (setup), then times permuted_statistics: the label stream and the
+    single pass that accumulates the labeled basis sums.  The timing is the
+    median over ``repeats`` runs; peak memory is traced over one extra run.
     """
     measurements = []
     for n in sample_sizes:
@@ -406,17 +409,18 @@ def accumulation_profile(sample_sizes, n_landmarks: int = 64,
         landmarks = sample_landmarks(points, n_landmarks,
                                      seed=int(rng.integers(2**63)))
         feature_map = build_nystrom(landmarks, kernel)
-        weights = permutation_weights(pooled, n_permutations,
-                                      seed=int(rng.integers(2**63)))
+        perm_seed = int(rng.integers(2**63))
 
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            accumulate_weighted_features(weights, points, feature_map, chunk_size)
+            permuted_statistics(pooled, feature_map, n_permutations, perm_seed,
+                                chunk_size)
             times.append(time.perf_counter() - start)
 
         tracemalloc.start()
-        accumulate_weighted_features(weights, points, feature_map, chunk_size)
+        permuted_statistics(pooled, feature_map, n_permutations, perm_seed,
+                            chunk_size)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 

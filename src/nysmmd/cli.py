@@ -4,7 +4,7 @@ Subcommands:
     test    Run one permutation test on two CSV files; JSON result on stdout.
     level   Type-I-error study over an experiment grid; results CSV.
     power   Power study over an experiment grid; results CSV.
-    bench   Accumulation-stage runtime/memory scaling benchmark; CSV.
+    bench   Permuted-statistics runtime/memory scaling benchmark; CSV.
     gen     Write synthetic datasets as CSV.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error; `test` exits 3 when
@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         grid.add_argument("--output", default=None,
                           help="results CSV path (default: stdout)")
 
-    bench = sub.add_parser("bench", help="accumulation runtime/memory scaling")
+    bench = sub.add_parser("bench",
+                           help="permuted-statistics runtime/memory scaling")
     bench.add_argument("--sample-sizes", default="2000,4000,8000,16000",
                        help="comma-separated pooled sizes")
     bench.add_argument("--landmarks", type=int, default=64)

@@ -1,8 +1,9 @@
 """Finite-dimensional feature maps: landmark projection and random Fourier features.
 
 Both maps send a point to an ell-vector whose inner products approximate the
-Gaussian kernel, so downstream statistics only ever see an object with a
-``dimension`` attribute and a ``features(X)`` method.
+Gaussian kernel.  Each map factors as a basis evaluation followed by a fixed
+linear map, features(X) = from_basis(basis(X)), so a statistic that is linear
+in the features can sum basis rows first and apply the linear map once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ class FeatureMap(Protocol):
         """Feature vectors for a batch of points, shape (m, dimension)."""
         ...
 
+    def basis(self, points) -> np.ndarray:
+        """Basis coordinates of a batch of points, shape (m, dimension)."""
+        ...
+
+    def from_basis(self, coordinates) -> np.ndarray:
+        """The linear map from basis coordinates (k, dimension) to features."""
+        ...
+
 
 @dataclass(frozen=True, eq=False)
 class NystromMap:
@@ -51,8 +60,14 @@ class NystromMap:
         return self.transform.shape[0]
 
     def features(self, points) -> np.ndarray:
-        points = as_points(points)
-        return self.kernel.gram(points, self.landmarks.points) @ self.transform
+        return self.from_basis(self.basis(points))
+
+    def basis(self, points) -> np.ndarray:
+        """Kernel evaluations against the landmarks, k_Z(x) for each point."""
+        return self.kernel.gram(as_points(points), self.landmarks.points)
+
+    def from_basis(self, coordinates) -> np.ndarray:
+        return coordinates @ self.transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +98,13 @@ class RffMap:
         out[:, 0::2] = scale * np.cos(projections)
         out[:, 1::2] = scale * np.sin(projections)
         return out
+
+    def basis(self, points) -> np.ndarray:
+        """The features themselves: the map has no separate linear factor."""
+        return self.features(points)
+
+    def from_basis(self, coordinates) -> np.ndarray:
+        return coordinates
 
 
 def build_nystrom(landmarks: LandmarkSet, kernel: GaussianKernel,

@@ -42,7 +42,10 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
+    cross = a @ b.T
+    cross *= 2.0
+    d2 = np.add.outer(sq_a, sq_b)
+    d2 -= cross
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -84,7 +87,10 @@ class GaussianKernel:
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
         symmetric = a is b or (a.shape == b.shape and np.array_equal(a, b))
-        k = np.exp(-squared_distances(a, b) / (2.0 * self.bandwidth**2))
+        # in place: -d2 / (2 h^2) and d2 / (-2 h^2) are the same IEEE value
+        k = squared_distances(a, b)
+        np.divide(k, -2.0 * self.bandwidth**2, out=k)
+        np.exp(k, out=k)
         if symmetric:
             lower = np.tril(k)
             k = lower + np.tril(k, -1).T

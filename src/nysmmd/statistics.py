@@ -1,12 +1,22 @@
 """Two-sample test statistics: exact MMD, projected MMD, and permuted replicates.
 
 The projected statistic is the norm of the difference of empirical feature
-means.  All permuted replicates are accumulated in a single pass over the
-pooled data: each point's feature vector is computed exactly once and
-scattered into the (P + 1) accumulators with its signed permuted weights.
-The accumulators take O((P + 1) * ell) storage and the per-chunk features
-O(chunk * ell), but the signed permuted weights are held as a dense
-(P + 1) x n float64 matrix, so total storage is O((P + 1) * (n + ell)).
+means.  Under a labeling that marks which pooled rows form the first sample,
+it equals ||(1/n_x + 1/n_y) S - T / n_y|| with S the feature sum over the
+rows labeled x and T the sum over all rows.  Features are linear in a basis
+(kernel columns against the landmarks for Nystrom, the features themselves
+for random Fourier features), so S and T are summed in basis coordinates
+and the map's linear factor is applied once, to the (P + 1) x ell result.
+
+All P + 1 labelings are streamed in one pass over fixed blocks of
+DEFAULT_CHUNK_SIZE = B rows.  One multivariate hypergeometric draw gives,
+for every permutation, how many x labels fall in each block; each block then
+draws a uniform subset of that size per permutation from its own child
+seed.  Together these are uniform splits of the pooled rows, and a block's
+labels never depend on the chunk size of the pass.  Storage is
+O((P + 1) * (ell + B)) for the accumulators, the labels and the basis of
+one block, plus the P x (n / B) block counts; the n-wide signed weight matrix
+is formed only by permutation_weights, for exact mode.
 """
 
 from __future__ import annotations
@@ -77,51 +87,93 @@ def exact_mmd(x, y, kernel: GaussianKernel) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
-def accumulate_weighted_features(weights: np.ndarray, points: np.ndarray,
-                                 feature_map: FeatureMap,
-                                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
-    """Single pass computing sum_i weights[p, i] * phi(points[i]) for every row p.
+def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
+                     out: np.ndarray) -> None:
+    """Fill out[p] with the 0/1 indicator of a uniform counts[p]-subset.
 
-    Features are evaluated chunk by chunk and never materialized for the
-    whole dataset; per-chunk temporaries are the only allocations, so peak
-    incremental memory does not grow with n.
+    Each row keeps the positions of its counts[p] smallest uniform keys.  A
+    tie at that cut would keep fewer, so the whole block is redrawn; the
+    redraw event is symmetric in the positions and leaves the subsets
+    uniform.
     """
-    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    n = points.shape[0]
-    if weights.shape[1] != n:
-        raise ValueError(f"weights have {weights.shape[1]} columns, expected {n}")
-    out = np.zeros((weights.shape[0], feature_map.dimension))
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        block = feature_map.features(points[start:stop])
-        out += weights[:, start:stop] @ block
-    return out
+    rows = np.arange(counts.size)
+    size = out.shape[1]
+    while True:
+        rng.random(out=out)
+        ordered = np.sort(out, axis=1)
+        # the (k + 1)-th smallest key bounds the k kept ones; inf keeps all
+        bounds = np.where(counts < size,
+                          ordered[rows, np.minimum(counts, size - 1)], np.inf)
+        np.less(out, bounds[:, None], out=out)
+        if np.array_equal(out.sum(axis=1), counts):
+            return
+
+
+def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
+    """Yield (start, labels) over the fixed grid of DEFAULT_CHUNK_SIZE-row blocks.
+
+    labels is a float64 (P + 1, block size) matrix with labels[p, i] = 1
+    when pooled row start + i is labeled x under permutation p and 0
+    otherwise; row 0 is the observed labeling (the first n_x rows).
+    """
+    starts = range(0, pooled.n, DEFAULT_CHUNK_SIZE)
+    sizes = [min(DEFAULT_CHUNK_SIZE, pooled.n - start) for start in starts]
+    counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
+                                                    size=n_permutations)
+    for block, (start, size) in enumerate(zip(starts, sizes)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        labels = np.empty((n_permutations + 1, size))
+        labels[0] = np.arange(start, start + size) < pooled.n_x
+        _uniform_subsets(counts[:, block], rng, labels[1:])
+        yield start, labels
+
+
+def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
+                                 n_permutations: int, seed: int,
+                                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+    """Signed feature mean differences under the observed and P permuted labelings.
+
+    Row p of the (P + 1, dimension) result is mean_x phi - mean_y phi under
+    labeling p.  One pass over the label blocks; each block's basis is
+    evaluated in chunks of at most chunk_size rows.
+    """
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
+    sums = np.zeros((n_permutations + 1, feature_map.dimension))
+    total = np.zeros(feature_map.dimension)
+    for start, labels in _label_blocks(pooled, n_permutations, seed):
+        for offset in range(0, labels.shape[1], chunk_size):
+            stop = min(offset + chunk_size, labels.shape[1])
+            basis = feature_map.basis(pooled.points[start + offset:start + stop])
+            sums += labels[:, offset:stop] @ basis
+            total += basis.sum(axis=0)
+    coordinates = (1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums - total / pooled.n_y
+    return feature_map.from_basis(coordinates)
 
 
 def feature_mmd(x, y, feature_map: FeatureMap) -> float:
     """Projected MMD: distance between the empirical feature means of x and y."""
     pooled = PooledSample.from_samples(x, y)
-    accumulated = accumulate_weighted_features(
-        signed_weights(pooled.n_x, pooled.n_y)[None, :], pooled.points, feature_map)
+    accumulated = accumulate_weighted_features(pooled, feature_map, 0, seed=0)
     return float(np.linalg.norm(accumulated[0]))
 
 
 def permutation_weights(pooled: PooledSample, n_permutations: int,
                         seed: int) -> np.ndarray:
-    """Weight matrix of shape (P + 1, n): identity ordering first, then P shuffles.
+    """Signed weight matrix of shape (P + 1, n), for exact mode only.
 
-    Each permutation row owns an independent child stream of the master
-    seed, so rows can be regenerated in any order (or in parallel) with the
-    same result.
+    Row p holds 1/n_x on the rows labeled x and -1/n_y on the others, for
+    the observed labeling (p = 0) and the same P permuted labelings that
+    permuted_statistics draws for this seed.  It is O((P + 1) * n) storage;
+    the feature-map statistics never form it.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be at least 1")
-    base = signed_weights(pooled.n_x, pooled.n_y)
     weights = np.empty((n_permutations + 1, pooled.n))
-    weights[0] = base
-    children = np.random.SeedSequence(seed).spawn(n_permutations)
-    for row, child in enumerate(children, start=1):
-        weights[row] = np.random.default_rng(child).permutation(base)
+    for start, labels in _label_blocks(pooled, n_permutations, seed):
+        weights[:, start:start + labels.shape[1]] = np.where(
+            labels > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y)
     return weights
 
 
@@ -131,10 +183,11 @@ def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
     """The unpermuted statistic followed by P permuted replicates.
 
     Entry 0 is the projected MMD of the observed labeling; entries 1..P use
-    independent uniform shuffles of the signed weight vector.  Deterministic
-    for a fixed seed.
+    independent uniform splits of the pooled rows.  Deterministic for a
+    fixed seed; the splits do not depend on chunk_size.
     """
-    weights = permutation_weights(pooled, n_permutations, seed)
-    accumulated = accumulate_weighted_features(weights, pooled.points,
-                                               feature_map, chunk_size)
+    if n_permutations < 1:
+        raise ValueError("n_permutations must be at least 1")
+    accumulated = accumulate_weighted_features(pooled, feature_map,
+                                               n_permutations, seed, chunk_size)
     return np.linalg.norm(accumulated, axis=1)

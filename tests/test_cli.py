@@ -135,6 +135,25 @@ class TestGridCommands:
         assert err.startswith("error: ")
         assert "['methods', 'sample_sizes']" in err
 
+    @pytest.mark.parametrize("scenario,missing", [
+        ({"kind": "csv", "y": "y.csv"}, "['x']"),
+        ({"kind": "csv", "x": "x.csv"}, "['y']"),
+        ({"kind": "csv"}, "['x', 'y']"),
+        ({"kind": "mixture", "signal": "s.csv"}, "['background']"),
+        ({"kind": "mixture", "background": "b.csv"}, "['signal']"),
+    ])
+    def test_scenario_missing_keys_is_runtime_error(self, tmp_path, capsys,
+                                                     scenario, missing):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "scenario": scenario, "methods": ["nystrom-uniform"],
+            "landmarks": [2], "sample_sizes": [5]}))
+        for command in ("level", "power"):
+            code, _, err = run_cli(capsys, command, "--spec", str(spec_path))
+            assert code == 1
+            assert err.startswith("error: ")
+            assert f"missing required keys {missing}" in err
+
     def test_partial_grid_failure_exits_four(self, tmp_path, capsys):
         pool_path = tmp_path / "pool.csv"
         write_csv(np.zeros((10, 2)) + np.arange(10)[:, None], pool_path)

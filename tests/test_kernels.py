@@ -109,6 +109,25 @@ class TestGram:
         with pytest.raises(ValueError, match="dimension mismatch"):
             k.gram(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    def test_bit_identical_to_out_of_place_expression(self):
+        def distances(a, b):
+            sq_a = np.einsum("ij,ij->i", a, a)
+            sq_b = np.einsum("ij,ij->i", b, b)
+            return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0)
+
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((40, 3))
+        b = rng.standard_normal((25, 3))
+        assert np.array_equal(squared_distances(a, b), distances(a, b))
+        for h in (0.3, 1.0, 2.7):
+            k = GaussianKernel(h)
+            expected = np.exp(-distances(a, b) / (2.0 * h**2))
+            assert np.array_equal(k.gram(a, b), expected)
+            full = np.exp(-distances(a, a) / (2.0 * h**2))
+            expected = np.tril(full) + np.tril(full, -1).T
+            np.fill_diagonal(expected, 1.0)
+            assert np.array_equal(k.gram(a, a.copy()), expected)
+
     def test_squared_distances_never_negative(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((30, 2)) * 1e-8  # near-identical points

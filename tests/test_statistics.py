@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,12 @@ from nysmmd import (
     signed_weights,
 )
 from nysmmd.leverage import LandmarkSet
-from nysmmd.statistics import accumulate_weighted_features, permutation_weights
+from nysmmd.statistics import (
+    DEFAULT_CHUNK_SIZE,
+    _uniform_subsets,
+    accumulate_weighted_features,
+    permutation_weights,
+)
 
 
 def landmark_set(points):
@@ -197,6 +204,92 @@ class TestPermutedStatistics:
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
         assert chisquare(counts).pvalue > 1e-3
+
+
+class TestLabelStream:
+    def test_splits_are_uniform(self):
+        # Every one of the C(6, 3) = 20 splits is equally likely.
+        pooled = PooledSample.from_samples(np.zeros((3, 1)), np.ones((3, 1)))
+        weights = permutation_weights(pooled, 3999, seed=4)
+        splits = {subset: index for index, subset
+                  in enumerate(itertools.combinations(range(6), 3))}
+        counts = np.zeros(len(splits), dtype=int)
+        for row in weights[1:]:
+            counts[splits[tuple(np.flatnonzero(row > 0))]] += 1
+        assert chisquare(counts).pvalue > 1e-3
+
+    def test_labels_span_blocks(self):
+        # n = 2,500 pooled rows fill three label blocks.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((1300, 2))
+        y = rng.standard_normal((1200, 2)) + 0.1
+        pooled, fmap = pooled_map(x, y, ell=6)
+        assert pooled.n > 2 * DEFAULT_CHUNK_SIZE
+        weights = permutation_weights(pooled, 199, seed=2)
+        labels = weights > 0
+        assert (labels.sum(axis=1) == pooled.n_x).all()
+        np.testing.assert_array_equal(labels[0], np.arange(pooled.n) < pooled.n_x)
+        # x labels in the first block follow the hypergeometric law: mean
+        # within 5 standard errors, variance within 50%
+        first = labels[1:, :DEFAULT_CHUNK_SIZE].sum(axis=1)
+        p_x = pooled.n_x / pooled.n
+        variance = (DEFAULT_CHUNK_SIZE * p_x * (1 - p_x)
+                    * (pooled.n - DEFAULT_CHUNK_SIZE) / (pooled.n - 1))
+        assert abs(first.mean() - DEFAULT_CHUNK_SIZE * p_x) <= 5 * math.sqrt(
+            variance / first.size)
+        assert 0.5 * variance <= first.var() <= 1.5 * variance
+        base = permuted_statistics(pooled, fmap, 199, seed=2, chunk_size=1000)
+        for chunk in (7, 4096):
+            other = permuted_statistics(pooled, fmap, 199, seed=2,
+                                        chunk_size=chunk)
+            np.testing.assert_allclose(other, base, atol=1e-10)
+
+    def test_tie_at_the_cut_redraws_the_block(self):
+        class TiedFirstDraw:
+            def __init__(self):
+                self.calls = 0
+                self.rng = np.random.default_rng(0)
+
+            def random(self, out):
+                self.calls += 1
+                if self.calls == 1:
+                    out[...] = 0.5
+                else:
+                    self.rng.random(out=out)
+
+        stub = TiedFirstDraw()
+        counts = np.array([0, 2, 5])
+        out = np.empty((3, 5))
+        _uniform_subsets(counts, stub, out)
+        assert stub.calls == 2
+        np.testing.assert_array_equal(out.sum(axis=1), counts)
+        assert set(np.unique(out)) <= {0.0, 1.0}
+
+    def test_memory_does_not_grow_with_n(self):
+        rng = np.random.default_rng(13)
+        fmap = build_nystrom(landmark_set(rng.standard_normal((16, 3))),
+                             GaussianKernel(1.0))
+        peaks = []
+        for n in (8_000, 32_000):
+            pooled = PooledSample(points=rng.standard_normal((n, 3)),
+                                  n_x=n // 2, n_y=n - n // 2)
+            tracemalloc.start()
+            try:
+                permuted_statistics(pooled, fmap, 199, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_accumulation_matches_signed_feature_sums(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((9, 2))
+        y = rng.standard_normal((11, 2))
+        pooled, fmap = pooled_map(x, y, ell=5)
+        accumulated = accumulate_weighted_features(pooled, fmap, 6, seed=3)
+        weights = permutation_weights(pooled, 6, seed=3)
+        np.testing.assert_allclose(
+            accumulated, weights @ fmap.features(pooled.points), atol=1e-12)
 
 
 class TestPooledSample:
