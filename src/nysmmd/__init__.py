@@ -5,7 +5,7 @@ onto the span of sampled landmark points (Nystrom) or random Fourier
 features, leverage-score landmark sampling from the pooled data, an
 exact-level permutation test built on a single-pass accumulation of all
 permuted statistics, seeded synthetic data generators, and a harness for
-level/power studies.  Importing the package does not load scipy.stats.
+level/power studies.  Importing the package loads numpy only.
 """
 
 from .kernels import GaussianKernel, as_points, median_heuristic
@@ -24,7 +24,6 @@ from .statistics import (
     exact_mmd,
     feature_mmd,
     permuted_statistics,
-    signed_weights,
 )
 from .permutation import (
     ExactMethod,
@@ -62,7 +61,6 @@ __all__ = [
     "effective_dimension", "exact_krls", "sample_landmarks",
     "FeatureMap", "NystromMap", "RffMap", "build_nystrom", "build_rff",
     "PooledSample", "exact_mmd", "feature_mmd", "permuted_statistics",
-    "signed_weights",
     "ExactMethod", "NystromMethod", "RffMethod", "TestConfig", "TestOutcome",
     "decide", "quantile_index", "run_test",
     "equicorrelation_matrix",

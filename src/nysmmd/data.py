@@ -9,6 +9,7 @@ reproduces the same dataset bit for bit.
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -18,11 +19,42 @@ from .kernels import as_points
 def load_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a numeric, rectangular CSV file into an (n, d) array.
 
+    Plain files are parsed by np.loadtxt.  Anything it rejects or reads as
+    empty or non-finite is parsed again cell by cell with the csv module,
+    which returns the same array or raises the error below, so the fast path
+    changes speed only.
+
     Raises:
         ValueError: On an empty file, ragged rows, unparsable cells, or
             non-finite values, with row/column diagnostics (1-based, header
             included in the row count).
     """
+    values = _load_plain_csv(path, has_header)
+    if values is None:
+        values = _load_csv_cells(path, has_header)
+    return as_points(values, str(path))
+
+
+def _load_plain_csv(path, has_header: bool) -> np.ndarray | None:
+    """np.loadtxt's array for the file, or None where the csv module must decide."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        # a quoted header cell may run over several lines; only csv knows where
+        # it ends (np.loadtxt fails on every line that holds a quote)
+        if has_header and '"' in handle.readline():
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty input only warns
+                values = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+        except (ValueError, Warning):
+            return None
+    if values.size and np.isfinite(values).all():
+        return values
+    return None
+
+
+def _load_csv_cells(path, has_header: bool) -> np.ndarray:
+    """Parse the file cell by cell, raising with the row and column of a fault."""
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -50,7 +82,7 @@ def load_csv(path, has_header: bool = False) -> np.ndarray:
                 raise ValueError(f"{path}: row {line_number}, column {column + 1}: "
                                  f"non-finite value {cell!r}")
             values[out_row, column] = value
-    return as_points(values, str(path))
+    return values
 
 
 def write_csv(points, path, header: list[str] | None = None) -> None:

@@ -63,13 +63,6 @@ class PooledSample:
         return self.n_x + self.n_y
 
 
-def signed_weights(n_x: int, n_y: int) -> np.ndarray:
-    """Base weight vector: n_x entries of 1/n_x followed by n_y entries of -1/n_y."""
-    if n_x < 1 or n_y < 1:
-        raise ValueError("both sample sizes must be positive")
-    return np.concatenate([np.full(n_x, 1.0 / n_x), np.full(n_y, -1.0 / n_y)])
-
-
 def exact_mmd(x, y, kernel: GaussianKernel) -> float:
     """Plug-in maximum mean discrepancy between two samples.
 

@@ -72,6 +72,16 @@ class TestWilsonInterval:
                                 timeout=120)
         assert result.stdout.strip() == "False"
 
+    def test_package_and_cli_import_load_no_scipy(self):
+        src = str(Path(nysmmd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, nysmmd, nysmmd.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120)
+        assert result.stdout.strip() == "[]"
+
 
 class TestExperimentSpec:
     def spec_dict(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from nysmmd import (
     sample_mixture,
     write_csv,
 )
+from nysmmd.data import _load_csv_cells
 
 
 class TestLoadCsv:
@@ -59,6 +62,56 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2, column 1"):
             load_csv(path)
 
+
+def load_or_error(load, path, has_header):
+    try:
+        return load(path, has_header).tolist()
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+class TestLoadCsvFastPath:
+    """load_csv gives the per-cell parser's array or error on every file."""
+
+    FILES = {
+        "blank_line": "1,2\n\n3,4\n",
+        "whitespace_line": "1,2\n   \n3,4\n",
+        "whitespace_line_one_column": "1\n\t\n3\n",
+        "spaces_around_cells": " 1 , 2 \n\t3,4\n",
+        "quoted_cells": '"1",2\n3," 4"\n',
+        "hash_line": "1,2\n# note\n3,4\n",
+        "trailing_comma": "1,2,\n3,4,\n",
+        "crlf": "1,2\r\n3,4\r\n",
+        "single_column": "1\n2\n3\n",
+        "single_row": "1,2,3\n",
+        "header_only": "a,b\n",
+        "nan": "1,nan\n3,4\n",
+        "overflow": "1,1e400\n3,4\n",
+        "infinity": "1,2\n-infinity,4\n",
+        "hex_float": "0x1p3,2\n3,4\n",
+        "underscore": "1_000,2\n3,4\n",
+        "empty": "",
+        "ragged": "1,2\n3\n",
+        "unclosed_quote_after_first_line": "x,\"y\n1,2\n3,4\n",
+    }
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_same_array_or_error_as_cell_parser(self, tmp_path, name, has_header):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(self.FILES[name].encode("utf-8"))
+        assert (load_or_error(load_csv, path, has_header)
+                == load_or_error(_load_csv_cells, path, has_header))
+
+    @pytest.mark.parametrize("text", ["", "a,b\n", "\n\n"])
+    def test_no_warning_escapes(self, tmp_path, text):
+        path = tmp_path / "no_rows.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(path, has_header=bool(text))
+        assert caught == []
 
 class TestCorrelatedGaussians:
     def test_independent_case_recovers_identity(self):

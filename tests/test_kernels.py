@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from nysmmd import GaussianKernel, median_heuristic
-from nysmmd.kernels import as_points, squared_distances
+from nysmmd.kernels import (
+    _BRACKET_SAMPLE,
+    _bracket_middle,
+    _middle_order_statistics,
+    as_points,
+    squared_distances,
+)
 
 
 def scalar_kernel(x, y, h):
@@ -187,6 +194,51 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError, match="two points"):
             median_heuristic(np.zeros((1, 2)))
 
+
+class TestMedianMatchesPdist:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 10, 11, 999, 1000, 1001, 2000])
+    def test_bit_identical_to_scipy(self, m):
+        rng = np.random.default_rng(m)
+        for d in (1, 3, 28):
+            points = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0)
+            for data in (points, np.round(points, 1)):  # rounding makes ties
+                expected = float(np.median(pdist(data)))
+                assert median_heuristic(data, subset_size=m) == expected
+
+    def test_overflowing_distances_match_scipy(self):
+        points = np.array([[1e308, 1.0], [-1e308, 2.0], [0.0, 3.0], [5.0, 4.0]])
+        assert median_heuristic(points) == float(np.median(pdist(points)))
+
+
+class TestMiddleOrderStatistics:
+    n = 64 * _BRACKET_SAMPLE
+
+    def middle(self, values):
+        lo, hi = (values.size - 1) // 2, values.size // 2
+        return np.partition(values, (lo, hi))[lo:hi + 1]
+
+    @pytest.mark.parametrize("kind", ["sorted", "reversed", "constant", "tied"])
+    def test_matches_partition(self, kind):
+        ramp = np.arange(self.n, dtype=float)
+        values = {"sorted": ramp, "reversed": ramp[::-1].copy(),
+                  "constant": np.full(self.n, 2.5),
+                  "tied": np.repeat([0.0, 1.0, 2.0], [self.n // 4, self.n // 2,
+                                                      self.n // 4])}[kind]
+        for size in (self.n, self.n - 1, 7):  # even, odd, below the sample size
+            part = values[:size]
+            assert np.array_equal(_middle_order_statistics(part.copy()),
+                                  self.middle(part))
+
+    @pytest.mark.parametrize("sampled", [0.0, 2.0])
+    def test_bracket_miss_falls_back_to_full_partition(self, sampled):
+        # every sampled value sits below (or above) all the others, so the
+        # bracket from the strided sample cannot hold the middle ranks
+        values = np.ones(self.n)
+        values[::self.n // _BRACKET_SAMPLE] = sampled
+        lo, hi = (self.n - 1) // 2, self.n // 2
+        assert _bracket_middle(values.copy(), lo, hi) is None
+        assert np.array_equal(_middle_order_statistics(values.copy()),
+                              self.middle(values))
 
 class TestAsPoints:
     def test_rejects_non_2d(self):

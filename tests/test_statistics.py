@@ -14,7 +14,6 @@ from nysmmd import (
     feature_mmd,
     permuted_statistics,
     sample_landmarks,
-    signed_weights,
 )
 from nysmmd.leverage import LandmarkSet
 from nysmmd.statistics import (
@@ -304,9 +303,3 @@ class TestPooledSample:
     def test_rejects_empty_side(self):
         with pytest.raises(ValueError):
             PooledSample(points=np.zeros((3, 1)), n_x=3, n_y=0)
-
-    def test_signed_weights_structure(self):
-        weights = signed_weights(4, 6)
-        assert weights[weights > 0].sum() == pytest.approx(1.0)
-        assert weights[weights < 0].sum() == pytest.approx(-1.0)
-        assert (weights > 0).sum() == 4
