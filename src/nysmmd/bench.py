@@ -1,4 +1,4 @@
-"""Experiment harness: rejection-rate grids, Wilson intervals, and runtime profiling.
+"""Experiment harness: rejection-rate grids, Wilson intervals, and a results CSV.
 
 An :class:`ExperimentSpec` describes a grid of (method, feature count,
 sample size, scenario parameter) cells.  Each cell runs a number of
@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -25,19 +24,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import load_csv, sample_correlated_gaussians, sample_mixture
-from .kernels import GaussianKernel, median_heuristic
-from .leverage import sample_landmarks
-from .features import build_nystrom
-from .permutation import (
-    ExactMethod,
-    NystromMethod,
-    RffMethod,
-    TestConfig,
-    run_test,
-)
-from .statistics import DEFAULT_CHUNK_SIZE, PooledSample, permuted_statistics
+from .permutation import METHODS, TestConfig, run_test
 
-METHOD_NAMES = ("exact", "nystrom-uniform", "nystrom-akrls", "nystrom-exact-krls", "rff")
 RESULTS_HEADER = ("method", "ell", "n_x", "n_y", "param", "rate",
                   "wilson_low", "wilson_high", "mean_runtime_s", "reps")
 THREADS_ENV_VAR = "NYSMMD_THREADS"
@@ -90,7 +78,7 @@ class RateEstimate:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Grid description for a level/power/benchmark study.
+    """Grid description for a level or power study.
 
     The JSON form uses exactly the keys scenario, methods, landmarks,
     sample_sizes, alpha, permutations, repetitions, seed, output.
@@ -113,9 +101,9 @@ class ExperimentSpec:
             raise ValueError("methods grid is empty")
         if not self.sample_sizes:
             raise ValueError("sample_sizes grid is empty")
-        unknown = [m for m in self.methods if m not in METHOD_NAMES]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {METHOD_NAMES}")
+            raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
         needs_landmarks = any(m != "exact" for m in self.methods)
         if needs_landmarks and not self.landmarks:
             raise ValueError("landmarks grid is empty but a feature-map method "
@@ -131,6 +119,10 @@ class ExperimentSpec:
         missing = {"scenario", "methods", "sample_sizes"} - set(raw)
         if missing:
             raise ValueError(f"spec is missing required keys {sorted(missing)}")
+        for key in ("methods", "landmarks", "sample_sizes"):
+            if key in raw and not isinstance(raw[key], list):
+                raise ValueError(f"spec key {key!r} must be a JSON list, "
+                                 f"got {raw[key]!r}")
         return cls(
             scenario=dict(raw["scenario"]),
             methods=tuple(raw["methods"]),
@@ -162,21 +154,6 @@ class ExperimentSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-def method_from_name(name: str, ell: int):
-    """Instantiate the method spec for a grid method name and feature count."""
-    if name == "exact":
-        return ExactMethod()
-    if name == "nystrom-uniform":
-        return NystromMethod(n_landmarks=ell, sampler="uniform")
-    if name == "nystrom-akrls":
-        return NystromMethod(n_landmarks=ell, sampler="akrls")
-    if name == "nystrom-exact-krls":
-        return NystromMethod(n_landmarks=ell, sampler="exact_krls")
-    if name == "rff":
-        return RffMethod(n_features=ell if ell % 2 == 0 else ell + 1)
-    raise ValueError(f"unknown method {name!r}")
 
 
 def _require_keys(raw: dict, *keys: str) -> None:
@@ -300,7 +277,7 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
 
     for method_index, method_name, ell, n, param_index, param in cells:
         try:
-            method = method_from_name(method_name, ell)
+            method = METHODS[method_name](ell)
 
             def one_repetition(rep: int) -> tuple[bool, float]:
                 cell = [regime_code, n, param_index, rep, method_index, ell]
@@ -356,84 +333,3 @@ def results_to_csv(estimates: list[RateEstimate]) -> str:
                          repr(float(est.wilson_low)), repr(float(est.wilson_high)),
                          repr(float(est.mean_runtime_s)), est.trials])
     return buffer.getvalue()
-
-
-def parse_results_csv(text: str) -> list[RateEstimate]:
-    """Parse rows written by :func:`results_to_csv` back into estimates."""
-    reader = _csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
-    if header != RESULTS_HEADER:
-        raise ValueError(f"unexpected results header {header}")
-    estimates = []
-    for row in reader:
-        if not row:
-            continue
-        (method, ell, n_x, n_y, param, rate, low, high, runtime, reps) = row
-        trials = int(reps)
-        rate_value = float(rate)
-        estimates.append(RateEstimate(
-            method=method, ell=int(ell), n_x=int(n_x), n_y=int(n_y),
-            param=float(param), successes=round(rate_value * trials),
-            trials=trials, rate=rate_value, wilson_low=float(low),
-            wilson_high=float(high), mean_runtime_s=float(runtime)))
-    return estimates
-
-
-@dataclass(frozen=True)
-class AccumulationMeasurement:
-    """Timing and peak incremental memory of the permuted-statistics pass."""
-
-    n: int
-    seconds: float
-    peak_bytes: int
-
-
-def accumulation_profile(sample_sizes, n_landmarks: int = 64,
-                         n_permutations: int = 199, dim: int = 3, seed: int = 0,
-                         repeats: int = 5,
-                         chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[AccumulationMeasurement]:
-    """Measure the permuted-statistics pass across pooled sample sizes.
-
-    For each pooled size n, builds the landmarks and feature map once
-    (setup), then times permuted_statistics: the label stream and the
-    single pass that accumulates the labeled basis sums.  The timing is the
-    median over ``repeats`` runs; peak memory is traced over one extra run.
-    """
-    measurements = []
-    for n in sample_sizes:
-        rng = np.random.default_rng([seed, n])
-        points = rng.standard_normal((n, dim))
-        pooled = PooledSample(points=points, n_x=n // 2, n_y=n - n // 2)
-        bandwidth = median_heuristic(points, seed=int(rng.integers(2**63)))
-        kernel = GaussianKernel(bandwidth)
-        landmarks = sample_landmarks(points, n_landmarks,
-                                     seed=int(rng.integers(2**63)))
-        feature_map = build_nystrom(landmarks, kernel)
-        perm_seed = int(rng.integers(2**63))
-
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            permuted_statistics(pooled, feature_map, n_permutations, perm_seed,
-                                chunk_size)
-            times.append(time.perf_counter() - start)
-
-        tracemalloc.start()
-        permuted_statistics(pooled, feature_map, n_permutations, perm_seed,
-                            chunk_size)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
-        measurements.append(AccumulationMeasurement(
-            n=n, seconds=float(np.median(times)), peak_bytes=int(peak)))
-    return measurements
-
-
-def fit_power_law(sizes, values) -> float:
-    """Least-squares exponent of values ~ sizes^exponent on log-log scale."""
-    sizes = np.asarray(sizes, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if sizes.size < 2:
-        raise ValueError("need at least two points to fit an exponent")
-    slope, _ = np.polyfit(np.log(sizes), np.log(values), 1)
-    return float(slope)

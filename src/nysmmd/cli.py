@@ -4,7 +4,6 @@ Subcommands:
     test    Run one permutation test on two CSV files; JSON result on stdout.
     level   Type-I-error study over an experiment grid; results CSV.
     power   Power study over an experiment grid; results CSV.
-    bench   Permuted-statistics runtime/memory scaling benchmark; CSV.
     gen     Write synthetic datasets as CSV.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error; `test` exits 3 when
@@ -23,8 +22,8 @@ import sys
 
 from . import bench as bench_mod
 from . import data as data_mod
-from .bench import ExperimentSpec, accumulation_profile, fit_power_law
-from .permutation import TestConfig, run_test
+from .bench import ExperimentSpec
+from .permutation import METHODS, TestConfig, run_test
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--alpha", type=float, default=0.05)
     test.add_argument("--permutations", type=int, default=199)
     test.add_argument("--method", default="nystrom-uniform",
-                      choices=bench_mod.METHOD_NAMES)
+                      choices=METHODS)
     test.add_argument("--landmarks", type=int, default=None,
                       help="feature count (landmarks, or RFF features); "
                            "defaults to ceil(sqrt(n))")
@@ -73,17 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         grid.add_argument("--output", default=None,
                           help="results CSV path (default: stdout)")
 
-    bench = sub.add_parser("bench",
-                           help="permuted-statistics runtime/memory scaling")
-    bench.add_argument("--sample-sizes", default="2000,4000,8000,16000",
-                       help="comma-separated pooled sizes")
-    bench.add_argument("--landmarks", type=int, default=64)
-    bench.add_argument("--permutations", type=int, default=199)
-    bench.add_argument("--dim", type=int, default=3)
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output", default=None)
-
     gen = sub.add_parser("gen", help="write a synthetic dataset as CSV")
     gen.add_argument("--family", required=True,
                      choices=("correlated-gaussian", "mixture"))
@@ -104,7 +92,7 @@ def _cmd_test(args) -> int:
     y = data_mod.load_csv(args.y, args.has_header)
     n = x.shape[0] + y.shape[0]
     ell = args.landmarks if args.landmarks is not None else math.ceil(math.sqrt(n))
-    method = bench_mod.method_from_name(args.method, ell)
+    method = METHODS[args.method](ell)
     config = TestConfig(alpha=args.alpha, n_permutations=args.permutations,
                         seed=args.seed, bandwidth=args.bandwidth,
                         keep_statistics=False)
@@ -135,7 +123,7 @@ def _grid_spec(args) -> ExperimentSpec:
         scenario=scenario,
         methods=tuple(str(args.methods).split(",")),
         landmarks=tuple(_int_list(args.landmarks)),
-        sample_sizes=tuple(_int_list(getattr(args, "sample_sizes"))),
+        sample_sizes=tuple(_int_list(args.sample_sizes)),
         alpha=args.alpha, permutations=args.permutations,
         repetitions=args.repetitions, seed=args.seed, output=args.output)
 
@@ -156,27 +144,6 @@ def _cmd_grid(args, regime: str) -> int:
     if not failures:
         return 0
     return 1 if len(failures) == len(estimates) else 4
-
-
-def _cmd_bench(args) -> int:
-    sizes = _int_list(getattr(args, "sample_sizes"))
-    rows = accumulation_profile(sizes, n_landmarks=args.landmarks,
-                                n_permutations=args.permutations, dim=args.dim,
-                                seed=args.seed, repeats=args.repeats)
-    lines = ["n,ell,permutations,seconds,peak_bytes"]
-    for row in rows:
-        lines.append(f"{row.n},{args.landmarks},{args.permutations},"
-                     f"{row.seconds!r},{row.peak_bytes}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    if len(rows) >= 2:
-        exponent = fit_power_law([r.n for r in rows], [r.seconds for r in rows])
-        print(f"fitted time exponent: {exponent:.3f}", file=sys.stderr)
-    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -209,8 +176,6 @@ def main(argv=None) -> int:
             return _cmd_grid(args, "null")
         if args.command == "power":
             return _cmd_grid(args, "alternative")
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "gen":
             return _cmd_gen(args)
         parser.error(f"unknown command {args.command!r}")

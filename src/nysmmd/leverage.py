@@ -1,4 +1,4 @@
-"""Ridge leverage scores, landmark sampling, and the effective dimension.
+"""Ridge leverage scores and landmark sampling.
 
 Exact kernel ridge leverage scores are the diagonal of K (K + lambda*n I)^-1.
 Sampling landmarks proportionally to (approximate) leverage scores
@@ -48,12 +48,10 @@ class LandmarkSet:
     Attributes:
         indices: Multiset of row indices into the source dataset.
         points: The corresponding rows, shape (ell, d).
-        sampler: "uniform", "exact_krls", or "akrls".
     """
 
     indices: np.ndarray
     points: np.ndarray
-    sampler: str
 
     @property
     def size(self) -> int:
@@ -91,19 +89,6 @@ def exact_krls(gram: np.ndarray, regularization: float) -> LeverageScores:
     scores = np.einsum("ij,j,ij->i", eigenvectors, shrink, eigenvectors)
     np.clip(scores, 0.0, 1.0, out=scores)
     return LeverageScores(scores=scores, regularization=regularization, kind="exact")
-
-
-def effective_dimension(gram: np.ndarray, regularization: float) -> float:
-    """Trace of K (K + lambda*n I)^-1, the smoothed count of dominant directions.
-
-    Equals the sum of the exact ridge leverage scores and decreases as the
-    ridge level grows.
-    """
-    if regularization <= 0:
-        raise ValueError("regularization must be positive")
-    eigenvalues, _ = psd_eigh(gram, "gram")
-    n = eigenvalues.shape[0]
-    return float(np.sum(eigenvalues / (eigenvalues + regularization * n)))
 
 
 def _weighted_subset_scores(points, kernel, subset, weights, ridge_abs):
@@ -215,7 +200,6 @@ def sample_landmarks(points, ell: int, seed: int,
     rng = np.random.default_rng(seed)
     if scores is None:
         indices = rng.integers(0, n, size=ell)
-        sampler = "uniform"
     else:
         weights = np.asarray(scores.scores, dtype=np.float64)
         if weights.shape != (n,):
@@ -224,5 +208,4 @@ def sample_landmarks(points, ell: int, seed: int,
         if not (total > 0):
             raise ValueError("all leverage scores are zero; cannot sample landmarks")
         indices = rng.choice(n, size=ell, replace=True, p=weights / total)
-        sampler = "exact_krls" if scores.kind == "exact" else "akrls"
-    return LandmarkSet(indices=indices, points=points[indices], sampler=sampler)
+    return LandmarkSet(indices=indices, points=points[indices])

@@ -18,14 +18,12 @@ import numpy as np
 
 from .kernels import GaussianKernel, median_heuristic, DEFAULT_BANDWIDTH_SUBSET
 from .leverage import (
-    DEFAULT_AKRLS_BUDGET,
-    DEFAULT_EXACT_FALLBACK,
     approx_krls,
     default_regularization,
     exact_krls,
     sample_landmarks,
 )
-from .features import build_nystrom, build_rff
+from .features import NystromMap, RffMap, build_nystrom, build_rff
 from .statistics import PooledSample, permutation_weights, permuted_statistics
 
 NYSTROM_SAMPLERS = ("uniform", "akrls", "exact_krls")
@@ -48,19 +46,31 @@ class NystromMethod:
     Attributes:
         n_landmarks: Feature dimension ell.
         sampler: "uniform", "akrls", or "exact_krls".
-        budget, fallback_threshold: Passed to the approximate scores.
     """
 
     n_landmarks: int
     sampler: str = "uniform"
-    budget: int = DEFAULT_AKRLS_BUDGET
-    fallback_threshold: int = DEFAULT_EXACT_FALLBACK
 
     def __post_init__(self):
         if self.n_landmarks < 1:
             raise ValueError("n_landmarks must be at least 1")
         if self.sampler not in NYSTROM_SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
+
+    def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,
+                    scores_seed: int, draw_seed: int) -> NystromMap:
+        """Draw landmarks from the pooled data and factorize them."""
+        regularization = default_regularization(pooled.n)
+        if self.sampler == "uniform":
+            scores = None
+        elif self.sampler == "exact_krls":
+            scores = exact_krls(kernel.gram(pooled.points, pooled.points),
+                                regularization)
+        else:
+            scores = approx_krls(pooled.points, kernel, regularization, scores_seed)
+        landmarks = sample_landmarks(pooled.points, self.n_landmarks, draw_seed,
+                                     scores=scores)
+        return build_nystrom(landmarks, kernel)
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,11 @@ class RffMethod:
     def __post_init__(self):
         if self.n_features < 2 or self.n_features % 2 != 0:
             raise ValueError(f"n_features must be even and >= 2, got {self.n_features}")
+
+    def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,
+                    scores_seed: int, draw_seed: int) -> RffMap:
+        """Draw frequencies for the data dimension; scores_seed is unused."""
+        return build_rff(pooled.points.shape[1], self.n_features, kernel, draw_seed)
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,16 @@ class ExactMethod:
 
 
 MethodSpec = NystromMethod | RffMethod | ExactMethod
+
+# Method names of the CLI and the experiment grids, each with its spec for a
+# feature count ell; rff rounds an odd count up to the next even one.
+METHODS = {
+    "exact": lambda ell: ExactMethod(),
+    "nystrom-uniform": lambda ell: NystromMethod(ell, "uniform"),
+    "nystrom-akrls": lambda ell: NystromMethod(ell, "akrls"),
+    "nystrom-exact-krls": lambda ell: NystromMethod(ell, "exact_krls"),
+    "rff": lambda ell: RffMethod(ell + ell % 2),
+}
 
 
 @dataclass(frozen=True)
@@ -220,22 +245,6 @@ def _seed_int(seed_sequence: np.random.SeedSequence) -> int:
     return int(seed_sequence.generate_state(2, np.uint64)[0])
 
 
-def _nystrom_map(pooled, method, kernel, scores_seed, draw_seed):
-    regularization = default_regularization(pooled.n)
-    if method.sampler == "uniform":
-        scores = None
-    elif method.sampler == "exact_krls":
-        scores = exact_krls(kernel.gram(pooled.points, pooled.points),
-                            regularization)
-    else:
-        scores = approx_krls(pooled.points, kernel, regularization, scores_seed,
-                             budget=method.budget,
-                             fallback_threshold=method.fallback_threshold)
-    landmarks = sample_landmarks(pooled.points, method.n_landmarks, draw_seed,
-                                 scores=scores)
-    return build_nystrom(landmarks, kernel)
-
-
 def _exact_statistics(pooled, kernel, config, perm_seed):
     gram = kernel.gram(pooled.points, pooled.points)
     weights = permutation_weights(pooled, config.n_permutations, perm_seed)
@@ -269,14 +278,8 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     if isinstance(method, ExactMethod):
         statistics = _exact_statistics(pooled, kernel, config, perm_seed)
     else:
-        if isinstance(method, NystromMethod):
-            feature_map = _nystrom_map(pooled, method, kernel,
-                                       _seed_int(scores_ss), _seed_int(draw_ss))
-        elif isinstance(method, RffMethod):
-            feature_map = build_rff(pooled.points.shape[1], method.n_features,
-                                    kernel, _seed_int(draw_ss))
-        else:
-            raise TypeError(f"unknown method spec {method!r}")
+        feature_map = method.feature_map(pooled, kernel, _seed_int(scores_ss),
+                                         _seed_int(draw_ss))
         statistics = permuted_statistics(pooled, feature_map,
                                          config.n_permutations, perm_seed)
 

@@ -1,4 +1,4 @@
-"""Two-sample test statistics: exact MMD, projected MMD, and permuted replicates.
+"""Two-sample test statistics: the projected MMD and its permuted replicates.
 
 The projected statistic is the norm of the difference of empirical feature
 means.  Under a labeling that marks which pooled rows form the first sample,
@@ -9,11 +9,10 @@ for random Fourier features), so S and T are summed in basis coordinates
 and the map's linear factor is applied once, to the (P + 1) x ell result.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
-DEFAULT_CHUNK_SIZE = B rows.  One multivariate hypergeometric draw gives,
+LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
 for every permutation, how many x labels fall in each block; each block then
 draws a uniform subset of that size per permutation from its own child
-seed.  Together these are uniform splits of the pooled rows, and a block's
-labels never depend on the chunk size of the pass.  Storage is
+seed.  Together these are uniform splits of the pooled rows.  Storage is
 O((P + 1) * (ell + B)) for the accumulators, the labels and the basis of
 one block, plus the P x (n / B) block counts; the n-wide signed weight matrix
 is formed only by permutation_weights, for exact mode.
@@ -26,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMap
-from .kernels import GaussianKernel, as_points
+from .kernels import as_points
 
-DEFAULT_CHUNK_SIZE = 1024
+LABEL_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,23 +62,6 @@ class PooledSample:
         return self.n_x + self.n_y
 
 
-def exact_mmd(x, y, kernel: GaussianKernel) -> float:
-    """Plug-in maximum mean discrepancy between two samples.
-
-    Returns sqrt(mean(K_xx) - 2 mean(K_xy) + mean(K_yy)) with the radicand
-    clamped at zero; round-off can otherwise push it a hair below zero for
-    near-identical samples.  Quadratic in the total sample size.
-    """
-    x = as_points(x, "x")
-    y = as_points(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    value = (kernel.gram(x, x).mean()
-             - 2.0 * kernel.gram(x, y).mean()
-             + kernel.gram(y, y).mean())
-    return float(np.sqrt(max(value, 0.0)))
-
-
 def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
                      out: np.ndarray) -> None:
     """Fill out[p] with the 0/1 indicator of a uniform counts[p]-subset.
@@ -103,14 +85,14 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
 
 
 def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
-    """Yield (start, labels) over the fixed grid of DEFAULT_CHUNK_SIZE-row blocks.
+    """Yield (start, labels) over the fixed grid of LABEL_BLOCK_ROWS-row blocks.
 
     labels is a float64 (P + 1, block size) matrix with labels[p, i] = 1
     when pooled row start + i is labeled x under permutation p and 0
     otherwise; row 0 is the observed labeling (the first n_x rows).
     """
-    starts = range(0, pooled.n, DEFAULT_CHUNK_SIZE)
-    sizes = [min(DEFAULT_CHUNK_SIZE, pooled.n - start) for start in starts]
+    starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
+    sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
     counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
                                                     size=n_permutations)
@@ -123,33 +105,21 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
 
 
 def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
-                                 n_permutations: int, seed: int,
-                                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+                                 n_permutations: int, seed: int) -> np.ndarray:
     """Signed feature mean differences under the observed and P permuted labelings.
 
     Row p of the (P + 1, dimension) result is mean_x phi - mean_y phi under
-    labeling p.  One pass over the label blocks; each block's basis is
-    evaluated in chunks of at most chunk_size rows.
+    labeling p.  One pass over the label blocks, evaluating each block's
+    basis once.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     sums = np.zeros((n_permutations + 1, feature_map.dimension))
     total = np.zeros(feature_map.dimension)
     for start, labels in _label_blocks(pooled, n_permutations, seed):
-        for offset in range(0, labels.shape[1], chunk_size):
-            stop = min(offset + chunk_size, labels.shape[1])
-            basis = feature_map.basis(pooled.points[start + offset:start + stop])
-            sums += labels[:, offset:stop] @ basis
-            total += basis.sum(axis=0)
+        basis = feature_map.basis(pooled.points[start:start + labels.shape[1]])
+        sums += labels @ basis
+        total += basis.sum(axis=0)
     coordinates = (1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums - total / pooled.n_y
     return feature_map.from_basis(coordinates)
-
-
-def feature_mmd(x, y, feature_map: FeatureMap) -> float:
-    """Projected MMD: distance between the empirical feature means of x and y."""
-    pooled = PooledSample.from_samples(x, y)
-    accumulated = accumulate_weighted_features(pooled, feature_map, 0, seed=0)
-    return float(np.linalg.norm(accumulated[0]))
 
 
 def permutation_weights(pooled: PooledSample, n_permutations: int,
@@ -171,16 +141,15 @@ def permutation_weights(pooled: PooledSample, n_permutations: int,
 
 
 def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
-                        n_permutations: int, seed: int,
-                        chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+                        n_permutations: int, seed: int) -> np.ndarray:
     """The unpermuted statistic followed by P permuted replicates.
 
     Entry 0 is the projected MMD of the observed labeling; entries 1..P use
     independent uniform splits of the pooled rows.  Deterministic for a
-    fixed seed; the splits do not depend on chunk_size.
+    fixed seed.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be at least 1")
     accumulated = accumulate_weighted_features(pooled, feature_map,
-                                               n_permutations, seed, chunk_size)
+                                               n_permutations, seed)
     return np.linalg.norm(accumulated, axis=1)

@@ -1,0 +1,44 @@
+"""Oracles and readers shared by the tests."""
+
+import csv
+import io
+
+import numpy as np
+
+from nysmmd import FeatureMap, GaussianKernel, LandmarkSet, PooledSample, as_points
+from nysmmd.statistics import accumulate_weighted_features
+
+
+def exact_mmd(x, y, kernel: GaussianKernel) -> float:
+    """Plug-in maximum mean discrepancy between two samples.
+
+    Returns sqrt(mean(K_xx) - 2 mean(K_xy) + mean(K_yy)) with the radicand
+    clamped at zero; round-off can otherwise push it a hair below zero for
+    near-identical samples.  Quadratic in the total sample size.
+    """
+    x = as_points(x, "x")
+    y = as_points(y, "y")
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    value = (kernel.gram(x, x).mean()
+             - 2.0 * kernel.gram(x, y).mean()
+             + kernel.gram(y, y).mean())
+    return float(np.sqrt(max(value, 0.0)))
+
+
+def feature_mmd(x, y, feature_map: FeatureMap) -> float:
+    """Projected MMD: distance between the empirical feature means of x and y."""
+    pooled = PooledSample.from_samples(x, y)
+    accumulated = accumulate_weighted_features(pooled, feature_map, 0, seed=0)
+    return float(np.linalg.norm(accumulated[0]))
+
+
+def landmark_set(points) -> LandmarkSet:
+    """Every given point as one landmark."""
+    points = np.asarray(points, dtype=float)
+    return LandmarkSet(indices=np.arange(points.shape[0]), points=points)
+
+
+def read_results_csv(text: str) -> list[dict]:
+    """Rows of a results CSV as dicts keyed by its header."""
+    return list(csv.DictReader(io.StringIO(text)))

@@ -9,12 +9,10 @@ import pytest
 from scipy.stats import norm
 
 import nysmmd
+from helpers import read_results_csv
 from nysmmd import (
     ExperimentSpec,
-    accumulation_profile,
     estimate_rate,
-    fit_power_law,
-    parse_results_csv,
     results_to_csv,
     wilson_interval,
     write_csv,
@@ -213,17 +211,17 @@ class TestEstimateRate:
     def test_results_csv_round_trip(self):
         rows = estimate_rate(tiny_null_spec(repetitions=20), "null")
         text = results_to_csv(rows)
-        parsed = parse_results_csv(text)
+        parsed = read_results_csv(text)
         assert len(parsed) == len(rows)
         for before, after in zip(rows, parsed):
-            assert after.method == before.method
-            assert after.ell == before.ell
-            assert after.n_x == before.n_x
-            assert after.successes == before.successes
-            assert after.trials == before.trials
-            assert after.rate == before.rate
-            assert after.wilson_low == before.wilson_low
-            assert after.wilson_high == before.wilson_high
+            assert after["method"] == before.method
+            assert int(after["ell"]) == before.ell
+            assert int(after["n_x"]) == before.n_x
+            assert round(float(after["rate"]) * int(after["reps"])) == before.successes
+            assert int(after["reps"]) == before.trials
+            assert float(after["rate"]) == before.rate
+            assert float(after["wilson_low"]) == before.wilson_low
+            assert float(after["wilson_high"]) == before.wilson_high
 
     def test_csv_header_is_stable(self):
         text = results_to_csv(estimate_rate(tiny_null_spec(repetitions=5),
@@ -236,24 +234,6 @@ class TestEstimateRate:
         first = results_to_csv(estimate_rate(spec, "null"))
         second = results_to_csv(estimate_rate(spec, "null"))
         assert strip_runtime(first) == strip_runtime(second)
-
-
-class TestAccumulationProfile:
-    def test_reports_all_sizes(self):
-        rows = accumulation_profile([400, 800], n_landmarks=8,
-                                    n_permutations=9, repeats=2)
-        assert [row.n for row in rows] == [400, 800]
-        assert all(row.seconds > 0 for row in rows)
-        assert all(row.peak_bytes > 0 for row in rows)
-
-    def test_fit_power_law_recovers_exponent(self):
-        sizes = np.array([1000, 2000, 4000, 8000])
-        values = 3e-6 * sizes**1.17
-        assert fit_power_law(sizes, values) == pytest.approx(1.17, abs=1e-9)
-
-    def test_fit_power_law_needs_two_points(self):
-        with pytest.raises(ValueError):
-            fit_power_law([100], [1.0])
 
 
 class TestMixtureScenario:

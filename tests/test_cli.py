@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nysmmd import ExperimentSpec, load_csv, parse_results_csv, write_csv
+from helpers import read_results_csv
+from nysmmd import ExperimentSpec, load_csv, write_csv
 from nysmmd.cli import main
 
 
@@ -108,6 +109,8 @@ class TestTestCommand:
     def test_unknown_command_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+        code, _, _ = run_cli(capsys, "bench")
+        assert code == 2
 
 
 class TestGridCommands:
@@ -123,9 +126,9 @@ class TestGridCommands:
         code, _, _ = run_cli(capsys, "level", "--spec", str(spec_path),
                              "--output", str(out_path))
         assert code == 0
-        rows = parse_results_csv(out_path.read_text())
+        rows = read_results_csv(out_path.read_text())
         assert len(rows) == 1
-        assert rows[0].trials == 20
+        assert int(rows[0]["reps"]) == 20
 
     def test_spec_missing_keys_is_runtime_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -134,6 +137,22 @@ class TestGridCommands:
         assert code == 1
         assert err.startswith("error: ")
         assert "['methods', 'sample_sizes']" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("landmarks", 8),
+        ("sample_sizes", 500),
+        ("methods", "nystrom-uniform"),
+    ])
+    def test_spec_scalar_grid_is_runtime_error(self, tmp_path, capsys, key, value):
+        spec = {"scenario": {"kind": "correlated-gaussian"},
+                "methods": ["nystrom-uniform"], "landmarks": [8],
+                "sample_sizes": [20], "permutations": 9, "repetitions": 2}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec, key: value}))
+        code, _, err = run_cli(capsys, "level", "--spec", str(spec_path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"spec key {key!r} must be a JSON list" in err
 
     @pytest.mark.parametrize("scenario,missing", [
         ({"kind": "csv", "y": "y.csv"}, "['x']"),
@@ -167,8 +186,8 @@ class TestGridCommands:
         code, out, err = run_cli(capsys, "level", "--spec", str(spec_path))
         assert code == 4
         assert "n=50" in err and "ValueError: pool of 10 rows too small" in err
-        rows = parse_results_csv(out)
-        assert [row.n_x for row in rows] == [3]
+        rows = read_results_csv(out)
+        assert [int(row["n_x"]) for row in rows] == [3]
         spec_path.write_text(json.dumps({**spec, "sample_sizes": [50]}))
         code, _, _ = run_cli(capsys, "level", "--spec", str(spec_path))
         assert code == 1
@@ -181,9 +200,9 @@ class TestGridCommands:
                              "--permutations", "19", "--repetitions", "25",
                              "--seed", "3", "--output", str(out_path))
         assert code == 0
-        rows = parse_results_csv(out_path.read_text())
-        assert rows[0].param == 0.6
-        assert rows[0].trials == 25
+        rows = read_results_csv(out_path.read_text())
+        assert float(rows[0]["param"]) == 0.6
+        assert int(rows[0]["reps"]) == 25
 
     def test_power_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "power", "--rho2", "0.66",
@@ -193,16 +212,3 @@ class TestGridCommands:
                                "--seed", "0")
         assert code == 0
         assert out.splitlines()[0].startswith("method,ell,n_x,n_y,param")
-
-
-class TestBenchCommand:
-    def test_bench_emits_rows_and_exponent(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.csv"
-        code, _, err = run_cli(capsys, "bench", "--sample-sizes", "400,800",
-                               "--landmarks", "8", "--permutations", "9",
-                               "--repeats", "2", "--output", str(out_path))
-        assert code == 0
-        lines = out_path.read_text().strip().splitlines()
-        assert lines[0] == "n,ell,permutations,seconds,peak_bytes"
-        assert len(lines) == 3
-        assert "fitted time exponent" in err

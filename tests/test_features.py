@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import landmark_set
 from nysmmd import GaussianKernel, build_nystrom, build_rff, sample_landmarks
-from nysmmd.leverage import LandmarkSet
-
-
-def landmark_set(points):
-    points = np.asarray(points, dtype=float)
-    return LandmarkSet(indices=np.arange(points.shape[0]),
-                       points=points, sampler="uniform")
 
 
 class TestBuildNystrom:

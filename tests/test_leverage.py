@@ -6,7 +6,6 @@ from nysmmd import (
     GaussianKernel,
     approx_krls,
     default_regularization,
-    effective_dimension,
     exact_krls,
     median_heuristic,
     sample_landmarks,
@@ -55,7 +54,8 @@ class TestExactKrls:
         k = random_psd(rng, 12)
         lam = 0.05
         total = exact_krls(k, lam).scores.sum()
-        assert total == pytest.approx(effective_dimension(k, lam), rel=1e-8)
+        trace = np.trace(k @ np.linalg.inv(k + lam * 12 * np.eye(12)))
+        assert total == pytest.approx(trace, rel=1e-8)
 
     def test_monotone_in_regularization(self):
         rng = np.random.default_rng(4)
@@ -77,26 +77,30 @@ class TestExactKrls:
 
 
 class TestEffectiveDimension:
+    """The effective dimension trace(K (K + lambda*n I)^-1) is the score sum."""
+
     def test_identity_matrix(self):
         n, lam = 7, 0.2
-        assert effective_dimension(np.eye(n), lam) == pytest.approx(
+        assert exact_krls(np.eye(n), lam).scores.sum() == pytest.approx(
             n / (1.0 + lam * n), rel=1e-12)
 
     def test_tiny_ridge_approaches_rank(self):
         rng = np.random.default_rng(5)
         k = random_psd(rng, 9)
-        assert effective_dimension(k, 1e-14) == pytest.approx(9, abs=1e-3)
+        assert exact_krls(k, 1e-14).scores.sum() == pytest.approx(9, abs=1e-3)
 
     def test_equals_score_sum(self):
         rng = np.random.default_rng(6)
         k = random_psd(rng, 8)
-        assert effective_dimension(k, 0.05) == pytest.approx(
-            exact_krls(k, 0.05).scores.sum(), abs=1e-10)
+        eigenvalues = np.linalg.eigvalsh(k)
+        assert exact_krls(k, 0.05).scores.sum() == pytest.approx(
+            np.sum(eigenvalues / (eigenvalues + 0.05 * 8)), abs=1e-10)
 
     def test_decreasing_in_regularization(self):
         rng = np.random.default_rng(7)
         k = random_psd(rng, 15)
-        values = [effective_dimension(k, lam) for lam in (0.001, 0.01, 0.1, 1.0)]
+        values = [exact_krls(k, lam).scores.sum()
+                  for lam in (0.001, 0.01, 0.1, 1.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -171,7 +175,6 @@ class TestSampleLandmarks:
                                kind="exact")
         landmarks = sample_landmarks(points, ell=6, seed=1, scores=one_hot)
         np.testing.assert_array_equal(landmarks.indices, np.full(6, 3))
-        assert landmarks.sampler == "exact_krls"
 
     def test_uniform_frequencies_concentrate(self):
         points = np.arange(10, dtype=float).reshape(-1, 1)

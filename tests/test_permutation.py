@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import exact_mmd
 from nysmmd import (
     ExactMethod,
     GaussianKernel,
@@ -9,7 +10,6 @@ from nysmmd import (
     RffMethod,
     TestConfig,
     decide,
-    exact_mmd,
     quantile_index,
     run_test,
 )
@@ -183,8 +183,7 @@ class TestRunTest:
         x = rng.standard_normal((60, 2))
         y = rng.standard_normal((50, 2))
         for sampler in ("uniform", "akrls", "exact_krls"):
-            method = NystromMethod(n_landmarks=6, sampler=sampler, budget=16,
-                                   fallback_threshold=32)
+            method = NystromMethod(n_landmarks=6, sampler=sampler)
             outcome = run_test(x, y, TestConfig(seed=2), method)
             assert np.isfinite(outcome.statistic)
 

@@ -6,28 +6,20 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from helpers import exact_mmd, feature_mmd, landmark_set
 from nysmmd import (
     GaussianKernel,
     PooledSample,
     build_nystrom,
-    exact_mmd,
-    feature_mmd,
     permuted_statistics,
     sample_landmarks,
 )
-from nysmmd.leverage import LandmarkSet
 from nysmmd.statistics import (
-    DEFAULT_CHUNK_SIZE,
+    LABEL_BLOCK_ROWS,
     _uniform_subsets,
     accumulate_weighted_features,
     permutation_weights,
 )
-
-
-def landmark_set(points):
-    points = np.asarray(points, dtype=float)
-    return LandmarkSet(indices=np.arange(points.shape[0]),
-                       points=points, sampler="uniform")
 
 
 def pooled_map(x, y, ell, seed=0, bandwidth=1.0):
@@ -166,17 +158,6 @@ class TestPermutedStatistics:
         stats = permuted_statistics(pooled, fmap, n_permutations=10, seed=0)
         np.testing.assert_allclose(stats, 0.0, atol=1e-12)
 
-    def test_chunk_order_invariance(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((300, 3))
-        y = rng.standard_normal((200, 3))
-        pooled, fmap = pooled_map(x, y, ell=8)
-        base = permuted_statistics(pooled, fmap, 25, seed=1, chunk_size=1024)
-        for chunk in (7, 64, 499):
-            other = permuted_statistics(pooled, fmap, 25, seed=1,
-                                        chunk_size=chunk)
-            np.testing.assert_allclose(other, base, atol=1e-10)
-
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((20, 2))
@@ -222,26 +203,21 @@ class TestLabelStream:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((1300, 2))
         y = rng.standard_normal((1200, 2)) + 0.1
-        pooled, fmap = pooled_map(x, y, ell=6)
-        assert pooled.n > 2 * DEFAULT_CHUNK_SIZE
+        pooled = PooledSample.from_samples(x, y)
+        assert pooled.n > 2 * LABEL_BLOCK_ROWS
         weights = permutation_weights(pooled, 199, seed=2)
         labels = weights > 0
         assert (labels.sum(axis=1) == pooled.n_x).all()
         np.testing.assert_array_equal(labels[0], np.arange(pooled.n) < pooled.n_x)
         # x labels in the first block follow the hypergeometric law: mean
         # within 5 standard errors, variance within 50%
-        first = labels[1:, :DEFAULT_CHUNK_SIZE].sum(axis=1)
+        first = labels[1:, :LABEL_BLOCK_ROWS].sum(axis=1)
         p_x = pooled.n_x / pooled.n
-        variance = (DEFAULT_CHUNK_SIZE * p_x * (1 - p_x)
-                    * (pooled.n - DEFAULT_CHUNK_SIZE) / (pooled.n - 1))
-        assert abs(first.mean() - DEFAULT_CHUNK_SIZE * p_x) <= 5 * math.sqrt(
+        variance = (LABEL_BLOCK_ROWS * p_x * (1 - p_x)
+                    * (pooled.n - LABEL_BLOCK_ROWS) / (pooled.n - 1))
+        assert abs(first.mean() - LABEL_BLOCK_ROWS * p_x) <= 5 * math.sqrt(
             variance / first.size)
         assert 0.5 * variance <= first.var() <= 1.5 * variance
-        base = permuted_statistics(pooled, fmap, 199, seed=2, chunk_size=1000)
-        for chunk in (7, 4096):
-            other = permuted_statistics(pooled, fmap, 199, seed=2,
-                                        chunk_size=chunk)
-            np.testing.assert_allclose(other, base, atol=1e-10)
 
     def test_tie_at_the_cut_redraws_the_block(self):
         class TiedFirstDraw:
