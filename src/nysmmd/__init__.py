@@ -4,7 +4,8 @@ The package provides the MMD statistic projected onto the span of sampled
 landmark points (Nystrom) or onto random Fourier features, leverage-score
 landmark sampling from the pooled data, an exact-level permutation test
 built on a single-pass accumulation of all permuted statistics, seeded
-synthetic data generators, and a harness for level/power studies.  Importing the package loads numpy only.
+synthetic data generators, and a harness for level/power studies.
+Importing the package loads numpy only.
 """
 
 from .kernels import GaussianKernel, as_points, median_heuristic

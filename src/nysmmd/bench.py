@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import io
 import csv as _csv
-import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -111,18 +110,29 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        known = {"scenario", "methods", "landmarks", "sample_sizes", "alpha",
-                 "permutations", "repetitions", "seed", "output"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"spec must be a JSON object, got {raw!r}")
+        unknown = set(raw) - {field.name for field in fields(cls)}
         if unknown:
             raise ValueError(f"unknown spec keys {sorted(unknown)}")
         missing = {"scenario", "methods", "sample_sizes"} - set(raw)
         if missing:
             raise ValueError(f"spec is missing required keys {sorted(missing)}")
-        for key in ("methods", "landmarks", "sample_sizes"):
-            if key in raw and not isinstance(raw[key], list):
-                raise ValueError(f"spec key {key!r} must be a JSON list, "
-                                 f"got {raw[key]!r}")
+        for key, value in raw.items():
+            if key == "scenario":
+                valid, expected = isinstance(value, dict), "a JSON object"
+            elif key == "methods":
+                valid = isinstance(value, list) and all(isinstance(v, str) for v in value)
+                expected = "a JSON list of strings"
+            elif key in ("landmarks", "sample_sizes"):
+                valid = isinstance(value, list) and all(map(_is_number, value))
+                expected = "a JSON list of finite numbers"
+            elif key == "output":
+                valid, expected = value is None or isinstance(value, str), "a string or null"
+            else:
+                valid, expected = _is_number(value), "a finite number"
+            if not valid:
+                raise ValueError(f"spec key {key!r} must be {expected}, got {value!r}")
         return cls(
             scenario=dict(raw["scenario"]),
             methods=tuple(raw["methods"]),
@@ -135,25 +145,11 @@ class ExperimentSpec:
             output=raw.get("output"),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": dict(self.scenario),
-            "methods": list(self.methods),
-            "landmarks": list(self.landmarks),
-            "sample_sizes": list(self.sample_sizes),
-            "alpha": self.alpha,
-            "permutations": self.permutations,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "output": self.output,
-        }
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+def _is_number(value) -> bool:
+    # JSON true and false load as bool, which is a subclass of int
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _require_keys(raw: dict, *keys: str) -> None:
@@ -167,7 +163,6 @@ class _Scenario:
 
     def __init__(self, raw: dict):
         self.kind = raw.get("kind")
-        self.raw = raw
         if self.kind == "correlated-gaussian":
             self.dim = int(raw.get("dim", 3))
             self.rho1 = float(raw.get("rho1", 0.5))

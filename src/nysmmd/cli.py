@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import bench as bench_mod
 from . import data as data_mod
@@ -113,10 +114,8 @@ def _int_list(text: str) -> list[int]:
 def _grid_spec(args) -> ExperimentSpec:
     if args.spec:
         with open(args.spec, encoding="utf-8") as handle:
-            spec = ExperimentSpec.from_json(handle.read())
-        if args.output is not None:
-            spec = ExperimentSpec.from_dict({**spec.to_dict(), "output": args.output})
-        return spec
+            spec = ExperimentSpec.from_dict(json.load(handle))
+        return spec if args.output is None else replace(spec, output=args.output)
     scenario = {"kind": args.scenario, "dim": args.dim, "rho1": args.rho1,
                 "rho2": args.rho2 if len(args.rho2) > 1 else args.rho2[0]}
     return ExperimentSpec(

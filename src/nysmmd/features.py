@@ -107,20 +107,19 @@ class RffMap:
         return coordinates
 
 
-def build_nystrom(landmarks: LandmarkSet, kernel: GaussianKernel,
-                  rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> NystromMap:
+def build_nystrom(landmarks: LandmarkSet, kernel: GaussianKernel) -> NystromMap:
     """Factorize the landmark kernel matrix once and return the projection map.
 
-    Eigenvalues at or below rank_tolerance times the largest are dropped, so
-    duplicated landmarks (a rank-deficient landmark matrix) are handled
-    without producing non-finite output.
+    Eigenvalues at or below DEFAULT_RANK_TOLERANCE (1e-10) times the largest
+    are dropped, so duplicated landmarks (a rank-deficient landmark matrix)
+    are handled without producing non-finite output.
     """
     if landmarks.size < 1:
         raise ValueError("need at least one landmark")
     gram = kernel.gram(landmarks.points, landmarks.points)
-    transform = pseudo_inverse_sqrt(gram, rank_tolerance)
+    transform = pseudo_inverse_sqrt(gram, DEFAULT_RANK_TOLERANCE)
     return NystromMap(landmarks=landmarks, kernel=kernel, transform=transform,
-                      rank_tolerance=rank_tolerance)
+                      rank_tolerance=DEFAULT_RANK_TOLERANCE)
 
 
 def build_rff(dim: int, n_features: int, kernel: GaussianKernel, seed: int) -> RffMap:

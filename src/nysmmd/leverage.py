@@ -18,9 +18,8 @@ import numpy as np
 from .kernels import GaussianKernel, as_points
 from .linalg import psd_eigh
 
-DEFAULT_AKRLS_BUDGET = 256
-DEFAULT_EXACT_FALLBACK = 2048
-_MIN_BUDGET = 8
+# Intermediate sample size of approx_krls, and the size of its recursion base.
+_AKRLS_BUDGET = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +32,7 @@ class LeverageScores:
             capped at 1.
         regularization: The ridge parameter lambda (the solve uses
             lambda * n on the kernel matrix).
-        kind: "exact" or "approximate".
+        kind: "exact" from exact_krls, "approximate" from approx_krls at any n.
     """
 
     scores: np.ndarray
@@ -58,13 +57,20 @@ class LandmarkSet:
         return self.points.shape[0]
 
 
-def default_regularization(n: int, delta: float = 0.05) -> float:
-    """Default ridge level 16 * log(4 / delta) / n for a unit-bounded kernel."""
+def default_regularization(n: int) -> float:
+    """Default ridge level 16 * log(4 / 0.05) / n for a unit-bounded kernel."""
     if n < 1:
         raise ValueError("n must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return 16.0 * math.log(4.0 / delta) / n
+    return 16.0 * math.log(4.0 / 0.05) / n
+
+
+def _ridge_scores(gram, ridge_abs):
+    """diag(K (K + ridge_abs I)^-1) through a symmetric eigendecomposition."""
+    eigenvalues, eigenvectors = psd_eigh(gram, "gram")
+    shrink = eigenvalues / (eigenvalues + ridge_abs)
+    scores = np.einsum("ij,j,ij->i", eigenvectors, shrink, eigenvectors)
+    np.clip(scores, 0.0, 1.0, out=scores)
+    return scores
 
 
 def exact_krls(gram: np.ndarray, regularization: float) -> LeverageScores:
@@ -83,29 +89,39 @@ def exact_krls(gram: np.ndarray, regularization: float) -> LeverageScores:
     """
     if regularization <= 0:
         raise ValueError("regularization must be positive")
-    eigenvalues, eigenvectors = psd_eigh(gram, "gram")
-    n = eigenvalues.shape[0]
-    shrink = eigenvalues / (eigenvalues + regularization * n)
-    scores = np.einsum("ij,j,ij->i", eigenvectors, shrink, eigenvectors)
-    np.clip(scores, 0.0, 1.0, out=scores)
+    scores = _ridge_scores(gram, regularization * len(gram))
     return LeverageScores(scores=scores, regularization=regularization, kind="exact")
 
 
-def _weighted_subset_scores(points, kernel, subset, weights, ridge_abs):
-    """Leverage-score estimates for all rows given a weighted column subset.
+def _recursive_scores(points, kernel, ridge_abs, rng):
+    n = points.shape[0]
+    if n <= _AKRLS_BUDGET:
+        return _ridge_scores(kernel.gram(points, points), ridge_abs)
 
-    Uses the Nystrom-style overestimate
-        (K_ii - b_i' (W K_SS W + ridge I)^-1 b_i) / ridge,
-    where b_i = W K_{S,i} and W = diag(weights).  For any subset this never
-    undershoots the exact score; a well-chosen subset also bounds it from
-    above within a constant factor.
-    """
-    k_cs = kernel.gram(points, subset)
-    k_ss = kernel.gram(subset, subset)
-    middle = weights[:, None] * k_ss * weights[None, :]
+    half = rng.permutation(n)[: (n + 1) // 2]
+    half_scores = _recursive_scores(points[half], kernel, ridge_abs, rng)
+
+    total = half_scores.sum()
+    if total <= 0:
+        probabilities = np.full(half.shape[0], 1.0)
+    else:
+        probabilities = np.minimum(1.0, half_scores * (_AKRLS_BUDGET / total))
+    keep = rng.random(half.shape[0]) < probabilities
+    if not keep.any():
+        forced = int(np.argmax(half_scores))
+        keep[forced] = True
+        probabilities[forced] = 1.0
+
+    # Nystrom-style overestimates from the weighted column subset S:
+    # (K_ii - b_i' (W K_SS W + ridge I)^-1 b_i) / ridge with b_i = W K_{S,i}
+    # and W = diag(weights).  For any subset they never undershoot the exact
+    # scores; a well-chosen subset also bounds them from above within a
+    # constant factor.
+    subset = points[half[keep]]
+    weights = 1.0 / np.sqrt(probabilities[keep])
+    middle = weights[:, None] * kernel.gram(subset, subset) * weights[None, :]
     eigenvalues, eigenvectors = psd_eigh(middle, "weighted subset gram")
-    b = k_cs * weights[None, :]
-    projected = b @ eigenvectors
+    projected = (kernel.gram(points, subset) * weights[None, :]) @ eigenvectors
     shrunk = projected / (eigenvalues + ridge_abs)[None, :]
     quad = np.einsum("ij,ij->i", projected, shrunk)
     # K_ii = 1 for the Gaussian kernel.
@@ -114,44 +130,15 @@ def _weighted_subset_scores(points, kernel, subset, weights, ridge_abs):
     return scores
 
 
-def _recursive_scores(points, kernel, ridge_abs, budget, rng):
-    n = points.shape[0]
-    if n <= budget:
-        eigenvalues, eigenvectors = psd_eigh(kernel.gram(points, points), "gram")
-        shrink = eigenvalues / (eigenvalues + ridge_abs)
-        scores = np.einsum("ij,j,ij->i", eigenvectors, shrink, eigenvectors)
-        np.clip(scores, 0.0, 1.0, out=scores)
-        return scores
-
-    half = rng.permutation(n)[: (n + 1) // 2]
-    half_scores = _recursive_scores(points[half], kernel, ridge_abs, budget, rng)
-
-    total = half_scores.sum()
-    if total <= 0:
-        probabilities = np.full(half.shape[0], 1.0)
-    else:
-        probabilities = np.minimum(1.0, half_scores * (budget / total))
-    keep = rng.random(half.shape[0]) < probabilities
-    if not keep.any():
-        forced = int(np.argmax(half_scores))
-        keep[forced] = True
-        probabilities[forced] = 1.0
-
-    subset = points[half[keep]]
-    weights = 1.0 / np.sqrt(probabilities[keep])
-    return _weighted_subset_scores(points, kernel, subset, weights, ridge_abs)
-
-
-def approx_krls(points, kernel: GaussianKernel, regularization: float, seed: int,
-                budget: int = DEFAULT_AKRLS_BUDGET,
-                fallback_threshold: int = DEFAULT_EXACT_FALLBACK) -> LeverageScores:
+def approx_krls(points, kernel: GaussianKernel, regularization: float,
+                seed: int) -> LeverageScores:
     """Approximate kernel ridge leverage scores by recursive half-sampling.
 
-    The dataset is halved recursively until it fits the budget; exact scores
-    on the base subset then seed weighted Nystrom-style estimates on the way
-    back up.  Deterministic for a fixed seed.  For n at or below
-    ``fallback_threshold`` the dense computation is cheap, so the result is
-    bit-identical to :func:`exact_krls` on the full kernel matrix.
+    The dataset is halved recursively down to a base of at most 256 rows,
+    whose exact scores seed weighted Nystrom-style estimates on subsets of
+    about 256 rows on the way back up.  Scores are therefore exact for
+    n <= 256, and no eigendecomposition exceeds about 256 rows at any n.
+    Deterministic for a fixed seed.
 
     Args:
         points: Dataset of shape (n, d).
@@ -159,24 +146,15 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float, seed: int
         regularization: Ridge parameter lambda; the absolute ridge level
             lambda * n is held fixed throughout the recursion.
         seed: Seed for the sampling randomness.
-        budget: Target intermediate sample size; also the recursion base
-            size.  Must be at least 8.
-        fallback_threshold: Below this size the exact scores are returned.
 
     Returns:
-        LeverageScores of kind "exact" when the fallback was taken, else
-        kind "approximate".
+        LeverageScores of kind "approximate".
     """
     points = as_points(points)
     if regularization <= 0:
         raise ValueError("regularization must be positive")
-    if budget < _MIN_BUDGET:
-        raise ValueError(f"budget must be at least {_MIN_BUDGET}, got {budget}")
-    n = points.shape[0]
-    if n <= fallback_threshold:
-        return exact_krls(kernel.gram(points, points), regularization)
     rng = np.random.default_rng(seed)
-    scores = _recursive_scores(points, kernel, regularization * n, budget, rng)
+    scores = _recursive_scores(points, kernel, regularization * points.shape[0], rng)
     return LeverageScores(scores=scores, regularization=regularization,
                           kind="approximate")
 

@@ -40,7 +40,7 @@ def psd_eigh(matrix: np.ndarray, name: str = "matrix"):
     return eigenvalues, eigenvectors
 
 
-def pseudo_inverse_sqrt(matrix: np.ndarray, rank_tolerance: float = 1e-10) -> np.ndarray:
+def pseudo_inverse_sqrt(matrix: np.ndarray, rank_tolerance: float) -> np.ndarray:
     """Symmetric square root of the Moore-Penrose pseudo-inverse of a PSD matrix.
 
     Eigenvalues at or below rank_tolerance * max_eigenvalue are treated as

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import read_results_csv
-from nysmmd import ExperimentSpec, load_csv, write_csv
+from nysmmd import load_csv, write_csv
 from nysmmd.cli import main
 
 
@@ -115,13 +115,13 @@ class TestTestCommand:
 
 class TestGridCommands:
     def test_level_with_spec_file(self, tmp_path, capsys):
-        spec = ExperimentSpec(
-            scenario={"kind": "correlated-gaussian", "dim": 3, "rho1": 0.5,
-                      "rho2": 0.5},
-            methods=("nystrom-uniform",), landmarks=(8,), sample_sizes=(30,),
-            alpha=0.1, permutations=19, repetitions=20, seed=0)
+        spec = {"scenario": {"kind": "correlated-gaussian", "dim": 3,
+                             "rho1": 0.5, "rho2": 0.5},
+                "methods": ["nystrom-uniform"], "landmarks": [8],
+                "sample_sizes": [30], "alpha": 0.1, "permutations": 19,
+                "repetitions": 20, "seed": 0}
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec.to_json())
+        spec_path.write_text(json.dumps(spec))
         out_path = tmp_path / "level.csv"
         code, _, _ = run_cli(capsys, "level", "--spec", str(spec_path),
                              "--output", str(out_path))
@@ -142,6 +142,15 @@ class TestGridCommands:
         ("landmarks", 8),
         ("sample_sizes", 500),
         ("methods", "nystrom-uniform"),
+        ("landmarks", [None]),
+        ("methods", [["rff"]]),
+        ("scenario", 5),
+        ("alpha", None),
+        ("permutations", None),
+        ("repetitions", True),
+        ("seed", "0"),
+        ("permutations", float("inf")),
+        ("output", 5),
     ])
     def test_spec_scalar_grid_is_runtime_error(self, tmp_path, capsys, key, value):
         spec = {"scenario": {"kind": "correlated-gaussian"},
@@ -152,7 +161,17 @@ class TestGridCommands:
         code, _, err = run_cli(capsys, "level", "--spec", str(spec_path))
         assert code == 1
         assert err.startswith("error: ")
-        assert f"spec key {key!r} must be a JSON list" in err
+        expected = {"methods": "a JSON list", "landmarks": "a JSON list",
+                    "sample_sizes": "a JSON list", "scenario": "a JSON object",
+                    "output": "a string or null"}.get(key, "a finite number")
+        assert f"spec key {key!r} must be {expected}" in err
+
+    def test_spec_must_be_object(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("5")
+        code, _, err = run_cli(capsys, "level", "--spec", str(spec_path))
+        assert code == 1
+        assert err.startswith("error: spec must be a JSON object")
 
     @pytest.mark.parametrize("scenario,missing", [
         ({"kind": "csv", "y": "y.csv"}, "['x']"),

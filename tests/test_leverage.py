@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from nysmmd import (
     GaussianKernel,
+    PooledSample,
     approx_krls,
+    build_nystrom,
     default_regularization,
     exact_krls,
     median_heuristic,
+    permuted_statistics,
     sample_landmarks,
 )
+from nysmmd import leverage
+from nysmmd.linalg import psd_eigh
 
 
 def random_psd(rng, n, rank=None):
@@ -114,15 +119,15 @@ def gaussian_data():
 
 class TestApproxKrls:
 
-    def test_fallback_is_bit_identical_to_exact(self, gaussian_data):
+    def test_small_n_is_bit_identical_to_exact(self, gaussian_data):
+        # At or below the 256-row budget the recursion base is the whole set.
         points, kernel = gaussian_data
         small = points[:200]
         lam = 1.0 / 200
-        via_approx = approx_krls(small, kernel, lam, seed=0,
-                                 fallback_threshold=2048)
+        via_approx = approx_krls(small, kernel, lam, seed=0)
         direct = exact_krls(kernel.gram(small, small), lam)
         np.testing.assert_array_equal(via_approx.scores, direct.scores)
-        assert via_approx.kind == "exact"
+        assert via_approx.kind == "approximate"
 
     def test_factor_four_sandwich(self, gaussian_data):
         points, kernel = gaussian_data
@@ -130,8 +135,7 @@ class TestApproxKrls:
         exact = exact_krls(kernel.gram(points, points), lam).scores
         hits = 0
         for seed in range(40):
-            approx = approx_krls(points, kernel, lam, seed, budget=192,
-                                 fallback_threshold=256).scores
+            approx = approx_krls(points, kernel, lam, seed).scores
             ratio = approx / exact
             if ratio.max() <= 4.0 and ratio.min() >= 0.25:
                 hits += 1
@@ -140,24 +144,55 @@ class TestApproxKrls:
     def test_deterministic_given_seed(self, gaussian_data):
         points, kernel = gaussian_data
         lam = 1.0 / 512
-        first = approx_krls(points, kernel, lam, 3, budget=128,
-                            fallback_threshold=256).scores
-        second = approx_krls(points, kernel, lam, 3, budget=128,
-                             fallback_threshold=256).scores
+        first = approx_krls(points, kernel, lam, 3).scores
+        second = approx_krls(points, kernel, lam, 3).scores
         np.testing.assert_array_equal(first, second)
 
     def test_records_approximation_parameters(self, gaussian_data):
         points, kernel = gaussian_data
-        result = approx_krls(points, kernel, 1.0 / 512, 0, budget=128,
-                             fallback_threshold=256)
+        result = approx_krls(points, kernel, 1.0 / 512, 0)
         assert result.kind == "approximate"
         assert result.regularization == 1.0 / 512
 
-    def test_budget_floor(self, gaussian_data):
-        points, kernel = gaussian_data
-        with pytest.raises(ValueError, match="budget"):
-            approx_krls(points, kernel, 0.01, 0, budget=2,
-                        fallback_threshold=16)
+    def test_eigendecompositions_stay_near_budget(self, monkeypatch):
+        # The cost claim of the docstring: no n x n eigendecomposition.
+        rng = np.random.default_rng(13)
+        points = rng.standard_normal((2000, 3))
+        kernel = GaussianKernel(median_heuristic(points))
+        sizes = []
+
+        def recording_eigh(matrix, name="matrix"):
+            sizes.append(matrix.shape[0])
+            return psd_eigh(matrix, name)
+
+        monkeypatch.setattr(leverage, "psd_eigh", recording_eigh)
+        approx_krls(points, kernel, default_regularization(2000), seed=0)
+        assert sizes
+        assert max(sizes) < 512
+
+    def test_recursive_path_null_rank_is_uniform(self, monkeypatch):
+        # Landmarks drawn from recursive (not exact) scores on the pooled
+        # data keep the observed rank uniform under the null.
+        monkeypatch.setattr(leverage, "_AKRLS_BUDGET", 8)
+        n_perms = 9
+        kernel = GaussianKernel(1.0)
+        counts = np.zeros(n_perms + 1, dtype=int)
+        for rep in range(2000):
+            rng = np.random.default_rng([22, rep])
+            x = rng.standard_normal((5, 2))
+            y = rng.standard_normal((5, 2))
+            pooled = PooledSample.from_samples(x, y)
+            scores = approx_krls(pooled.points, kernel,
+                                 default_regularization(pooled.n),
+                                 seed=int(rng.integers(2**63)))
+            landmarks = sample_landmarks(pooled.points, 4,
+                                         seed=int(rng.integers(2**63)),
+                                         scores=scores)
+            fmap = build_nystrom(landmarks, kernel)
+            stats = permuted_statistics(pooled, fmap, n_perms,
+                                        seed=int(rng.integers(2**63)))
+            counts[int((stats < stats[0]).sum())] += 1
+        assert chisquare(counts).pvalue > 1e-3
 
 
 class TestSampleLandmarks:
@@ -231,12 +266,9 @@ class TestSampleLandmarks:
 
 class TestDefaultRegularization:
     def test_matches_formula(self):
-        n, delta = 100, 0.05
-        assert default_regularization(n, delta) == pytest.approx(
-            16.0 * np.log(4.0 / delta) / n, rel=1e-12)
+        assert default_regularization(100) == pytest.approx(
+            16.0 * np.log(4.0 / 0.05) / 100, rel=1e-12)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             default_regularization(0)
-        with pytest.raises(ValueError):
-            default_regularization(10, delta=1.5)
