@@ -152,6 +152,23 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _is_grid(value) -> bool:
+    return _is_number(value) or (isinstance(value, list) and len(value) > 0
+                                 and all(map(_is_number, value)))
+
+
+# scenario key: (check, what the check expects)
+_SCENARIO_VALUES = {
+    "dim": (_is_number, "a finite number"),
+    "rho1": (_is_number, "a finite number"),
+    "rho2": (_is_grid, "a finite number or a nonempty JSON list of them"),
+    "mix_fraction": (_is_grid, "a finite number or a nonempty JSON list of them"),
+    "has_header": (lambda value: isinstance(value, bool), "true or false"),
+    **{key: (lambda value: isinstance(value, str), "a string")
+       for key in ("x", "y", "background", "signal")},
+}
+
+
 def _require_keys(raw: dict, *keys: str) -> None:
     missing = [key for key in keys if key not in raw]
     if missing:
@@ -162,6 +179,10 @@ class _Scenario:
     """Resolved scenario: loads CSV pools once, draws (x, y) pairs on demand."""
 
     def __init__(self, raw: dict):
+        for key, (valid, expected) in _SCENARIO_VALUES.items():
+            if key in raw and not valid(raw[key]):
+                raise ValueError(f"scenario key {key!r} must be {expected}, "
+                                 f"got {raw[key]!r}")
         self.kind = raw.get("kind")
         if self.kind == "correlated-gaussian":
             self.dim = int(raw.get("dim", 3))

@@ -63,8 +63,8 @@ class NystromMap:
         return self.from_basis(self.basis(points))
 
     def basis(self, points) -> np.ndarray:
-        """Kernel evaluations against the landmarks, k_Z(x) for each point."""
-        return self.kernel.gram(as_points(points), self.landmarks.points)
+        """k_Z(x) for each of m points: one (m, d + 2) x (d + 2, ell) GEMM and an exp."""
+        return self.kernel.gram(points, self.landmarks.points)
 
     def from_basis(self, coordinates) -> np.ndarray:
         return coordinates @ self.transform

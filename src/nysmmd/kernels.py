@@ -39,22 +39,6 @@ def as_points(data, name: str = "points") -> np.ndarray:
     return points
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between the rows of a and b.
-
-    Uses the expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, clamped at
-    zero so round-off never produces negative squared distances.
-    """
-    sq_a = np.einsum("ij,ij->i", a, a)
-    sq_b = np.einsum("ij,ij->i", b, b)
-    cross = a @ b.T
-    cross *= 2.0
-    d2 = np.add.outer(sq_a, sq_b)
-    d2 -= cross
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 @dataclass(frozen=True)
 class GaussianKernel:
     """Gaussian kernel k(x, y) = exp(-||x - y||^2 / (2 h^2)) with bandwidth h.
@@ -83,18 +67,34 @@ class GaussianKernel:
     def gram(self, a, b) -> np.ndarray:
         """Kernel matrix K[i, j] = k(a_i, b_j) between two datasets.
 
-        When both arguments hold the same points the result is exactly
-        symmetric with a unit diagonal: the lower triangle is computed once
-        and mirrored.
+        Both arguments are first centered on the mean of b, so the accuracy
+        does not depend on where the data sit.  The exponents
+        -||a_i - b_j||^2 / (2 h^2) then come from one GEMM of augmented
+        matrices, [a, -|a|^2 / 2h^2, 1] @ [b / h^2, 1, -|b|^2 / 2h^2]',
+        which is clamped at 0 (round-off could leave a positive exponent,
+        so K <= 1 always) and exponentiated in place.  When both arguments
+        hold the same points the result is exactly symmetric with a unit
+        diagonal: the lower triangle is computed once and mirrored.
         """
         a = as_points(a, "a")
         b = as_points(b, "b")
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
         symmetric = a is b or (a.shape == b.shape and np.array_equal(a, b))
-        # in place: -d2 / (2 h^2) and d2 / (-2 h^2) are the same IEEE value
-        k = squared_distances(a, b)
-        np.divide(k, -2.0 * self.bandwidth**2, out=k)
+        d = a.shape[1]
+        h2 = self.bandwidth**2
+        center = b.mean(axis=0)
+        left = np.empty((a.shape[0], d + 2))
+        right = np.empty((b.shape[0], d + 2))
+        np.subtract(a, center, out=left[:, :d])
+        np.subtract(b, center, out=right[:, :d])
+        left[:, d] = np.einsum("ij,ij->i", left[:, :d], left[:, :d]) / (-2.0 * h2)
+        left[:, d + 1] = 1.0
+        right[:, d] = 1.0
+        right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d]) / (-2.0 * h2)
+        right[:, :d] /= h2
+        k = left @ right.T
+        np.minimum(k, 0.0, out=k)
         np.exp(k, out=k)
         if symmetric:
             lower = np.tril(k)

@@ -257,10 +257,11 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
 
     Orchestrates bandwidth selection (median heuristic on the pooled data
     unless the config pins a bandwidth), landmark or frequency construction,
-    the single-pass permuted statistics, and the decision rule.  Fully
-    deterministic for a fixed config seed; the tie-break variate is drawn
-    from its own stream whether or not a tie occurs, so outcomes are
-    reproducible across code paths.
+    the single-pass permuted statistics, and the decision rule.  Outcomes
+    are bit-identical for a fixed config seed and BLAS thread count (OpenBLAS
+    rounds differently at other thread counts, and the statistics then agree
+    to round-off); the tie-break variate is drawn from its own stream whether
+    or not a tie occurs, so outcomes are reproducible across code paths.
     """
     pooled = PooledSample.from_samples(x, y)
     root = np.random.SeedSequence(config.seed)

@@ -12,8 +12,9 @@ All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
 for every permutation, how many x labels fall in each block; each block then
 draws a uniform subset of that size per permutation from its own child
-seed.  Together these are uniform splits of the pooled rows.  Storage is
-O((P + 1) * (ell + B)) for the accumulators, the labels and the basis of
+seed: the rows with the smallest uint32 keys (a rare tie at the cut redraws
+the block).  Together these are uniform splits of the pooled rows.  Storage
+is O((P + 1) * (ell + B)) for the accumulators, the labels and the basis of
 one block, plus the P x (n / B) block counts; the n-wide signed weight matrix
 is formed only by permutation_weights, for exact mode.
 """
@@ -66,20 +67,21 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
                      out: np.ndarray) -> None:
     """Fill out[p] with the 0/1 indicator of a uniform counts[p]-subset.
 
-    Each row keeps the positions of its counts[p] smallest uniform keys.  A
-    tie at that cut would keep fewer, so the whole block is redrawn; the
-    redraw event is symmetric in the positions and leaves the subsets
-    uniform.
+    Each row keeps the positions of its counts[p] smallest uniform uint32
+    keys.  A tie at that cut (rare: about size / 2^33 per row) would keep
+    fewer, so the whole block is redrawn; the redraw event is symmetric in
+    the positions and leaves the subsets uniform.
     """
     rows = np.arange(counts.size)
     size = out.shape[1]
     while True:
-        rng.random(out=out)
-        ordered = np.sort(out, axis=1)
-        # the (k + 1)-th smallest key bounds the k kept ones; inf keeps all
-        bounds = np.where(counts < size,
-                          ordered[rows, np.minimum(counts, size - 1)], np.inf)
-        np.less(out, bounds[:, None], out=out)
+        words = rng.bit_generator.random_raw((out.size + 1) // 2)
+        keys = words.view(np.uint32)[:out.size].reshape(out.shape)
+        ordered = np.sort(keys, axis=1)
+        # the (k + 1)-th smallest key bounds the k kept ones; an int64 2^32 keeps all
+        bounds = np.where(counts < size, ordered[rows, np.minimum(counts, size - 1)],
+                          np.int64(2**32))
+        np.less(keys, bounds[:, None], out=out)
         if np.array_equal(out.sum(axis=1), counts):
             return
 

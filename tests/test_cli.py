@@ -192,6 +192,32 @@ class TestGridCommands:
             assert err.startswith("error: ")
             assert f"missing required keys {missing}" in err
 
+    @pytest.mark.parametrize("kind,key,value,expected", [
+        ("correlated-gaussian", "dim", None, "a finite number"),
+        ("correlated-gaussian", "rho1", "0.5", "a finite number"),
+        ("correlated-gaussian", "rho2", [0.5, None], "a finite number or"),
+        ("mixture", "mix_fraction", [], "a finite number or"),
+        ("csv", "has_header", "yes", "true or false"),
+        ("csv", "x", 5, "a string"),
+        ("csv", "y", None, "a string"),
+        ("mixture", "background", 5, "a string"),
+        ("mixture", "signal", ["s.csv"], "a string"),
+    ])
+    def test_scenario_value_type_is_runtime_error(self, tmp_path, capsys, kind,
+                                                  key, value, expected):
+        scenario = {"kind": kind, "x": "x.csv", "y": "y.csv",
+                    "background": "b.csv", "signal": "s.csv"}
+        if kind == "correlated-gaussian":
+            scenario = {"kind": kind}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "scenario": {**scenario, key: value}, "methods": ["nystrom-uniform"],
+            "landmarks": [2], "sample_sizes": [5]}))
+        for command in ("level", "power"):
+            code, _, err = run_cli(capsys, command, "--spec", str(spec_path))
+            assert code == 1
+            assert err.startswith(f"error: scenario key {key!r} must be {expected}")
+
     def test_partial_grid_failure_exits_four(self, tmp_path, capsys):
         pool_path = tmp_path / "pool.csv"
         write_csv(np.zeros((10, 2)) + np.arange(10)[:, None], pool_path)

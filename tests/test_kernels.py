@@ -10,7 +10,6 @@ from nysmmd.kernels import (
     _bracket_middle,
     _middle_order_statistics,
     as_points,
-    squared_distances,
 )
 
 
@@ -117,29 +116,44 @@ class TestGram:
             k.gram(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_bit_identical_to_out_of_place_expression(self):
-        def distances(a, b):
-            sq_a = np.einsum("ij,ij->i", a, a)
-            sq_b = np.einsum("ij,ij->i", b, b)
-            return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0)
+        def exponents(a, b, h):
+            center = b.mean(axis=0)
+            a, b = a - center, b - center
+            sq_a = np.einsum("ij,ij->i", a, a)[:, None]
+            sq_b = np.einsum("ij,ij->i", b, b)[:, None]
+            left = np.hstack([a, sq_a / (-2.0 * h**2), np.ones_like(sq_a)])
+            right = np.hstack([b / h**2, np.ones_like(sq_b), sq_b / (-2.0 * h**2)])
+            return np.minimum(left @ right.T, 0.0)
 
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((40, 3))
+        a = rng.standard_normal((40, 3)) + 2.0
         b = rng.standard_normal((25, 3))
-        assert np.array_equal(squared_distances(a, b), distances(a, b))
         for h in (0.3, 1.0, 2.7):
             k = GaussianKernel(h)
-            expected = np.exp(-distances(a, b) / (2.0 * h**2))
-            assert np.array_equal(k.gram(a, b), expected)
-            full = np.exp(-distances(a, a) / (2.0 * h**2))
+            assert np.array_equal(k.gram(a, b), np.exp(exponents(a, b, h)))
+            full = np.exp(exponents(a, a, h))
             expected = np.tril(full) + np.tril(full, -1).T
             np.fill_diagonal(expected, 1.0)
             assert np.array_equal(k.gram(a, a.copy()), expected)
+        # identical pairs off the diagonal, and pairs 1e-9 apart, put the exact
+        # exponent at or just below 0, where round-off can cross it
+        spread = rng.standard_normal((30, 2)) * 30.0
+        near = np.vstack([spread[::-1], spread + 1e-9])
+        for gram in (k.gram(spread, near), k.gram(near, near)):
+            assert (gram >= 0.0).all() and (gram <= 1.0).all()
 
-    def test_squared_distances_never_negative(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((30, 2)) * 1e-8  # near-identical points
-        d2 = squared_distances(a, a)
-        assert (d2 >= 0.0).all()
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+    def test_accuracy_does_not_depend_on_offset(self, offset):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((50, 3)) + offset
+        b = rng.standard_normal((20, 3)) + offset
+        h = 0.7
+        k = GaussianKernel(h)
+        for left, right in ((a, b), (a, a)):
+            diff = left[:, None, :] - right[None, :, :]
+            expected = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * h**2))
+            np.testing.assert_allclose(k.gram(left, right), expected,
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestMedianHeuristic:

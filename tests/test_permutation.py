@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nysmmd
 from helpers import exact_mmd
 from nysmmd import (
     ExactMethod,
@@ -13,6 +20,7 @@ from nysmmd import (
     quantile_index,
     run_test,
 )
+from nysmmd.permutation import METHODS
 from nysmmd.statistics import permutation_weights
 
 
@@ -116,6 +124,37 @@ class TestRunTest:
         assert first.statistic == second.statistic
         assert first.bandwidth == second.bandwidth
         np.testing.assert_array_equal(first.statistics, second.statistics)
+
+    def test_close_across_blas_thread_counts(self):
+        # OpenBLAS dgemm and eigh round differently with 1 and 2 threads, and
+        # the landmark pseudo-inverse amplifies that round-off; decisions and
+        # statistics must still agree.
+        probe = """
+import json, numpy as np
+from nysmmd import run_test
+from nysmmd.permutation import METHODS, TestConfig
+rng = np.random.default_rng(3)
+x = rng.standard_normal((1000, 3))
+y = rng.standard_normal((1000, 3)) + 0.05
+outcomes = {name: run_test(x, y, TestConfig(n_permutations=99, seed=5), spec(32))
+            for name, spec in METHODS.items()}
+print(json.dumps({name: [o.reject, o.statistics.tolist()]
+                  for name, o in outcomes.items()}))
+"""
+        src = str(Path(nysmmd.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                    capture_output=True, text=True, check=True,
+                                    timeout=300)
+            runs.append(json.loads(result.stdout))
+        serial, threaded = runs
+        assert serial.keys() == threaded.keys() == set(METHODS)
+        for name in METHODS:
+            assert serial[name][0] == threaded[name][0], name
+            first, second = np.array(serial[name][1]), np.array(threaded[name][1])
+            assert np.abs(first - second).max() <= 1e-12 * np.abs(first).max(), name
 
     def test_identical_multisets_reject_only_through_tie_branch(self):
         # The observed statistic vanishes (up to accumulation round-off at

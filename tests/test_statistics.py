@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,21 +222,23 @@ class TestLabelStream:
 
     def test_tie_at_the_cut_redraws_the_block(self):
         class TiedFirstDraw:
+            """Bit generator whose first draw makes every key equal."""
+
             def __init__(self):
                 self.calls = 0
-                self.rng = np.random.default_rng(0)
+                self.source = np.random.PCG64(0)
 
-            def random(self, out):
+            def random_raw(self, size):
                 self.calls += 1
+                words = self.source.random_raw(size)
                 if self.calls == 1:
-                    out[...] = 0.5
-                else:
-                    self.rng.random(out=out)
+                    words[:] = 0
+                return words
 
         stub = TiedFirstDraw()
         counts = np.array([0, 2, 5])
         out = np.empty((3, 5))
-        _uniform_subsets(counts, stub, out)
+        _uniform_subsets(counts, SimpleNamespace(bit_generator=stub), out)
         assert stub.calls == 2
         np.testing.assert_array_equal(out.sum(axis=1), counts)
         assert set(np.unique(out)) <= {0.0, 1.0}
