@@ -142,6 +142,19 @@ class TestGram:
         for gram in (k.gram(spread, near), k.gram(near, near)):
             assert (gram >= 0.0).all() and (gram <= 1.0).all()
 
+    def test_squared_distances_never_negative(self):
+        # the squared distances behind the Gram matrix, -2 h^2 log K, must not
+        # come out negative even where round-off meets near-identical points
+        rng = np.random.default_rng(5)
+        h = 0.5
+        k = GaussianKernel(h)
+        for scale in (1e-8, 1.0):  # near-identical points, then unit spread
+            a = rng.standard_normal((30, 2)) * scale
+            b = a[::-1] + 1e-9
+            for gram in (k.gram(a, a), k.gram(a, b), k.gram(b, a.copy())):
+                d2 = -2.0 * h**2 * np.log(gram)
+                assert (d2 >= 0.0).all()
+
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
     def test_accuracy_does_not_depend_on_offset(self, offset):
         rng = np.random.default_rng(8)
