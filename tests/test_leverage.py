@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
@@ -170,9 +172,50 @@ class TestApproxKrls:
         assert sizes
         assert max(sizes) < 512
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 3001])
+    def test_row_blocks_do_not_change_scores(self, monkeypatch, n):
+        # 7-row blocks leave a partial last block at every level; blocks of
+        # n rows make every level a single block.
+        rng = np.random.default_rng(n)
+        points = rng.standard_normal((n, 3))
+        kernel = GaussianKernel(median_heuristic(points))
+        scores = []
+        for rows in (leverage._SCORE_BLOCK_ROWS, 7, n):
+            monkeypatch.setattr(leverage, "_SCORE_BLOCK_ROWS", rows)
+            scores.append(approx_krls(points, kernel,
+                                      default_regularization(n), 4).scores)
+        np.testing.assert_allclose(scores[1], scores[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scores[2], scores[0], rtol=1e-12, atol=0)
+
+    def test_memory_does_not_grow_with_n(self):
+        # Storage is O(B * |S| + n * d).  From 8,000 to 32,000 rows only the
+        # half-samples and score vectors grow, by far less than the 2 kB per
+        # row of one n x |S| float64 matrix at |S| = 256.
+        rng = np.random.default_rng(15)
+        kernel = GaussianKernel(1.0)
+        peaks = []
+        for n in (8_000, 32_000):
+            points = rng.standard_normal((n, 3))
+            tracemalloc.start()
+            try:
+                approx_krls(points, kernel, default_regularization(n), seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 128 * (32_000 - 8_000)
+
     def test_recursive_path_null_rank_is_uniform(self, monkeypatch):
         # Landmarks drawn from recursive (not exact) scores on the pooled
         # data keep the observed rank uniform under the null.
+        assert self._recursive_null_rank_pvalue(monkeypatch) > 1e-3
+
+    def test_recursive_path_null_rank_is_uniform_in_row_blocks(self, monkeypatch):
+        # The 10 pooled rows scored at the top level span four 3-row blocks.
+        monkeypatch.setattr(leverage, "_SCORE_BLOCK_ROWS", 3)
+        assert self._recursive_null_rank_pvalue(monkeypatch) > 1e-3
+
+    @staticmethod
+    def _recursive_null_rank_pvalue(monkeypatch):
         monkeypatch.setattr(leverage, "_AKRLS_BUDGET", 8)
         n_perms = 9
         kernel = GaussianKernel(1.0)
@@ -192,7 +235,7 @@ class TestApproxKrls:
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
-        assert chisquare(counts).pvalue > 1e-3
+        return chisquare(counts).pvalue
 
 
 class TestSampleLandmarks:
