@@ -17,6 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from statistics import NormalDist
 
@@ -266,9 +267,10 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
         spec: The experiment grid.
         regime: "null" (both samples from the base distribution) or
             "alternative" (second sample from the shifted distribution).
-        n_threads: Worker threads for repetitions; defaults to the
-            NYSMMD_THREADS environment variable (1 if unset).  Results are
-            identical for a fixed seed regardless of thread count.
+        n_threads: Worker threads for repetitions, in one pool for the
+            whole grid; defaults to the NYSMMD_THREADS environment variable
+            (1 if unset).  Results are identical for a fixed seed
+            regardless of thread count.
 
     Returns:
         One RateEstimate per cell, in grid order.  A failing cell yields an
@@ -291,48 +293,49 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
                     cells.append((method_index, method_name, ell, n,
                                   param_index, param))
 
-    for method_index, method_name, ell, n, param_index, param in cells:
-        try:
-            method = METHODS[method_name](ell)
+    # one pool serves every cell; repetitions run in the calling thread when
+    # there is a single worker
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        map_repetitions = map if pool is None else pool.map
+        for method_index, method_name, ell, n, param_index, param in cells:
+            try:
+                method = METHODS[method_name](ell)
 
-            def one_repetition(rep: int) -> tuple[bool, float]:
-                cell = [regime_code, n, param_index, rep, method_index, ell]
-                data_seed = np.random.SeedSequence([spec.seed, 11, *cell])
-                test_seed = int(np.random.SeedSequence([spec.seed, 13, *cell])
-                                .generate_state(2, np.uint64)[0])
-                x, y = scenario.draw_pair(regime, n, param,
-                                          np.random.default_rng(data_seed))
-                config = TestConfig(alpha=spec.alpha,
-                                    n_permutations=spec.permutations,
-                                    seed=test_seed,
-                                    keep_statistics=False)
-                start = time.perf_counter()
-                outcome = run_test(x, y, config, method)
-                elapsed = time.perf_counter() - start
-                return outcome.reject, elapsed
+                def one_repetition(rep: int) -> tuple[bool, float]:
+                    cell = [regime_code, n, param_index, rep, method_index, ell]
+                    data_seed = np.random.SeedSequence([spec.seed, 11, *cell])
+                    test_seed = int(np.random.SeedSequence([spec.seed, 13, *cell])
+                                    .generate_state(2, np.uint64)[0])
+                    x, y = scenario.draw_pair(regime, n, param,
+                                              np.random.default_rng(data_seed))
+                    config = TestConfig(alpha=spec.alpha,
+                                        n_permutations=spec.permutations,
+                                        seed=test_seed,
+                                        keep_statistics=False)
+                    start = time.perf_counter()
+                    outcome = run_test(x, y, config, method)
+                    elapsed = time.perf_counter() - start
+                    return outcome.reject, elapsed
 
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(one_repetition,
-                                             range(spec.repetitions)))
-            else:
-                outcomes = [one_repetition(rep) for rep in range(spec.repetitions)]
-            successes = sum(1 for reject, _ in outcomes if reject)
-            mean_runtime = float(np.mean([t for _, t in outcomes]))
-            low, high = wilson_interval(successes, spec.repetitions)
-            results.append(RateEstimate(
-                method=method_name, ell=ell, n_x=n, n_y=n, param=param,
-                successes=successes, trials=spec.repetitions,
-                rate=successes / spec.repetitions,
-                wilson_low=low, wilson_high=high,
-                mean_runtime_s=mean_runtime))
-        except Exception as exc:  # record and continue with the grid
-            results.append(RateEstimate(
-                method=method_name, ell=ell, n_x=n, n_y=n, param=param,
-                successes=0, trials=0, rate=float("nan"),
-                wilson_low=float("nan"), wilson_high=float("nan"),
-                mean_runtime_s=float("nan"),
-                error=f"{type(exc).__name__}: {exc}"))
+                outcomes = list(map_repetitions(one_repetition,
+                                                range(spec.repetitions)))
+                successes = sum(1 for reject, _ in outcomes if reject)
+                mean_runtime = float(np.mean([t for _, t in outcomes]))
+                low, high = wilson_interval(successes, spec.repetitions)
+                results.append(RateEstimate(
+                    method=method_name, ell=ell, n_x=n, n_y=n, param=param,
+                    successes=successes, trials=spec.repetitions,
+                    rate=successes / spec.repetitions,
+                    wilson_low=low, wilson_high=high,
+                    mean_runtime_s=mean_runtime))
+            except Exception as exc:  # record and continue with the grid
+                results.append(RateEstimate(
+                    method=method_name, ell=ell, n_x=n, n_y=n, param=param,
+                    successes=0, trials=0, rate=float("nan"),
+                    wilson_low=float("nan"), wilson_high=float("nan"),
+                    mean_runtime_s=float("nan"),
+                    error=f"{type(exc).__name__}: {exc}"))
     return results
 
 

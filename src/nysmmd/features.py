@@ -30,8 +30,12 @@ class FeatureMap(Protocol):
         """Feature vectors for a batch of points, shape (m, dimension)."""
         ...
 
-    def basis(self, points) -> np.ndarray:
-        """Basis coordinates of a batch of points, shape (m, dimension)."""
+    def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
+        """Basis coordinates of a batch of points, shape (m, dimension).
+
+        When ``out`` (float64, that shape) is given it receives the result
+        and is returned.
+        """
         ...
 
     def from_basis(self, coordinates) -> np.ndarray:
@@ -62,9 +66,9 @@ class NystromMap:
     def features(self, points) -> np.ndarray:
         return self.from_basis(self.basis(points))
 
-    def basis(self, points) -> np.ndarray:
+    def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
         """k_Z(x) for each of m points: one (m, d + 2) x (d + 2, ell) GEMM and an exp."""
-        return self.kernel.gram(points, self.landmarks.points)
+        return self.kernel.gram(points, self.landmarks.points, out=out)
 
     def from_basis(self, coordinates) -> np.ndarray:
         return coordinates @ self.transform
@@ -88,20 +92,21 @@ class RffMap:
         return 2 * self.frequencies.shape[0]
 
     def features(self, points) -> np.ndarray:
+        return self.basis(points)
+
+    def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
+        """The features themselves: the map has no separate linear factor."""
         points = as_points(points)
         if points.shape[1] != self.frequencies.shape[1]:
             raise ValueError(f"dimension mismatch: points have {points.shape[1]} "
                              f"columns, map expects {self.frequencies.shape[1]}")
         projections = points @ self.frequencies.T
-        out = np.empty((points.shape[0], self.dimension))
+        if out is None:
+            out = np.empty((points.shape[0], self.dimension))
         scale = np.sqrt(2.0 / self.dimension)
         out[:, 0::2] = scale * np.cos(projections)
         out[:, 1::2] = scale * np.sin(projections)
         return out
-
-    def basis(self, points) -> np.ndarray:
-        """The features themselves: the map has no separate linear factor."""
-        return self.features(points)
 
     def from_basis(self, coordinates) -> np.ndarray:
         return coordinates

@@ -1,18 +1,18 @@
-"""Gaussian kernel evaluation, Gram matrices, and bandwidth selection."""
+"""Gaussian kernel evaluation, Gram matrices, and bandwidth selection.
+
+The bandwidth heuristic is the median distance over a fixed number
+N = 2^14 + 1 of random pairs of distinct rows: O(N * d) time and storage at
+any n, and a pair law that depends only on n and the seed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-DEFAULT_BANDWIDTH_SUBSET = 2000
-# pair-block size in float64 values (256 KB): a block and its temporary stay
-# in cache while every column is added to it
-_PAIR_BLOCK = 1 << 15
-# target size of the strided sample that brackets the middle order statistics
-_BRACKET_SAMPLE = 1 << 14
+# Pairs drawn by median_heuristic; odd, so the median is one drawn distance.
+_MEDIAN_PAIRS = (1 << 14) + 1
 
 
 def as_points(data, name: str = "points") -> np.ndarray:
@@ -64,7 +64,7 @@ class GaussianKernel:
         diff = x - y
         return float(np.exp(-(diff @ diff) / (2.0 * self.bandwidth**2)))
 
-    def gram(self, a, b) -> np.ndarray:
+    def gram(self, a, b, out: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix K[i, j] = k(a_i, b_j) between two datasets.
 
         Both arguments are first centered on the mean of b, so the accuracy
@@ -75,6 +75,10 @@ class GaussianKernel:
         so K <= 1 always) and exponentiated in place.  When both arguments
         hold the same points the result is exactly symmetric with a unit
         diagonal: the lower triangle is computed once and mirrored.
+
+        ``out``, a float64 array of shape (len(a), len(b)), receives the
+        result and is returned; it lets blocked loops reuse one buffer.
+        The values are the same as without it.
         """
         a = as_points(a, "a")
         b = as_points(b, "b")
@@ -93,130 +97,49 @@ class GaussianKernel:
         right[:, d] = 1.0
         right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d]) / (-2.0 * h2)
         right[:, :d] /= h2
-        k = left @ right.T
+        k = np.matmul(left, right.T, out=out)
         np.minimum(k, 0.0, out=k)
         np.exp(k, out=k)
         if symmetric:
-            lower = np.tril(k)
-            k = lower + np.tril(k, -1).T
+            np.copyto(k, k.T, where=~np.tri(len(k), dtype=bool))
             np.fill_diagonal(k, 1.0)
         return k
 
 
-def median_heuristic(points, subset_size: int = DEFAULT_BANDWIDTH_SUBSET,
-                     seed: int = 0) -> float:
-    """Median pairwise Euclidean distance, estimated on a random subset.
+def median_heuristic(points, seed: int = 0) -> float:
+    """Median Euclidean distance over N = 2^14 + 1 random pairs of rows.
 
-    Draws m = min(n, subset_size) points without replacement (deterministic
-    for a fixed seed) and returns the median of all pairwise distances between
-    them.  An even number of pairs is resolved as the midpoint of the two
-    central order statistics.  The result equals
-    ``float(np.median(scipy.spatial.distance.pdist(subset)))`` bit for bit:
-    each squared distance is summed column by column in pdist's order, and
-    the two central order statistics are selected exactly before the square
-    root.  Time is O(m^2 d); storage is m(m - 1)/2 float64 values (16 MB at
-    m = 2000).
+    Each pair is an i.i.d. draw of two distinct rows: i uniform on [0, n)
+    and j = (i + U{1, ..., n - 1}) mod n, deterministic for a fixed seed.
+    N is odd, so the result is one of the drawn distances (no midpoint is
+    averaged).  Time and storage are O(N * d) at any n.  The pair law
+    depends only on n and the seed, so relabeling the rows leaves the law
+    of the bandwidth unchanged, which the exact level of the permutation
+    test needs.
 
     Raises:
-        ValueError: If fewer than two points are available or every pairwise
-            distance in the subset is zero (a zero bandwidth is never
-            returned).
+        ValueError: If fewer than two points are given, if the median
+            distance is zero (degenerate data; a zero bandwidth is never
+            returned), or if it overflows float64.
     """
     points = as_points(points)
     n = points.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least two points")
-    if subset_size < 2:
-        raise ValueError("subset_size must be at least 2")
-    m = min(n, subset_size)
-    if m < n:
-        idx = np.random.default_rng(seed).choice(n, size=m, replace=False)
-        subset = points[idx]
-    else:
-        subset = points
-    middle = _middle_order_statistics(_pairwise_squared_distances(subset))
-    median = float(np.mean(np.sqrt(middle)))
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, n, size=_MEDIAN_PAIRS)
+    second = (first + rng.integers(1, n, size=_MEDIAN_PAIRS)) % n
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        diff = points[first] - points[second]
+        squared = np.einsum("ij,ij->i", diff, diff)
+    middle = _MEDIAN_PAIRS // 2
+    median = float(np.sqrt(np.partition(squared, middle)[middle]))
+    if median == np.inf:
+        raise ValueError("median pairwise distance overflows float64; "
+                         "rescale the data or pass a bandwidth")
     if median <= 0.0:
-        raise ValueError("median pairwise distance in the bandwidth subset is zero "
-                         "(degenerate data); refusing to return a zero bandwidth")
+        raise ValueError("median pairwise distance is zero (degenerate data); "
+                         "refusing to return a zero bandwidth")
     return median
 
 
-def _pairwise_squared_distances(points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances of all m(m - 1)/2 unordered pairs of rows.
-
-    Each pair appears once, in a cyclic order: (i, (i + k) mod m) for every
-    row i and k = 1..(m - 1)//2, then (i, i + m/2) for i < m/2 when m is even.
-    Each value is ((x_0 - y_0)^2 + (x_1 - y_1)^2) + ..., summed in column
-    order as scipy's pdist sums it, so the values are pdist's squared
-    distances in another order.
-    """
-    m, d = points.shape
-    half = (m - 1) // 2
-    opposite = m // 2 if m % 2 == 0 else 0
-    out = np.empty(m * half + opposite)
-    with np.errstate(over="ignore"):  # pdist also yields inf without a warning
-        if half:
-            cyclic = out[:m * half].reshape(m, half)
-            # row i of windows[c] is column c at rows i, i + 1, ..., i + half (mod m)
-            columns = np.concatenate((points, points[:half])).T.copy()
-            windows = sliding_window_view(columns, half + 1, axis=1)
-            rows = max(1, _PAIR_BLOCK // half)
-            scratch = np.empty((rows, half))
-            for start in range(0, m, rows):
-                stop = min(m, start + rows)
-                _accumulate_squares(cyclic[start:stop], scratch[:stop - start],
-                                    windows[:, start:stop, 1:],
-                                    windows[:, start:stop, :1])
-        if opposite:
-            _accumulate_squares(out[m * half:], np.empty(opposite),
-                                points[:opposite].T, points[opposite:].T)
-    return out
-
-
-def _accumulate_squares(out, scratch, a, b) -> None:
-    """out = sum over c of (a[c] - b[c])^2, added in order of c."""
-    for c in range(a.shape[0]):
-        target = out if c == 0 else scratch
-        np.subtract(a[c], b[c], out=target)
-        np.multiply(target, target, out=target)
-        if c:
-            out += scratch
-
-
-def _middle_order_statistics(values: np.ndarray) -> np.ndarray:
-    """The order statistics (N - 1)//2 and N//2 of the N values, as a slice.
-
-    They are the one or two values np.median averages.  ``values`` is
-    scratch: it is partitioned in place when the bracket misses.
-    """
-    n = values.size
-    lo, hi = (n - 1) // 2, n // 2
-    bracket = _bracket_middle(values, lo, hi)
-    candidates, offset = (values, 0) if bracket is None else bracket
-    candidates.partition((lo - offset, hi - offset))
-    return candidates[lo - offset:hi - offset + 1]
-
-
-def _bracket_middle(values: np.ndarray, lo: int, hi: int):
-    """Narrow the search for order statistics lo <= hi of values.
-
-    Takes two bounds low <= high from a sorted strided sample and returns the
-    values in [low, high] with the count of values below low, provided ranks
-    lo and hi fall inside that window; otherwise None.  The check makes the result
-    exact whatever the sample, so a poor sample costs time, never accuracy.
-    """
-    n = values.size
-    stride = n // _BRACKET_SAMPLE
-    if stride < 2:
-        return None
-    sample = np.sort(values[::stride])
-    size = sample.size
-    margin = 4 * int(np.sqrt(size)) + 1  # about 8 standard deviations of a rank
-    low = sample[max(0, lo * size // n - margin)]
-    high = sample[min(size - 1, hi * size // n + margin)]
-    below = np.count_nonzero(values < low)
-    candidates = values[(values >= low) & (values <= high)]
-    if below <= lo and hi < below + candidates.size:
-        return candidates, below
-    return None

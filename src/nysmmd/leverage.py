@@ -9,7 +9,8 @@ equivariant under relabeling of the rows.
 
 approx_krls scores B = 1024 rows at a time against subsets S of about 256
 rows: O(n * |S|^2) time, O(B * |S| + n * d) storage, and scores equal to the
-unblocked formula up to round-off, not bitwise.
+unblocked formula up to round-off, not bitwise.  One kernel-block and one
+projection buffer serve every block at every level.
 """
 
 from __future__ import annotations
@@ -100,45 +101,58 @@ def exact_krls(gram: np.ndarray, regularization: float) -> LeverageScores:
 
 
 def _recursive_scores(points, kernel, ridge_abs, rng):
-    n = points.shape[0]
-    if n <= _AKRLS_BUDGET:
-        return _ridge_scores(kernel.gram(points, points), ridge_abs)
+    # Halve down to the recursion base, then score each level from the one
+    # below it.  The draws come in the order of the recursive formulation:
+    # every halving permutation first, then the keep draws from the base up.
+    levels = [points]
+    while levels[-1].shape[0] > _AKRLS_BUDGET:
+        m = levels[-1].shape[0]
+        levels.append(levels[-1][rng.permutation(m)[: (m + 1) // 2]])
+    scores = _ridge_scores(kernel.gram(levels[-1], levels[-1]), ridge_abs)
+    # kernel-block and projection buffers, shared by every block and level
+    gram_buffer = projected_buffer = np.empty(0)
+    for level in reversed(range(len(levels) - 1)):
+        points, half, half_scores = levels[level], levels[level + 1], scores
+        n = points.shape[0]
+        total = half_scores.sum()
+        if total <= 0:
+            probabilities = np.full(half.shape[0], 1.0)
+        else:
+            probabilities = np.minimum(1.0, half_scores * (_AKRLS_BUDGET / total))
+        keep = rng.random(half.shape[0]) < probabilities
+        if not keep.any():
+            forced = int(np.argmax(half_scores))
+            keep[forced] = True
+            probabilities[forced] = 1.0
 
-    half = rng.permutation(n)[: (n + 1) // 2]
-    half_scores = _recursive_scores(points[half], kernel, ridge_abs, rng)
-
-    total = half_scores.sum()
-    if total <= 0:
-        probabilities = np.full(half.shape[0], 1.0)
-    else:
-        probabilities = np.minimum(1.0, half_scores * (_AKRLS_BUDGET / total))
-    keep = rng.random(half.shape[0]) < probabilities
-    if not keep.any():
-        forced = int(np.argmax(half_scores))
-        keep[forced] = True
-        probabilities[forced] = 1.0
-
-    # Nystrom-style overestimates from the weighted column subset S:
-    # (K_ii - b_i' (W K_SS W + ridge I)^-1 b_i) / ridge with b_i = W K_{S,i}
-    # and W = diag(weights).  For any subset they never undershoot the exact
-    # scores; a well-chosen subset also bounds them from above within a
-    # constant factor.  With W K_SS W = V diag(e) V', the quadratic form is
-    # |K_{i,S} M|^2 for the |S| x |S| factor M = W V diag((e + ridge)^-1/2),
-    # so each block of rows costs one kernel block and one GEMM.
-    subset = points[half[keep]]
-    weights = 1.0 / np.sqrt(probabilities[keep])
-    middle = weights[:, None] * kernel.gram(subset, subset) * weights[None, :]
-    eigenvalues, eigenvectors = psd_eigh(middle, "weighted subset gram")
-    factor = weights[:, None] * eigenvectors / np.sqrt(eigenvalues + ridge_abs)
-    quad = np.empty(n)
-    for start in range(0, n, _SCORE_BLOCK_ROWS):
-        block = slice(start, start + _SCORE_BLOCK_ROWS)
-        projected = kernel.gram(points[block], subset) @ factor
-        quad[block] = np.einsum("ij,ij->i", projected, projected)
-        del projected
-    # K_ii = 1 for the Gaussian kernel.
-    scores = (1.0 - quad) / ridge_abs
-    np.clip(scores, 0.0, 1.0, out=scores)
+        # Nystrom-style overestimates from the weighted column subset S:
+        # (K_ii - b_i' (W K_SS W + ridge I)^-1 b_i) / ridge with b_i = W K_{S,i}
+        # and W = diag(weights).  For any subset they never undershoot the
+        # exact scores; a well-chosen subset also bounds them from above within
+        # a constant factor.  With W K_SS W = V diag(e) V', the quadratic form
+        # is |K_{i,S} M|^2 for the |S| x |S| factor M = W V diag((e + ridge)^-1/2),
+        # so each block of rows costs one kernel block and one GEMM.
+        subset = half[keep]
+        weights = 1.0 / np.sqrt(probabilities[keep])
+        middle = weights[:, None] * kernel.gram(subset, subset) * weights[None, :]
+        eigenvalues, eigenvectors = psd_eigh(middle, "weighted subset gram")
+        factor = weights[:, None] * eigenvectors / np.sqrt(eigenvalues + ridge_abs)
+        width = subset.shape[0]
+        if gram_buffer.size < min(n, _SCORE_BLOCK_ROWS) * width:
+            gram_buffer = np.empty(min(n, _SCORE_BLOCK_ROWS) * width)
+            projected_buffer = np.empty_like(gram_buffer)
+        quad = np.empty(n)
+        for start in range(0, n, _SCORE_BLOCK_ROWS):
+            block = slice(start, start + _SCORE_BLOCK_ROWS)
+            size = points[block].shape[0] * width
+            gram = kernel.gram(points[block], subset,
+                               out=gram_buffer[:size].reshape(-1, width))
+            projected = np.matmul(gram, factor,
+                                  out=projected_buffer[:size].reshape(-1, width))
+            quad[block] = np.einsum("ij,ij->i", projected, projected)
+        # K_ii = 1 for the Gaussian kernel.
+        scores = (1.0 - quad) / ridge_abs
+        np.clip(scores, 0.0, 1.0, out=scores)
     return scores
 
 

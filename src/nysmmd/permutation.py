@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import GaussianKernel, median_heuristic, DEFAULT_BANDWIDTH_SUBSET
+from .kernels import GaussianKernel, median_heuristic
 from .leverage import (
     approx_krls,
     default_regularization,
@@ -255,9 +255,12 @@ def _exact_statistics(pooled, kernel, config, perm_seed):
 def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     """Run the full permutation test on two samples.
 
-    Orchestrates bandwidth selection (median heuristic on the pooled data
-    unless the config pins a bandwidth), landmark or frequency construction,
-    the single-pass permuted statistics, and the decision rule.  Outcomes
+    Orchestrates bandwidth selection, landmark or frequency construction,
+    the single-pass permuted statistics, and the decision rule.  Unless the
+    config pins a bandwidth, it is the median distance over 2^14 + 1 random
+    pairs of distinct pooled rows (O(2^14 * d) at any n); the pairs are
+    drawn independently of the row labels, so the bandwidth's law is
+    unchanged by relabeling and the level stays exact.  Outcomes
     are bit-identical for a fixed config seed and BLAS thread count (OpenBLAS
     rounds differently at other thread counts, and the statistics then agree
     to round-off); the tie-break variate is drawn from its own stream whether
@@ -271,8 +274,7 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     if config.bandwidth is not None:
         bandwidth = float(config.bandwidth)
     else:
-        bandwidth = median_heuristic(pooled.points, DEFAULT_BANDWIDTH_SUBSET,
-                                     seed=_seed_int(bandwidth_ss))
+        bandwidth = median_heuristic(pooled.points, seed=_seed_int(bandwidth_ss))
     kernel = GaussianKernel(bandwidth)
     perm_seed = _seed_int(perm_ss)
 

@@ -15,8 +15,9 @@ draws a uniform subset of that size per permutation from its own child
 seed: the rows with the smallest uint32 keys (a rare tie at the cut redraws
 the block).  Together these are uniform splits of the pooled rows.  Storage
 is O((P + 1) * (ell + B)) for the accumulators, the labels and the basis of
-one block, plus the P x (n / B) block counts; the n-wide signed weight matrix
-is formed only by permutation_weights, for exact mode.
+one block, held in buffers that every block reuses, plus the P x (n / B)
+block counts; the n-wide signed weight matrix is formed only by
+permutation_weights, for exact mode.
 """
 
 from __future__ import annotations
@@ -64,20 +65,23 @@ class PooledSample:
 
 
 def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
-                     out: np.ndarray) -> None:
+                     out: np.ndarray, scratch: np.ndarray) -> None:
     """Fill out[p] with the 0/1 indicator of a uniform counts[p]-subset.
 
     Each row keeps the positions of its counts[p] smallest uniform uint32
     keys.  A tie at that cut (rare: about size / 2^33 per row) would keep
     fewer, so the whole block is redrawn; the redraw event is symmetric in
-    the positions and leaves the subsets uniform.
+    the positions and leaves the subsets uniform.  ``scratch`` is a flat
+    uint32 buffer of at least out.size entries for the sorted keys.
     """
     rows = np.arange(counts.size)
     size = out.shape[1]
+    ordered = scratch[:out.size].reshape(out.shape)
     while True:
         words = rng.bit_generator.random_raw((out.size + 1) // 2)
         keys = words.view(np.uint32)[:out.size].reshape(out.shape)
-        ordered = np.sort(keys, axis=1)
+        np.copyto(ordered, keys)
+        ordered.sort(axis=1)
         # the (k + 1)-th smallest key bounds the k kept ones; an int64 2^32 keeps all
         bounds = np.where(counts < size, ordered[rows, np.minimum(counts, size - 1)],
                           np.int64(2**32))
@@ -91,18 +95,21 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
 
     labels is a float64 (P + 1, block size) matrix with labels[p, i] = 1
     when pooled row start + i is labeled x under permutation p and 0
-    otherwise; row 0 is the observed labeling (the first n_x rows).
+    otherwise; row 0 is the observed labeling (the first n_x rows).  It is
+    a view of one buffer that the next block overwrites.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
     counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
                                                     size=n_permutations)
+    buffer = np.empty((n_permutations + 1) * sizes[0])
+    scratch = np.empty(n_permutations * sizes[0], dtype=np.uint32)
     for block, (start, size) in enumerate(zip(starts, sizes)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        labels = np.empty((n_permutations + 1, size))
+        labels = buffer[:(n_permutations + 1) * size].reshape(-1, size)
         labels[0] = np.arange(start, start + size) < pooled.n_x
-        _uniform_subsets(counts[:, block], rng, labels[1:])
+        _uniform_subsets(counts[:, block], rng, labels[1:], scratch)
         yield start, labels
 
 
@@ -116,9 +123,14 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
     """
     sums = np.zeros((n_permutations + 1, feature_map.dimension))
     total = np.zeros(feature_map.dimension)
+    # buffers reused by every block
+    basis_buffer = np.empty((min(LABEL_BLOCK_ROWS, pooled.n), feature_map.dimension))
+    product = np.empty_like(sums)
     for start, labels in _label_blocks(pooled, n_permutations, seed):
-        basis = feature_map.basis(pooled.points[start:start + labels.shape[1]])
-        sums += labels @ basis
+        size = labels.shape[1]
+        basis = feature_map.basis(pooled.points[start:start + size],
+                                  out=basis_buffer[:size])
+        sums += np.matmul(labels, basis, out=product)
         total += basis.sum(axis=0)
     coordinates = (1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums - total / pooled.n_y
     return feature_map.from_basis(coordinates)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import norm
 
 import nysmmd
 from helpers import read_results_csv
+from nysmmd import bench
 from nysmmd import (
     ExperimentSpec,
     estimate_rate,
@@ -185,6 +187,21 @@ class TestEstimateRate:
         assert [r.successes for r in serial] == [r.successes for r in threaded]
         assert strip_runtime(results_to_csv(serial)) == strip_runtime(
             results_to_csv(threaded))
+
+    def test_one_thread_pool_per_grid(self, monkeypatch):
+        created = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ThreadPoolExecutor", CountingPool)
+        spec = tiny_null_spec(repetitions=4, landmarks=(2, 4, 8))
+        assert len(estimate_rate(spec, "null", n_threads=2)) == 3
+        assert len(created) == 1
+        estimate_rate(spec, "null", n_threads=1)
+        assert len(created) == 1
 
     def test_failing_cell_recorded_not_raised(self, tmp_path):
         pool = np.zeros((10, 2)) + np.arange(10)[:, None]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from nysmmd import (
     permuted_statistics,
     sample_landmarks,
 )
+import nysmmd
 from nysmmd import leverage
 from nysmmd.linalg import psd_eigh
 
@@ -203,6 +208,29 @@ class TestApproxKrls:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 128 * (32_000 - 8_000)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    def test_fresh_process_reuses_block_buffers(self):
+        # In a process that has freed no large array, glibc maps every
+        # per-block temporary of 1-2 MB afresh: about 512 faults each, so
+        # fresh kernel-block and projection arrays in each of the ~80 blocks
+        # cost ~50k faults at n = 40,000.  Buffers shared by all blocks and
+        # levels are mapped once.
+        probe = """
+import resource, numpy as np
+from nysmmd import GaussianKernel, approx_krls, default_regularization
+points = np.random.default_rng(0).standard_normal((40_000, 3))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+approx_krls(points, GaussianKernel(1.9), default_regularization(40_000), seed=0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = str(Path(nysmmd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=300)
+        assert int(result.stdout) < 20_000
 
     def test_recursive_path_null_rank_is_uniform(self, monkeypatch):
         # Landmarks drawn from recursive (not exact) scores on the pooled

@@ -12,6 +12,7 @@ from nysmmd import (
     GaussianKernel,
     PooledSample,
     build_nystrom,
+    build_rff,
     permuted_statistics,
     sample_landmarks,
 )
@@ -238,7 +239,8 @@ class TestLabelStream:
         stub = TiedFirstDraw()
         counts = np.array([0, 2, 5])
         out = np.empty((3, 5))
-        _uniform_subsets(counts, SimpleNamespace(bit_generator=stub), out)
+        _uniform_subsets(counts, SimpleNamespace(bit_generator=stub), out,
+                         np.empty(out.size, dtype=np.uint32))
         assert stub.calls == 2
         np.testing.assert_array_equal(out.sum(axis=1), counts)
         assert set(np.unique(out)) <= {0.0, 1.0}
@@ -258,6 +260,33 @@ class TestLabelStream:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("n", [1023, 1025, 3001])
+    def test_reused_buffers_match_fresh_blocks(self, n):
+        # Reference: the same pass with fresh arrays for every block, the
+        # permuted labels read back from permutation_weights.  A partial last
+        # block must not see stale rows of the shared label or basis buffers.
+        rng = np.random.default_rng(n)
+        pooled = PooledSample(points=rng.standard_normal((n, 3)),
+                              n_x=n // 2, n_y=n - n // 2)
+        kernel = GaussianKernel(1.2)
+        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, seed=1),
+                                   kernel),
+                     build_rff(3, 24, kernel, seed=2)):
+            labels = (permutation_weights(pooled, 49, seed=3) > 0).astype(float)
+            labels[0] = np.arange(n) < pooled.n_x
+            sums = np.zeros((50, fmap.dimension))
+            total = np.zeros(fmap.dimension)
+            for start in range(0, n, LABEL_BLOCK_ROWS):
+                block = slice(start, start + LABEL_BLOCK_ROWS)
+                basis = fmap.basis(pooled.points[block])
+                sums += np.ascontiguousarray(labels[:, block]) @ basis
+                total += basis.sum(axis=0)
+            coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums
+                           - total / pooled.n_y)
+            expected = np.linalg.norm(fmap.from_basis(coordinates), axis=1)
+            np.testing.assert_array_equal(
+                permuted_statistics(pooled, fmap, 49, seed=3), expected)
 
     def test_accumulation_matches_signed_feature_sums(self):
         rng = np.random.default_rng(14)
