@@ -112,7 +112,8 @@ def median_heuristic(points, seed: int = 0) -> float:
     Each pair is an i.i.d. draw of two distinct rows: i uniform on [0, n)
     and j = (i + U{1, ..., n - 1}) mod n, deterministic for a fixed seed.
     N is odd, so the result is one of the drawn distances (no midpoint is
-    averaged).  Time and storage are O(N * d) at any n.  The pair law
+    averaged), and it equals scipy's pdist distance of that pair bit for
+    bit.  Time and storage are O(N * d) at any n.  The pair law
     depends only on n and the seed, so relabeling the rows leaves the law
     of the bandwidth unchanged, which the exact level of the permutation
     test needs.
@@ -129,9 +130,14 @@ def median_heuristic(points, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     first = rng.integers(0, n, size=_MEDIAN_PAIRS)
     second = (first + rng.integers(1, n, size=_MEDIAN_PAIRS)) % n
+    # one row per coordinate; reducing over axis 0 adds the squares in order
+    # of coordinate, as pdist does, so each distance is pdist's bit for bit
+    columns = points.T
     with np.errstate(over="ignore"):  # an overflow is reported below
-        diff = points[first] - points[second]
-        squared = np.einsum("ij,ij->i", diff, diff)
+        diff = np.take(columns, first, axis=1)
+        diff -= np.take(columns, second, axis=1)
+        np.multiply(diff, diff, out=diff)
+        squared = np.add.reduce(diff, axis=0)
     middle = _MEDIAN_PAIRS // 2
     median = float(np.sqrt(np.partition(squared, middle)[middle]))
     if median == np.inf:

@@ -212,17 +212,20 @@ class TestMedianHeuristic:
             median_heuristic(np.zeros((1, 2)))
 
 
-class TestMedianAgainstPdist:
+class TestMedianMatchesPdist:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 10, 11, 999, 1000, 1001, 2000])
-    def test_is_one_of_the_pairwise_distances(self, m):
-        # integer coordinates make every squared distance exact, so the
-        # returned value must equal one of pdist's values bit for bit
+    def test_bit_identical_to_scipy(self, m):
+        # the squares are added in pdist's order, so the result equals one
+        # of pdist's distances bit for bit, not merely to within round-off
         rng = np.random.default_rng(m)
         for d in (1, 3, 28):
-            points = rng.integers(-20, 21, size=(m, d)).astype(float)
-            points[1, 0] = 21.0  # rows 0 and 1 differ, so the median is not 0
-            distances = pdist(points)
-            assert median_heuristic(points, seed=m) in set(distances.tolist())
+            points = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0)
+            for data in (points, np.round(points, 1)):  # rounding makes ties
+                distances = pdist(data)
+                if m == 2:
+                    assert median_heuristic(data, seed=m) == distances[0]
+                else:
+                    assert median_heuristic(data, seed=m) in set(distances.tolist())
 
     @pytest.mark.parametrize("d", [3, 28])
     def test_close_to_full_median(self, d):
@@ -237,12 +240,23 @@ class TestMedianAgainstPdist:
             assert median_heuristic(points, seed=seed) == pytest.approx(
                 expected, rel=0.02)
 
-    def test_overflowing_median_raises(self):
-        # finite rows whose differences overflow float64
+    def test_overflowing_distances_match_scipy(self):
+        # finite rows whose differences overflow float64: where pdist's
+        # median is inf the heuristic raises instead of returning it
         points = np.array([[1e308, 1.0], [-1e308, 2.0], [0.0, 3.0], [5.0, 4.0]])
         assert np.median(pdist(points)) == np.inf
         with pytest.raises(ValueError, match="overflows float64"):
             median_heuristic(points)
+        # a few overflowing pairs among many (every pair with one of the two
+        # large rows): pdist holds infs, the median stays finite and is one
+        # of pdist's distances
+        rng = np.random.default_rng(3)
+        points = np.vstack([points[:2], rng.standard_normal((60, 2))])
+        distances = pdist(points)
+        assert np.isinf(distances).sum() == 2 * 60 + 1
+        median = median_heuristic(points)
+        assert np.isfinite(median)
+        assert median in set(distances.tolist())
 
 
 class TestAsPoints:
