@@ -11,7 +11,6 @@ Importing the package loads numpy only.
 from .kernels import GaussianKernel, as_points, median_heuristic
 from .leverage import (
     LandmarkSet,
-    LeverageScores,
     approx_krls,
     default_regularization,
     exact_krls,
@@ -30,7 +29,6 @@ from .permutation import (
     run_test,
 )
 from .data import (
-    equicorrelation_matrix,
     load_csv,
     sample_correlated_gaussians,
     sample_mixture,
@@ -48,13 +46,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianKernel", "as_points", "median_heuristic",
-    "LandmarkSet", "LeverageScores", "approx_krls", "default_regularization",
+    "LandmarkSet", "approx_krls", "default_regularization",
     "exact_krls", "sample_landmarks",
     "FeatureMap", "NystromMap", "RffMap", "build_nystrom", "build_rff",
     "PooledSample", "permuted_statistics",
     "ExactMethod", "NystromMethod", "RffMethod", "TestConfig", "TestOutcome",
     "decide", "quantile_index", "run_test",
-    "equicorrelation_matrix",
     "load_csv", "sample_correlated_gaussians", "sample_mixture", "write_csv",
     "ExperimentSpec", "RateEstimate", "estimate_rate", "results_to_csv",
     "wilson_interval",

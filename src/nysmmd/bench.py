@@ -126,12 +126,15 @@ class ExperimentSpec:
                 valid = isinstance(value, list) and all(isinstance(v, str) for v in value)
                 expected = "a JSON list of strings"
             elif key in ("landmarks", "sample_sizes"):
-                valid = isinstance(value, list) and all(map(_is_number, value))
-                expected = "a JSON list of finite numbers"
+                valid = isinstance(value, list) and all(map(_is_integral, value))
+                expected = "a JSON list of finite numbers without fractional parts"
             elif key == "output":
                 valid, expected = value is None or isinstance(value, str), "a string or null"
-            else:
+            elif key == "alpha":
                 valid, expected = _is_number(value), "a finite number"
+            else:
+                valid = _is_integral(value)
+                expected = "a finite number without a fractional part"
             if not valid:
                 raise ValueError(f"spec key {key!r} must be {expected}, got {value!r}")
         return cls(
@@ -153,6 +156,11 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _is_integral(value) -> bool:
+    # int() would drop a fractional part without a word
+    return _is_number(value) and float(value).is_integer()
+
+
 def _is_grid(value) -> bool:
     return _is_number(value) or (isinstance(value, list) and len(value) > 0
                                  and all(map(_is_number, value)))
@@ -160,13 +168,19 @@ def _is_grid(value) -> bool:
 
 # scenario key: (check, what the check expects)
 _SCENARIO_VALUES = {
-    "dim": (_is_number, "a finite number"),
+    "dim": (_is_integral, "a finite number without a fractional part"),
     "rho1": (_is_number, "a finite number"),
     "rho2": (_is_grid, "a finite number or a nonempty JSON list of them"),
     "mix_fraction": (_is_grid, "a finite number or a nonempty JSON list of them"),
     "has_header": (lambda value: isinstance(value, bool), "true or false"),
     **{key: (lambda value: isinstance(value, str), "a string")
        for key in ("x", "y", "background", "signal")},
+}
+# scenario kind: the keys it reads besides "kind"
+_SCENARIO_KEYS = {
+    "correlated-gaussian": ("dim", "rho1", "rho2"),
+    "csv": ("x", "y", "has_header"),
+    "mixture": ("background", "signal", "mix_fraction", "has_header"),
 }
 
 
@@ -185,6 +199,12 @@ class _Scenario:
                 raise ValueError(f"scenario key {key!r} must be {expected}, "
                                  f"got {raw[key]!r}")
         self.kind = raw.get("kind")
+        if self.kind not in _SCENARIO_KEYS:
+            raise ValueError(f"unknown scenario kind {self.kind!r}")
+        unread = sorted(set(raw) - {"kind", *_SCENARIO_KEYS[self.kind]})
+        if unread:
+            raise ValueError(f"{self.kind} scenario does not read keys {unread}; "
+                             f"it takes {['kind', *_SCENARIO_KEYS[self.kind]]}")
         if self.kind == "correlated-gaussian":
             self.dim = int(raw.get("dim", 3))
             self.rho1 = float(raw.get("rho1", 0.5))
@@ -194,15 +214,13 @@ class _Scenario:
             _require_keys(raw, "x", "y")
             self.x_pool = load_csv(raw["x"], bool(raw.get("has_header", False)))
             self.y_pool = load_csv(raw["y"], bool(raw.get("has_header", False)))
-        elif self.kind == "mixture":
+        else:
             _require_keys(raw, "background", "signal")
             self.background = load_csv(raw["background"],
                                        bool(raw.get("has_header", False)))
             self.signal = load_csv(raw["signal"], bool(raw.get("has_header", False)))
             fraction = raw.get("mix_fraction", 0.2)
             self.mix_grid = tuple(float(v) for v in np.atleast_1d(fraction))
-        else:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
 
     def params(self, regime: str) -> tuple[float, ...]:
         """Grid of scenario parameter values (a single 0.0 when not applicable)."""

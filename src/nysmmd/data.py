@@ -85,15 +85,11 @@ def _load_csv_cells(path, has_header: bool) -> np.ndarray:
     return values
 
 
-def write_csv(points, path, header: list[str] | None = None) -> None:
+def write_csv(points, path) -> None:
     """Write a dataset as CSV with full float round-trip fidelity."""
     points = as_points(points)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        if header is not None:
-            if len(header) != points.shape[1]:
-                raise ValueError("header length does not match column count")
-            writer.writerow(header)
         for row in points:
             writer.writerow([repr(float(v)) for v in row])
 

@@ -26,10 +26,6 @@ class FeatureMap(Protocol):
     @property
     def dimension(self) -> int: ...
 
-    def features(self, points) -> np.ndarray:
-        """Feature vectors for a batch of points, shape (m, dimension)."""
-        ...
-
     def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
         """Basis coordinates of a batch of points, shape (m, dimension).
 
@@ -90,9 +86,6 @@ class RffMap:
     @property
     def dimension(self) -> int:
         return 2 * self.frequencies.shape[0]
-
-    def features(self, points) -> np.ndarray:
-        return self.basis(points)
 
     def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
         """The features themselves: the map has no separate linear factor."""

@@ -52,18 +52,6 @@ class GaussianKernel:
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(f"bandwidth must be a positive real, got {self.bandwidth}")
 
-    def __call__(self, x, y) -> float:
-        """Evaluate the kernel on a single pair of d-vectors."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError(f"x and y must be 1-d vectors of equal length, "
-                             f"got shapes {x.shape} and {y.shape}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("kernel inputs must be finite")
-        diff = x - y
-        return float(np.exp(-(diff @ diff) / (2.0 * self.bandwidth**2)))
-
     def gram(self, a, b, out: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix K[i, j] = k(a_i, b_j) between two datasets.
 

@@ -30,33 +30,9 @@ _SCORE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class LeverageScores:
-    """Per-point landmark sampling weights with their regularization.
-
-    Attributes:
-        scores: Nonnegative weights, one per data point.  Exact scores lie
-            in [0, 1); approximate scores are Nystrom-style overestimates
-            capped at 1.
-        regularization: The ridge parameter lambda (the solve uses
-            lambda * n on the kernel matrix).
-        kind: "exact" from exact_krls, "approximate" from approx_krls at any n.
-    """
-
-    scores: np.ndarray
-    regularization: float
-    kind: str
-
-
-@dataclass(frozen=True, eq=False)
 class LandmarkSet:
-    """Landmarks drawn (with replacement) from a dataset.
+    """Landmark points drawn with replacement from a dataset's rows, shape (ell, d)."""
 
-    Attributes:
-        indices: Multiset of row indices into the source dataset.
-        points: The corresponding rows, shape (ell, d).
-    """
-
-    indices: np.ndarray
     points: np.ndarray
 
     @property
@@ -80,7 +56,7 @@ def _ridge_scores(gram, ridge_abs):
     return scores
 
 
-def exact_krls(gram: np.ndarray, regularization: float) -> LeverageScores:
+def exact_krls(gram: np.ndarray, regularization: float) -> np.ndarray:
     """Exact kernel ridge leverage scores of a PSD kernel matrix.
 
     Computes diag(K (K + lambda*n I)^-1) through a symmetric
@@ -92,12 +68,11 @@ def exact_krls(gram: np.ndarray, regularization: float) -> LeverageScores:
         regularization: Positive ridge parameter lambda.
 
     Returns:
-        LeverageScores with all scores in [0, 1).
+        The n scores, all in [0, 1).
     """
     if regularization <= 0:
         raise ValueError("regularization must be positive")
-    scores = _ridge_scores(gram, regularization * len(gram))
-    return LeverageScores(scores=scores, regularization=regularization, kind="exact")
+    return _ridge_scores(gram, regularization * len(gram))
 
 
 def _recursive_scores(points, kernel, ridge_abs, rng):
@@ -157,7 +132,7 @@ def _recursive_scores(points, kernel, ridge_abs, rng):
 
 
 def approx_krls(points, kernel: GaussianKernel, regularization: float,
-                seed: int) -> LeverageScores:
+                seed: int) -> np.ndarray:
     """Approximate kernel ridge leverage scores by recursive half-sampling.
 
     The dataset is halved recursively down to a base of at most 256 rows,
@@ -177,28 +152,29 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
         seed: Seed for the sampling randomness.
 
     Returns:
-        LeverageScores of kind "approximate".
+        The n scores: Nystrom-style overestimates of the exact ones, capped
+        at 1.
     """
     points = as_points(points)
     if regularization <= 0:
         raise ValueError("regularization must be positive")
     rng = np.random.default_rng(seed)
-    scores = _recursive_scores(points, kernel, regularization * points.shape[0], rng)
-    return LeverageScores(scores=scores, regularization=regularization,
-                          kind="approximate")
+    return _recursive_scores(points, kernel, regularization * points.shape[0], rng)
 
 
 def sample_landmarks(points, ell: int, seed: int,
-                     scores: LeverageScores | None = None) -> LandmarkSet:
-    """Draw ell landmark indices i.i.d. with replacement.
+                     scores: np.ndarray | None = None) -> LandmarkSet:
+    """Draw ell landmark rows i.i.d. with replacement.
 
-    Sampling probabilities are proportional to ``scores`` when given and
-    uniform otherwise.  Relabeling the rows of the dataset (and its scores)
-    permutes the sampling distribution identically, which is what makes the
+    Sampling probabilities are proportional to ``scores`` (one per row, as
+    exact_krls and approx_krls return them) when given and uniform
+    otherwise.  Relabeling the rows of the dataset (and its scores) permutes
+    the sampling distribution identically, which is what makes the
     permutation test exact when landmarks come from the pooled data.
 
     Raises:
-        ValueError: If ell < 1 or every score is zero.
+        ValueError: If ell < 1, or if the scores are not n finite
+            non-negative numbers with a positive sum.
     """
     points = as_points(points)
     if ell < 1:
@@ -208,11 +184,14 @@ def sample_landmarks(points, ell: int, seed: int,
     if scores is None:
         indices = rng.integers(0, n, size=ell)
     else:
-        weights = np.asarray(scores.scores, dtype=np.float64)
+        weights = np.asarray(scores, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError(f"scores have length {weights.shape}, expected ({n},)")
+        # false for NaN as well as for negative and infinite scores
+        if not ((weights >= 0) & (weights < np.inf)).all():
+            raise ValueError("leverage scores must be finite and non-negative")
         total = weights.sum()
-        if not (total > 0):
+        if total == 0:
             raise ValueError("all leverage scores are zero; cannot sample landmarks")
         indices = rng.choice(n, size=ell, replace=True, p=weights / total)
-    return LandmarkSet(indices=indices, points=points[indices])
+    return LandmarkSet(points=points[indices])

@@ -26,8 +26,6 @@ from .leverage import (
 from .features import NystromMap, RffMap, build_nystrom, build_rff
 from .statistics import PooledSample, permutation_weights, permuted_statistics
 
-NYSTROM_SAMPLERS = ("uniform", "akrls", "exact_krls")
-
 # Statistics are bounded by 2 for a unit-bounded kernel, so replicates below
 # this are pure cancellation round-off.  When EVERY replicate is that small
 # (degenerate data, e.g. all points equal), the values are snapped to exact
@@ -54,7 +52,7 @@ class NystromMethod:
     def __post_init__(self):
         if self.n_landmarks < 1:
             raise ValueError("n_landmarks must be at least 1")
-        if self.sampler not in NYSTROM_SAMPLERS:
+        if self.sampler not in ("uniform", "akrls", "exact_krls"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
 
     def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -33,10 +34,22 @@ def feature_mmd(x, y, feature_map: FeatureMap) -> float:
     return float(np.linalg.norm(accumulated[0]))
 
 
+def scalar_kernel(x, y, h) -> float:
+    """Gaussian kernel of one pair by a plain scalar loop, independent of gram."""
+    acc = 0.0
+    for xi, yi in zip(x, y):
+        acc += (xi - yi) ** 2
+    return math.exp(-acc / (2.0 * h * h))
+
+
+def features(feature_map: FeatureMap, points) -> np.ndarray:
+    """Feature vectors of a batch of points, shape (m, feature_map.dimension)."""
+    return feature_map.from_basis(feature_map.basis(points))
+
+
 def landmark_set(points) -> LandmarkSet:
     """Every given point as one landmark."""
-    points = np.asarray(points, dtype=float)
-    return LandmarkSet(indices=np.arange(points.shape[0]), points=points)
+    return LandmarkSet(points=np.asarray(points, dtype=float))
 
 
 def read_results_csv(text: str) -> list[dict]:

@@ -126,6 +126,42 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentSpec.from_dict(raw)
 
+    @pytest.mark.parametrize("key,value", [
+        ("sample_sizes", [50.5]),
+        ("landmarks", [16, 16.9]),
+        ("permutations", 19.9),
+        ("repetitions", 3.7),
+        ("seed", 1.5),
+    ])
+    def test_fractional_integer_keys_rejected(self, key, value):
+        raw = {**self.spec_dict(), key: value}
+        with pytest.raises(ValueError,
+                           match=f"spec key '{key}' must be .* fractional part"):
+            ExperimentSpec.from_dict(raw)
+
+    def test_integral_floats_accepted(self):
+        raw = {**self.spec_dict(), "sample_sizes": [100.0], "permutations": 49.0}
+        spec = ExperimentSpec.from_dict(raw)
+        assert spec.sample_sizes == (100,)
+        assert spec.permutations == 49
+
+    @pytest.mark.parametrize("scenario,unread,allowed", [
+        ({"kind": "correlated-gaussian", "rho1": 0.5, "rho_2": 0.9}, "['rho_2']",
+         "['kind', 'dim', 'rho1', 'rho2']"),
+        ({"kind": "csv", "x": "x.csv", "y": "y.csv", "mix_fraction": 0.3},
+         "['mix_fraction']", "['kind', 'x', 'y', 'has_header']"),
+        ({"kind": "mixture", "background": "b.csv", "signal": "s.csv", "x": "x.csv",
+          "dim": 3}, "['dim', 'x']",
+         "['kind', 'background', 'signal', 'mix_fraction', 'has_header']"),
+    ])
+    def test_scenario_keys_of_another_kind_rejected(self, scenario, unread, allowed):
+        spec = tiny_null_spec(scenario=scenario)
+        for regime in ("null", "alternative"):
+            with pytest.raises(ValueError) as error:
+                estimate_rate(spec, regime)
+            assert str(error.value) == (f"{scenario['kind']} scenario does not read "
+                                        f"keys {unread}; it takes {allowed}")
+
 
 def tiny_null_spec(**overrides):
     base = dict(

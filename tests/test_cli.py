@@ -194,6 +194,7 @@ class TestGridCommands:
 
     @pytest.mark.parametrize("kind,key,value,expected", [
         ("correlated-gaussian", "dim", None, "a finite number"),
+        ("correlated-gaussian", "dim", 2.7, "a finite number without a fractional"),
         ("correlated-gaussian", "rho1", "0.5", "a finite number"),
         ("correlated-gaussian", "rho2", [0.5, None], "a finite number or"),
         ("mixture", "mix_fraction", [], "a finite number or"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import landmark_set
+from helpers import features, landmark_set, scalar_kernel
 from nysmmd import GaussianKernel, build_nystrom, build_rff, sample_landmarks
 
 
@@ -15,7 +15,7 @@ class TestBuildNystrom:
         landmarks = rng.standard_normal((12, 3)) * 3.0  # well separated
         kernel = GaussianKernel(1.0)
         fmap = build_nystrom(landmark_set(landmarks), kernel)
-        feats = fmap.features(landmarks)
+        feats = features(fmap, landmarks)
         np.testing.assert_allclose(feats @ feats.T,
                                    kernel.gram(landmarks, landmarks), atol=1e-8)
 
@@ -26,7 +26,7 @@ class TestBuildNystrom:
         kernel = GaussianKernel(0.8)
         fmap = build_nystrom(landmark_set(duplicated), kernel)
         assert np.isfinite(fmap.transform).all()
-        feats = fmap.features(duplicated)
+        feats = features(fmap, duplicated)
         assert np.isfinite(feats).all()
         np.testing.assert_allclose(feats @ feats.T,
                                    kernel.gram(duplicated, duplicated), atol=1e-8)
@@ -49,7 +49,7 @@ class TestBuildNystrom:
         pooled = rng.standard_normal((40, 2))
         kernel = GaussianKernel(1.0)
         fmap = build_nystrom(landmark_set(pooled), kernel)
-        feats = fmap.features(pooled)
+        feats = features(fmap, pooled)
         np.testing.assert_allclose(feats @ feats.T, kernel.gram(pooled, pooled),
                                    atol=1e-8)
 
@@ -59,7 +59,7 @@ class TestNystromApply:
         rng = np.random.default_rng(4)
         landmarks = rng.standard_normal((8, 3)) * 2.0
         fmap = build_nystrom(landmark_set(landmarks), GaussianKernel(1.0))
-        assert np.linalg.norm(fmap.features(landmarks[:1])[0]) == pytest.approx(
+        assert np.linalg.norm(features(fmap, landmarks[:1])[0]) == pytest.approx(
             1.0, abs=1e-8)
 
     def test_contraction_everywhere(self):
@@ -67,8 +67,8 @@ class TestNystromApply:
         landmarks = rng.standard_normal((16, 3))
         fmap = build_nystrom(landmark_set(landmarks), GaussianKernel(0.9))
         queries = rng.standard_normal((10_000, 3))
-        norms_sq = np.einsum("ij,ij->i", fmap.features(queries),
-                             fmap.features(queries))
+        norms_sq = np.einsum("ij,ij->i", features(fmap, queries),
+                             features(fmap, queries))
         assert norms_sq.max() <= 1.0 + 1e-10
 
     def test_single_landmark_map_is_kernel_slice(self):
@@ -76,13 +76,13 @@ class TestNystromApply:
         kernel = GaussianKernel(1.1)
         fmap = build_nystrom(landmark_set(landmark), kernel)
         x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(fmap.features(x[None])[0],
-                                   [kernel(landmark[0], x)], atol=1e-12)
+        np.testing.assert_allclose(features(fmap, x[None])[0],
+                                   [scalar_kernel(landmark[0], x, 1.1)], atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         fmap = build_nystrom(landmark_set([[0.0, 0.0]]), GaussianKernel(1.0))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            fmap.features(np.zeros((2, 3)))
+            features(fmap, np.zeros((2, 3)))
 
     def test_dimension_attribute(self):
         fmap = build_nystrom(landmark_set(np.zeros((5, 2)) + np.arange(5)[:, None]),
@@ -95,7 +95,7 @@ class TestBuildRff:
         rng = np.random.default_rng(6)
         fmap = build_rff(3, 64, GaussianKernel(1.0), seed=0)
         for x in rng.standard_normal((20, 3)):
-            feats = fmap.features(x[None])[0]
+            feats = features(fmap, x[None])[0]
             assert feats @ feats == pytest.approx(1.0, abs=1e-12)
 
     def test_inner_products_concentrate_on_kernel(self):
@@ -106,12 +106,12 @@ class TestBuildRff:
         kernel = GaussianKernel(1.3)
         x = 0.5 * rng.standard_normal(4)
         y = 0.5 * rng.standard_normal(4)
-        target = kernel(x, y)
+        target = scalar_kernel(x, y, 1.3)
         hits = 0
         trials = 200
         for seed in range(trials):
             fmap = build_rff(4, 2048, kernel, seed)
-            approx = float(fmap.features(x[None])[0] @ fmap.features(y[None])[0])
+            approx = float(features(fmap, x[None])[0] @ features(fmap, y[None])[0])
             hits += abs(approx - target) <= 0.05
         assert hits >= int(0.99 * trials)
 
@@ -131,7 +131,7 @@ class TestBuildRff:
         kernel = GaussianKernel(1.0)
         fmap = build_rff(3, 20_000, kernel, seed=9)
         x = rng.standard_normal((30, 3))
-        approx = fmap.features(x) @ fmap.features(x).T
+        approx = features(fmap, x) @ features(fmap, x).T
         np.testing.assert_allclose(approx, kernel.gram(x, x), atol=0.05)
 
     def test_dimension_counts_pairs(self):
@@ -147,6 +147,6 @@ class TestSampledLandmarkIntegration:
         kernel = GaussianKernel(1.0)
         landmarks = sample_landmarks(pooled, ell=12, seed=0)
         fmap = build_nystrom(landmarks, kernel)
-        feats = fmap.features(pooled)
+        feats = features(fmap, pooled)
         assert feats.shape == (100, 12)
         assert (np.einsum("ij,ij->i", feats, feats) <= 1.0 + 1e-10).all()

@@ -1,65 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from helpers import scalar_kernel
 from nysmmd import GaussianKernel, median_heuristic
 from nysmmd.kernels import as_points
 
 
-def scalar_kernel(x, y, h):
-    """Plain scalar-loop evaluation, kept independent of the library path."""
-    acc = 0.0
-    for xi, yi in zip(x, y):
-        acc += (xi - yi) ** 2
-    return math.exp(-acc / (2.0 * h * h))
-
-
 class TestKernelEval:
-    def test_identical_points(self):
-        k = GaussianKernel(1.0)
-        x = np.array([0.3, -1.2, 4.0])
-        assert k(x, x) == 1.0
-
-    def test_distance_of_sqrt_two_h(self):
-        # ||x - y||^2 = 2 h^2 forces exp(-1)
-        h = 1.7
-        k = GaussianKernel(h)
-        x = np.zeros(2)
-        y = np.array([h * math.sqrt(2.0), 0.0])
-        assert k(x, y) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_matches_scalar_loop_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            h = float(rng.uniform(0.2, 3.0))
-            k = GaussianKernel(h)
-            x = rng.standard_normal(5)
-            y = rng.standard_normal(5)
-            assert k(x, y) == pytest.approx(scalar_kernel(x, y, h), abs=1e-14)
-            assert k(x, y) == k(y, x)
-
-    def test_bounds_and_equality_condition(self):
-        rng = np.random.default_rng(3)
-        k = GaussianKernel(0.8)
-        for _ in range(50):
-            x = rng.standard_normal(4)
-            y = rng.standard_normal(4)
-            value = k(x, y)
-            assert 0.0 < value <= 1.0
-            assert (value == 1.0) == bool(np.all(x == y))
-
-    def test_dimension_mismatch_raises(self):
-        k = GaussianKernel(1.0)
-        with pytest.raises(ValueError, match="equal length"):
-            k(np.zeros(3), np.zeros(4))
-
-    def test_non_finite_input_raises(self):
-        k = GaussianKernel(1.0)
-        with pytest.raises(ValueError, match="finite"):
-            k(np.array([np.nan, 0.0]), np.zeros(2))
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_invalid_bandwidth_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -35,21 +35,21 @@ def random_psd(rng, n, rank=None):
 class TestExactKrls:
     def test_identity_matrix(self):
         n, lam = 6, 0.3
-        scores = exact_krls(np.eye(n), lam).scores
+        scores = exact_krls(np.eye(n), lam)
         np.testing.assert_allclose(scores, np.full(n, 1.0 / (1.0 + lam * n)),
                                    rtol=1e-12)
 
     def test_huge_ridge_kills_scores(self):
         rng = np.random.default_rng(0)
         k = random_psd(rng, 8)
-        scores = exact_krls(k, 1e12 / 8).scores  # lambda * n = 1e12
+        scores = exact_krls(k, 1e12 / 8)  # lambda * n = 1e12
         assert (scores <= 1e-11).all()
 
     def test_matches_dense_solve_oracle(self):
         rng = np.random.default_rng(1)
         k = random_psd(rng, 6)
         lam = 0.1
-        scores = exact_krls(k, lam).scores
+        scores = exact_krls(k, lam)
         shifted = k + lam * 6 * np.eye(6)
         for i in range(6):
             solved = np.linalg.solve(shifted, k[:, i])
@@ -57,7 +57,7 @@ class TestExactKrls:
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(2)
-        scores = exact_krls(random_psd(rng, 20), 0.01).scores
+        scores = exact_krls(random_psd(rng, 20), 0.01)
         assert (scores >= 0.0).all()
         assert (scores < 1.0).all()
 
@@ -65,7 +65,7 @@ class TestExactKrls:
         rng = np.random.default_rng(3)
         k = random_psd(rng, 12)
         lam = 0.05
-        total = exact_krls(k, lam).scores.sum()
+        total = exact_krls(k, lam).sum()
         trace = np.trace(k @ np.linalg.inv(k + lam * 12 * np.eye(12)))
         assert total == pytest.approx(trace, rel=1e-8)
 
@@ -73,8 +73,8 @@ class TestExactKrls:
         rng = np.random.default_rng(4)
         for trial in range(5):
             k = random_psd(rng, 10)
-            small = exact_krls(k, 0.01).scores
-            large = exact_krls(k, 0.1).scores
+            small = exact_krls(k, 0.01)
+            large = exact_krls(k, 0.1)
             assert (large <= small + 1e-10).all()
 
     def test_rejects_non_symmetric(self):
@@ -93,25 +93,25 @@ class TestEffectiveDimension:
 
     def test_identity_matrix(self):
         n, lam = 7, 0.2
-        assert exact_krls(np.eye(n), lam).scores.sum() == pytest.approx(
+        assert exact_krls(np.eye(n), lam).sum() == pytest.approx(
             n / (1.0 + lam * n), rel=1e-12)
 
     def test_tiny_ridge_approaches_rank(self):
         rng = np.random.default_rng(5)
         k = random_psd(rng, 9)
-        assert exact_krls(k, 1e-14).scores.sum() == pytest.approx(9, abs=1e-3)
+        assert exact_krls(k, 1e-14).sum() == pytest.approx(9, abs=1e-3)
 
     def test_equals_score_sum(self):
         rng = np.random.default_rng(6)
         k = random_psd(rng, 8)
         eigenvalues = np.linalg.eigvalsh(k)
-        assert exact_krls(k, 0.05).scores.sum() == pytest.approx(
+        assert exact_krls(k, 0.05).sum() == pytest.approx(
             np.sum(eigenvalues / (eigenvalues + 0.05 * 8)), abs=1e-10)
 
     def test_decreasing_in_regularization(self):
         rng = np.random.default_rng(7)
         k = random_psd(rng, 15)
-        values = [exact_krls(k, lam).scores.sum()
+        values = [exact_krls(k, lam).sum()
                   for lam in (0.001, 0.01, 0.1, 1.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -133,16 +133,15 @@ class TestApproxKrls:
         lam = 1.0 / 200
         via_approx = approx_krls(small, kernel, lam, seed=0)
         direct = exact_krls(kernel.gram(small, small), lam)
-        np.testing.assert_array_equal(via_approx.scores, direct.scores)
-        assert via_approx.kind == "approximate"
+        np.testing.assert_array_equal(via_approx, direct)
 
     def test_factor_four_sandwich(self, gaussian_data):
         points, kernel = gaussian_data
         lam = 1.0 / 512
-        exact = exact_krls(kernel.gram(points, points), lam).scores
+        exact = exact_krls(kernel.gram(points, points), lam)
         hits = 0
         for seed in range(40):
-            approx = approx_krls(points, kernel, lam, seed).scores
+            approx = approx_krls(points, kernel, lam, seed)
             ratio = approx / exact
             if ratio.max() <= 4.0 and ratio.min() >= 0.25:
                 hits += 1
@@ -151,15 +150,9 @@ class TestApproxKrls:
     def test_deterministic_given_seed(self, gaussian_data):
         points, kernel = gaussian_data
         lam = 1.0 / 512
-        first = approx_krls(points, kernel, lam, 3).scores
-        second = approx_krls(points, kernel, lam, 3).scores
+        first = approx_krls(points, kernel, lam, 3)
+        second = approx_krls(points, kernel, lam, 3)
         np.testing.assert_array_equal(first, second)
-
-    def test_records_approximation_parameters(self, gaussian_data):
-        points, kernel = gaussian_data
-        result = approx_krls(points, kernel, 1.0 / 512, 0)
-        assert result.kind == "approximate"
-        assert result.regularization == 1.0 / 512
 
     def test_eigendecompositions_stay_near_budget(self, monkeypatch):
         # The cost claim of the docstring: no n x n eigendecomposition.
@@ -188,7 +181,7 @@ class TestApproxKrls:
         for rows in (leverage._SCORE_BLOCK_ROWS, 7, n):
             monkeypatch.setattr(leverage, "_SCORE_BLOCK_ROWS", rows)
             scores.append(approx_krls(points, kernel,
-                                      default_regularization(n), 4).scores)
+                                      default_regularization(n), 4))
         np.testing.assert_allclose(scores[1], scores[0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(scores[2], scores[0], rtol=1e-12, atol=0)
 
@@ -270,22 +263,19 @@ class TestSampleLandmarks:
     def test_single_point_dataset(self):
         points = np.array([[1.0, 2.0]])
         landmarks = sample_landmarks(points, ell=5, seed=0)
-        np.testing.assert_array_equal(landmarks.indices, np.zeros(5, dtype=int))
-        assert landmarks.points.shape == (5, 2)
+        np.testing.assert_array_equal(landmarks.points, np.repeat(points, 5, axis=0))
 
     def test_one_hot_scores_pick_single_index(self):
         rng = np.random.default_rng(8)
         points = rng.standard_normal((7, 2))
-        scores = exact_krls(np.eye(7), 0.1)
-        one_hot = type(scores)(scores=np.eye(7)[3], regularization=0.1,
-                               kind="exact")
-        landmarks = sample_landmarks(points, ell=6, seed=1, scores=one_hot)
-        np.testing.assert_array_equal(landmarks.indices, np.full(6, 3))
+        landmarks = sample_landmarks(points, ell=6, seed=1, scores=np.eye(7)[3])
+        np.testing.assert_array_equal(landmarks.points,
+                                      np.repeat(points[3:4], 6, axis=0))
 
     def test_uniform_frequencies_concentrate(self):
         points = np.arange(10, dtype=float).reshape(-1, 1)
         landmarks = sample_landmarks(points, ell=100_000, seed=2)
-        counts = np.bincount(landmarks.indices, minlength=10)
+        counts = np.bincount(landmarks.points[:, 0].astype(int), minlength=10)
         sigma = np.sqrt(0.1 * 0.9 / 100_000)
         assert np.abs(counts / 100_000 - 0.1).max() <= 3 * sigma
 
@@ -293,18 +283,26 @@ class TestSampleLandmarks:
         rng = np.random.default_rng(9)
         points = rng.standard_normal((20, 2))
         base = exact_krls(GaussianKernel(1.0).gram(points, points), 0.05)
-        scaled = type(base)(scores=base.scores * 17.0, regularization=0.05,
-                            kind="exact")
         first = sample_landmarks(points, ell=50, seed=3, scores=base)
-        second = sample_landmarks(points, ell=50, seed=3, scores=scaled)
-        np.testing.assert_array_equal(first.indices, second.indices)
+        second = sample_landmarks(points, ell=50, seed=3, scores=base * 17.0)
+        np.testing.assert_array_equal(first.points, second.points)
 
     def test_all_zero_scores_rejected(self):
-        points = np.zeros((4, 1))
-        zero = exact_krls(np.eye(4), 0.1)
-        dead = type(zero)(scores=np.zeros(4), regularization=0.1, kind="exact")
-        with pytest.raises(ValueError, match="zero"):
-            sample_landmarks(points, ell=2, seed=0, scores=dead)
+        with pytest.raises(ValueError, match="all leverage scores are zero"):
+            sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, scores=np.zeros(4))
+
+    @pytest.mark.parametrize("scores", [
+        [0.5, np.nan, 0.5, 0.5],
+        [np.nan] * 4,
+        [0.5, np.inf, 0.5, 0.5],
+        [-1.0, 0.0, 0.0, 0.0],  # a sum below zero
+        [-1.0, 0.5, 0.5, 0.0],  # a sum of exactly zero
+        [-0.1, 0.5, 0.5, 0.5],  # a positive sum
+    ])
+    def test_non_finite_or_negative_scores_rejected(self, scores):
+        with pytest.raises(ValueError,
+                           match="leverage scores must be finite and non-negative"):
+            sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, scores=np.array(scores))
 
     def test_invalid_ell(self):
         with pytest.raises(ValueError, match="ell"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from helpers import exact_mmd, feature_mmd, landmark_set
+from helpers import exact_mmd, feature_mmd, features, landmark_set, scalar_kernel
 from nysmmd import (
     GaussianKernel,
     PooledSample,
@@ -39,28 +39,28 @@ class TestExactMmd:
         assert exact_mmd(x, x[rng.permutation(9)], GaussianKernel(1.0)) == 0.0
 
     def test_single_point_pair(self):
-        kernel = GaussianKernel(0.9)
         x = np.array([[0.0, 1.0]])
         y = np.array([[2.0, -1.0]])
-        expected = math.sqrt(2.0 - 2.0 * kernel(x[0], y[0]))
-        assert exact_mmd(x, y, kernel) == pytest.approx(expected, abs=1e-14)
+        expected = math.sqrt(2.0 - 2.0 * scalar_kernel(x[0], y[0], 0.9))
+        assert exact_mmd(x, y, GaussianKernel(0.9)) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, 2))
         y = rng.standard_normal((5, 2))
-        kernel = GaussianKernel(1.4)
+        h = 1.4
         acc = 0.0
         for a in x:
             for b in x:
-                acc += kernel(a, b) / 49
+                acc += scalar_kernel(a, b, h) / 49
         for a in y:
             for b in y:
-                acc += kernel(a, b) / 25
+                acc += scalar_kernel(a, b, h) / 25
         for a in x:
             for b in y:
-                acc -= 2.0 * kernel(a, b) / 35
-        assert exact_mmd(x, y, kernel) == pytest.approx(math.sqrt(acc), abs=1e-12)
+                acc -= 2.0 * scalar_kernel(a, b, h) / 35
+        assert exact_mmd(x, y, GaussianKernel(h)) == pytest.approx(math.sqrt(acc),
+                                                                  abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -92,8 +92,8 @@ class TestFeatureMmd:
         z = np.array([[0.3, -0.7]])
         kernel = GaussianKernel(1.0)
         fmap = build_nystrom(landmark_set(z), kernel)
-        expected = abs(np.mean([kernel(z[0], p) for p in x])
-                       - np.mean([kernel(z[0], p) for p in y]))
+        expected = abs(np.mean([scalar_kernel(z[0], p, 1.0) for p in x])
+                       - np.mean([scalar_kernel(z[0], p, 1.0) for p in y]))
         assert feature_mmd(x, y, fmap) == pytest.approx(expected, abs=1e-12)
 
     def test_projection_never_exceeds_exact(self):
@@ -145,7 +145,7 @@ class TestPermutedStatistics:
         seed = 11
         stats = permuted_statistics(pooled, fmap, n_permutations=15, seed=seed)
         weights = permutation_weights(pooled, 15, seed)
-        feats = fmap.features(pooled.points)
+        feats = features(fmap, pooled.points)
         for p in range(16):
             positive = weights[p] > 0
             mean_x = feats[positive].mean(axis=0)
@@ -296,7 +296,7 @@ class TestLabelStream:
         accumulated = accumulate_weighted_features(pooled, fmap, 6, seed=3)
         weights = permutation_weights(pooled, 6, seed=3)
         np.testing.assert_allclose(
-            accumulated, weights @ fmap.features(pooled.points), atol=1e-12)
+            accumulated, weights @ features(fmap, pooled.points), atol=1e-12)
 
 
 class TestPooledSample:

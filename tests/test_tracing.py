@@ -1,13 +1,24 @@
-"""The benchmark tracer in perfbench/ still finds every function it wraps."""
+"""The benchmark in perfbench/ still finds every function it wraps or calls."""
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nysmmd import ExactMethod, NystromMethod, TestConfig, permutation
+import nysmmd
+from nysmmd import (
+    ExactMethod,
+    NystromMethod,
+    TestConfig,
+    permutation,
+    sample_correlated_gaussians,
+    write_csv,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +63,28 @@ def test_tracer_wraps_and_restores_every_target(tracing):
             "statistics.permuted_statistics", "statistics.accumulate",
             "statistics.permutation_weights", "permutation.decide",
             tracing.ROOT_SPAN} <= names
+
+
+def test_worker_traces_and_checks_a_cli_test(tmp_path):
+    # The cli_akrls workload's path: a traced `nysmmd test` process, the
+    # orchestrator's splice of its JSON into the dump, and the recomputation.
+    for name, rho, seed in (("x.csv", 0.2, 0), ("y.csv", 0.8, 1)):
+        write_csv(sample_correlated_gaussians(300, 3, rho, seed), tmp_path / name)
+    src = Path(nysmmd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(src)}
+    worker = [sys.executable, str(PERFBENCH / "worker.py")]
+    dump = tmp_path / "dump.json"
+    test = subprocess.run(
+        [*worker, "cli", str(dump), "--", "test", "--x", str(tmp_path / "x.csv"),
+         "--y", str(tmp_path / "y.csv"), "--method", "nystrom-akrls"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert test.returncode == 3, test.stderr
+    record = json.loads(dump.read_text(encoding="utf-8"))
+    record["outcome"] = json.loads(test.stdout)
+    dump.write_text(json.dumps(record), encoding="utf-8")
+    check = subprocess.run([*worker, "check-cli", str(tmp_path), str(dump)],
+                           env=env, capture_output=True, text=True, check=True,
+                           timeout=300)
+    checked = json.loads(check.stdout.splitlines()[-1])
+    assert checked["incorrect"] == []
+    assert len(checked["ranks"]) == 1
