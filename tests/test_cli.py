@@ -194,7 +194,6 @@ class TestGridCommands:
 
     @pytest.mark.parametrize("kind,key,value,expected", [
         ("correlated-gaussian", "dim", None, "a finite number"),
-        ("correlated-gaussian", "dim", 2.7, "a finite number without a fractional"),
         ("correlated-gaussian", "rho1", "0.5", "a finite number"),
         ("correlated-gaussian", "rho2", [0.5, None], "a finite number or"),
         ("mixture", "mix_fraction", [], "a finite number or"),
@@ -203,6 +202,7 @@ class TestGridCommands:
         ("csv", "y", None, "a string"),
         ("mixture", "background", 5, "a string"),
         ("mixture", "signal", ["s.csv"], "a string"),
+        ("correlated-gaussian", "dim", 2.7, "a finite number without a fractional"),
     ])
     def test_scenario_value_type_is_runtime_error(self, tmp_path, capsys, kind,
                                                   key, value, expected):
