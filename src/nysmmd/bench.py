@@ -15,6 +15,7 @@ import io
 import csv as _csv
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -29,23 +30,21 @@ from .permutation import METHODS, TestConfig, run_test
 RESULTS_HEADER = ("method", "ell", "n_x", "n_y", "param", "rate",
                   "wilson_low", "wilson_high", "mean_runtime_s", "reps")
 THREADS_ENV_VAR = "NYSMMD_THREADS"
+WILSON_Z = NormalDist().inv_cdf(0.975)  # two-sided 95% normal quantile
 
 
-def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
-    With p = successes / trials and z the two-sided normal quantile, the
-    bounds are (p + z^2/2n -/+ z sqrt(p(1-p)/n + z^2/4n^2)) / (1 + z^2/n),
-    clamped into [0, 1].
+    With p = successes / trials and z = WILSON_Z, the bounds are
+    (p + z^2/2n -/+ z sqrt(p(1-p)/n + z^2/4n^2)) / (1 + z^2/n), clamped into
+    [0, 1].
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+    z = WILSON_Z
     p_hat = successes / trials
     denominator = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denominator
@@ -95,6 +94,8 @@ class ExperimentSpec:
     output: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not self.methods:
@@ -151,9 +152,10 @@ class ExperimentSpec:
 
 
 def _is_number(value) -> bool:
-    # JSON true and false load as bool, which is a subclass of int
+    # JSON true and false load as bool, a subclass of int.  The comparison is
+    # exact for ints, so one beyond float range fails like inf and NaN do.
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_integral(value) -> bool:
@@ -272,9 +274,12 @@ class _Scenario:
 
 
 def _worker_count(n_threads: int | None) -> int:
-    if n_threads is not None:
-        return max(1, int(n_threads))
-    return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
+    name, value = "n_threads", n_threads
+    if n_threads is None:
+        name, value = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR, "1")
+    if not str(value).isdecimal() or int(value) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def estimate_rate(spec: ExperimentSpec, regime: str, *,
@@ -289,6 +294,9 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
             whole grid; defaults to the NYSMMD_THREADS environment variable
             (1 if unset).  Results are identical for a fixed seed
             regardless of thread count.
+
+    Raises:
+        ValueError: If n_threads or NYSMMD_THREADS is not a positive integer.
 
     Returns:
         One RateEstimate per cell, in grid order.  A failing cell yields an

@@ -54,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               ("power", "power study under the alternative")):
         grid = sub.add_parser(name, help=regime_help)
         grid.add_argument("--spec", help="JSON experiment spec file")
-        grid.add_argument("--scenario", choices=("correlated-gaussian",),
-                          default="correlated-gaussian",
-                          help="scenario when no --spec is given")
         grid.add_argument("--dim", type=int, default=3)
         grid.add_argument("--rho1", type=float, default=0.5)
         grid.add_argument("--rho2", type=float, nargs="+", default=[0.63])
@@ -116,7 +113,7 @@ def _grid_spec(args) -> ExperimentSpec:
         with open(args.spec, encoding="utf-8") as handle:
             spec = ExperimentSpec.from_dict(json.load(handle))
         return spec if args.output is None else replace(spec, output=args.output)
-    scenario = {"kind": args.scenario, "dim": args.dim, "rho1": args.rho1,
+    scenario = {"kind": "correlated-gaussian", "dim": args.dim, "rho1": args.rho1,
                 "rho2": args.rho2 if len(args.rho2) > 1 else args.rho2[0]}
     return ExperimentSpec(
         scenario=scenario,
@@ -171,17 +168,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "test":
             return _cmd_test(args)
-        if args.command == "level":
-            return _cmd_grid(args, "null")
-        if args.command == "power":
-            return _cmd_grid(args, "alternative")
         if args.command == "gen":
             return _cmd_gen(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_grid(args, "null" if args.command == "level" else "alternative")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

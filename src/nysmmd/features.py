@@ -1,8 +1,8 @@
 """Finite-dimensional feature maps: landmark projection and random Fourier features.
 
-Both maps send a point to an ell-vector whose inner products approximate the
-Gaussian kernel.  Each map factors as a basis evaluation followed by a fixed
-linear map, features(X) = from_basis(basis(X)), so a statistic that is linear
+Both maps send a point to a vector whose inner products approximate the
+Gaussian kernel.  Each map factors as an ell-wide basis evaluation followed by
+a fixed linear map, features(X) = from_basis(basis(X)), so a statistic linear
 in the features can sum basis rows first and apply the linear map once.
 """
 
@@ -13,15 +13,13 @@ from typing import Protocol
 
 import numpy as np
 
+from . import linalg
 from .kernels import GaussianKernel, as_points
 from .leverage import LandmarkSet
-from .linalg import pseudo_inverse_sqrt
-
-DEFAULT_RANK_TOLERANCE = 1e-10
 
 
 class FeatureMap(Protocol):
-    """Deterministic map from points to ell-dimensional feature vectors."""
+    """Deterministic feature map through a basis of width ``dimension`` (ell)."""
 
     @property
     def dimension(self) -> int: ...
@@ -43,17 +41,18 @@ class FeatureMap(Protocol):
 class NystromMap:
     """Projection of the kernel feature space onto the span of landmark points.
 
-    The map is x -> T k_Z(x) where k_Z(x) stacks the kernel evaluations
-    against the landmarks and T is the pseudo-inverse square root of the
-    landmark kernel matrix.  Inner products of mapped points reproduce the
-    kernel restricted to the landmark span; in particular
-    ||phi(x)||^2 <= k(x, x) = 1 for every x.
+    The map is x -> T' k_Z(x), where k_Z(x) stacks the kernel evaluations
+    against the ell landmarks and T = V_r e_r^-1/2 is the ell x r factor of
+    the eigenpairs of the landmark kernel matrix above ``rank_tolerance``
+    times the largest, so T T' = K_ZZ^+.  Inner products of mapped points
+    reproduce the kernel restricted to the landmark span; in particular
+    ||phi(x)||^2 <= k(x, x) = 1 for every x.  ``dimension`` is ell.
     """
 
     landmarks: LandmarkSet
     kernel: GaussianKernel
     transform: np.ndarray
-    rank_tolerance: float
+    rank_tolerance = 1e-10
 
     @property
     def dimension(self) -> int:
@@ -106,18 +105,20 @@ class RffMap:
 
 
 def build_nystrom(landmarks: LandmarkSet, kernel: GaussianKernel) -> NystromMap:
-    """Factorize the landmark kernel matrix once and return the projection map.
+    """Eigendecompose the landmark kernel matrix once and return the projection map.
 
-    Eigenvalues at or below DEFAULT_RANK_TOLERANCE (1e-10) times the largest
-    are dropped, so duplicated landmarks (a rank-deficient landmark matrix)
-    are handled without producing non-finite output.
+    Eigenpairs at or below NystromMap.rank_tolerance (1e-10) times the
+    largest eigenvalue are dropped, so duplicated landmarks give a narrower
+    map, not non-finite output.  The kernel matrix has trace ell, so its
+    largest eigenvalue is at least 1 and one pair is always kept.
     """
     if landmarks.size < 1:
         raise ValueError("need at least one landmark")
     gram = kernel.gram(landmarks.points, landmarks.points)
-    transform = pseudo_inverse_sqrt(gram, DEFAULT_RANK_TOLERANCE)
-    return NystromMap(landmarks=landmarks, kernel=kernel, transform=transform,
-                      rank_tolerance=DEFAULT_RANK_TOLERANCE)
+    eigenvalues, eigenvectors = linalg.psd_eigh(gram)
+    kept = eigenvalues > NystromMap.rank_tolerance * eigenvalues[-1]
+    transform = eigenvectors[:, kept] / np.sqrt(eigenvalues[kept])
+    return NystromMap(landmarks=landmarks, kernel=kernel, transform=transform)
 
 
 def build_rff(dim: int, n_features: int, kernel: GaussianKernel, seed: int) -> RffMap:

@@ -39,10 +39,10 @@ class NystromMethod:
     """Projected-MMD statistic with landmarks sampled from the pooled data.
 
     Leverage scores use the ridge level 16 * log(4 / 0.05) / n, and the
-    landmark pseudo-inverse the default spectral cutoff of build_nystrom.
+    landmark pseudo-inverse factor the spectral cutoff of build_nystrom.
 
     Attributes:
-        n_landmarks: Feature dimension ell.
+        n_landmarks: Landmark count ell, the basis width of the map.
         sampler: "uniform", "akrls", or "exact_krls".
     """
 

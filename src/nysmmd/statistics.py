@@ -117,9 +117,9 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
                                  n_permutations: int, seed: int) -> np.ndarray:
     """Signed feature mean differences under the observed and P permuted labelings.
 
-    Row p of the (P + 1, dimension) result is mean_x phi - mean_y phi under
-    labeling p.  One pass over the label blocks, evaluating each block's
-    basis once.
+    Row p of the (P + 1, feature width) result is mean_x phi - mean_y phi
+    under labeling p.  One pass over the label blocks, evaluating each
+    block's basis once; the sums are basis-wide, (P + 1, dimension).
     """
     sums = np.zeros((n_permutations + 1, feature_map.dimension))
     total = np.zeros(feature_map.dimension)

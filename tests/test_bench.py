@@ -59,8 +59,6 @@ class TestWilsonInterval:
             wilson_interval(0, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 4, confidence=1.0)
 
     def test_package_import_does_not_load_scipy_stats(self):
         src = str(Path(nysmmd.__file__).resolve().parents[1])
@@ -223,6 +221,18 @@ class TestEstimateRate:
         assert [r.successes for r in serial] == [r.successes for r in threaded]
         assert strip_runtime(results_to_csv(serial)) == strip_runtime(
             results_to_csv(threaded))
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    def test_invalid_thread_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("NYSMMD_THREADS", value)
+        with pytest.raises(ValueError, match=f"^NYSMMD_THREADS must be a positive "
+                                             f"integer, got '{value}'$"):
+            estimate_rate(tiny_null_spec(repetitions=1), "null")
+
+    def test_non_positive_thread_count_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^n_threads must be a positive integer, got 0$"):
+            estimate_rate(tiny_null_spec(repetitions=1), "null", n_threads=0)
 
     def test_one_thread_pool_per_grid(self, monkeypatch):
         created = []

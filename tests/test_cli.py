@@ -151,6 +151,9 @@ class TestGridCommands:
         ("seed", "0"),
         ("permutations", float("inf")),
         ("output", 5),
+        pytest.param("seed", 10**400, id="seed-int-beyond-float"),
+        pytest.param("sample_sizes", [10**400], id="sample_sizes-int-beyond-float"),
+        pytest.param("alpha", float("nan"), id="alpha-nan"),
     ])
     def test_spec_scalar_grid_is_runtime_error(self, tmp_path, capsys, key, value):
         spec = {"scenario": {"kind": "correlated-gaussian"},
@@ -165,6 +168,22 @@ class TestGridCommands:
                     "sample_sizes": "a JSON list", "scenario": "a JSON object",
                     "output": "a string or null"}.get(key, "a finite number")
         assert f"spec key {key!r} must be {expected}" in err
+
+    @pytest.mark.parametrize("source", ["spec", "flag"])
+    def test_negative_seed_is_runtime_error(self, tmp_path, capsys, source):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "scenario": {"kind": "correlated-gaussian"},
+            "methods": ["nystrom-uniform"], "landmarks": [8],
+            "sample_sizes": [20], "permutations": 9, "repetitions": 2, "seed": -1}))
+        arguments = (("--spec", str(spec_path)) if source == "spec" else
+                     ("--sample-sizes", "20", "--landmarks", "8", "--permutations",
+                      "9", "--repetitions", "2", "--seed", "-1"))
+        for command in ("level", "power"):
+            code, out, err = run_cli(capsys, command, *arguments)
+            assert code == 1
+            assert out == ""
+            assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_spec_must_be_object(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -203,6 +222,12 @@ class TestGridCommands:
         ("mixture", "background", 5, "a string"),
         ("mixture", "signal", ["s.csv"], "a string"),
         ("correlated-gaussian", "dim", 2.7, "a finite number without a fractional"),
+        *(pytest.param(kind, key, 10**400, "a finite number",
+                       id=f"{kind}-{key}-int-beyond-float")
+          for kind, key in (("correlated-gaussian", "dim"),
+                            ("correlated-gaussian", "rho1"),
+                            ("correlated-gaussian", "rho2"),
+                            ("mixture", "mix_fraction"))),
     ])
     def test_scenario_value_type_is_runtime_error(self, tmp_path, capsys, kind,
                                                   key, value, expected):
