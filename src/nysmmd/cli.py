@@ -143,6 +143,8 @@ def _cmd_grid(args, regime: str) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     if args.family == "correlated-gaussian":
         points = data_mod.sample_correlated_gaussians(args.n, args.dim, args.rho,
                                                       args.seed)

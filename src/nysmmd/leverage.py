@@ -7,10 +7,12 @@ mean embeddings; uniform sampling is the baseline.  Both samplers draw with
 replacement from the pooled data, which keeps the sampling probabilities
 equivariant under relabeling of the rows.
 
-approx_krls scores B = 1024 rows at a time against subsets S of about 256
-rows: O(n * |S|^2) time, O(B * |S| + n * d) storage, and scores equal to the
-unblocked formula up to round-off, not bitwise.  One kernel-block and one
-projection buffer serve every block at every level.
+approx_krls computes them by BLESS: it walks the ridge down in factor-2
+steps, scoring about q1 / ridge uniformly drawn candidate rows at each step
+against a small weighted dictionary drawn from the step before.  That costs
+O((q1 / lambda) * |D|^2) time and O(B * |D| + n * d) storage for a dictionary
+of |D| rows, with candidates scored B = 1024 at a time; the scores equal the
+unblocked formula up to round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import numpy as np
 from .kernels import GaussianKernel, as_points
 from .linalg import psd_eigh
 
-# Intermediate sample size of approx_krls, and the size of its recursion base.
-_AKRLS_BUDGET = 256
-# Rows scored per kernel block against the weighted subset in approx_krls.
+# BLESS constants of approx_krls: q1, candidates drawn per unit of 1 / ridge,
+# and c, the dictionary size as a multiple of the effective dimension.
+_CANDIDATES_PER_INVERSE_RIDGE = 30
+_DICTIONARY_OVERSAMPLING = 6
+# Candidate rows scored per kernel block against the dictionary.
 _SCORE_BLOCK_ROWS = 1024
 
 
@@ -47,15 +51,6 @@ def default_regularization(n: int) -> float:
     return 16.0 * math.log(4.0 / 0.05) / n
 
 
-def _ridge_scores(gram, ridge_abs):
-    """diag(K (K + ridge_abs I)^-1) through a symmetric eigendecomposition."""
-    eigenvalues, eigenvectors = psd_eigh(gram, "gram")
-    shrink = eigenvalues / (eigenvalues + ridge_abs)
-    scores = np.einsum("ij,j,ij->i", eigenvectors, shrink, eigenvectors)
-    np.clip(scores, 0.0, 1.0, out=scores)
-    return scores
-
-
 def exact_krls(gram: np.ndarray, regularization: float) -> np.ndarray:
     """Exact kernel ridge leverage scores of a PSD kernel matrix.
 
@@ -72,94 +67,100 @@ def exact_krls(gram: np.ndarray, regularization: float) -> np.ndarray:
     """
     if regularization <= 0:
         raise ValueError("regularization must be positive")
-    return _ridge_scores(gram, regularization * len(gram))
+    eigenvalues, eigenvectors = psd_eigh(gram, "gram")
+    shrink = eigenvalues / (eigenvalues + regularization * len(gram))
+    scores = np.einsum("ij,j,ij->i", eigenvectors, shrink, eigenvectors)
+    np.clip(scores, 0.0, 1.0, out=scores)
+    return scores
 
 
-def _recursive_scores(points, kernel, ridge_abs, rng):
-    # Halve down to the recursion base, then score each level from the one
-    # below it.  The draws come in the order of the recursive formulation:
-    # every halving permutation first, then the keep draws from the base up.
-    levels = [points]
-    while levels[-1].shape[0] > _AKRLS_BUDGET:
-        m = levels[-1].shape[0]
-        levels.append(levels[-1][rng.permutation(m)[: (m + 1) // 2]])
-    scores = _ridge_scores(kernel.gram(levels[-1], levels[-1]), ridge_abs)
-    # kernel-block and projection buffers, shared by every block and level
-    gram_buffer = projected_buffer = np.empty(0)
-    for level in reversed(range(len(levels) - 1)):
-        points, half, half_scores = levels[level], levels[level + 1], scores
-        n = points.shape[0]
-        total = half_scores.sum()
-        if total <= 0:
-            probabilities = np.full(half.shape[0], 1.0)
-        else:
-            probabilities = np.minimum(1.0, half_scores * (_AKRLS_BUDGET / total))
-        keep = rng.random(half.shape[0]) < probabilities
-        if not keep.any():
-            forced = int(np.argmax(half_scores))
-            keep[forced] = True
-            probabilities[forced] = 1.0
-
-        # Nystrom-style overestimates from the weighted column subset S:
-        # (K_ii - b_i' (W K_SS W + ridge I)^-1 b_i) / ridge with b_i = W K_{S,i}
-        # and W = diag(weights).  For any subset they never undershoot the
-        # exact scores; a well-chosen subset also bounds them from above within
-        # a constant factor.  With W K_SS W = V diag(e) V', the quadratic form
-        # is |K_{i,S} M|^2 for the |S| x |S| factor M = W V diag((e + ridge)^-1/2),
-        # so each block of rows costs one kernel block and one GEMM.
-        subset = half[keep]
-        weights = 1.0 / np.sqrt(probabilities[keep])
-        middle = weights[:, None] * kernel.gram(subset, subset) * weights[None, :]
-        eigenvalues, eigenvectors = psd_eigh(middle, "weighted subset gram")
-        factor = weights[:, None] * eigenvectors / np.sqrt(eigenvalues + ridge_abs)
-        width = subset.shape[0]
-        if gram_buffer.size < min(n, _SCORE_BLOCK_ROWS) * width:
-            gram_buffer = np.empty(min(n, _SCORE_BLOCK_ROWS) * width)
-            projected_buffer = np.empty_like(gram_buffer)
-        quad = np.empty(n)
-        for start in range(0, n, _SCORE_BLOCK_ROWS):
-            block = slice(start, start + _SCORE_BLOCK_ROWS)
-            size = points[block].shape[0] * width
-            gram = kernel.gram(points[block], subset,
-                               out=gram_buffer[:size].reshape(-1, width))
-            projected = np.matmul(gram, factor,
-                                  out=projected_buffer[:size].reshape(-1, width))
-            quad[block] = np.einsum("ij,ij->i", projected, projected)
-        # K_ii = 1 for the Gaussian kernel.
-        scores = (1.0 - quad) / ridge_abs
-        np.clip(scores, 0.0, 1.0, out=scores)
+def _dictionary_scores(points, candidates, dictionary, weights, kernel, ridge_abs):
+    # Nystrom-style estimates from the weighted dictionary D:
+    # (K_ii - b_i' (W K_DD W + ridge I)^-1 b_i) / ridge with b_i = W K_{D,i}
+    # and W = diag(weights).  Unit weights never undershoot the exact scores;
+    # the weights 1 / sqrt(p_i R / n) of a well-drawn dictionary keep them
+    # within a constant factor of them.  With W K_DD W = V diag(e) V', the
+    # quadratic form is |K_{i,D} M|^2 for M = W V diag((e + ridge)^-1/2), so
+    # each block of candidates costs one kernel block and one GEMM.
+    quad = np.zeros(candidates.size)
+    width = dictionary.shape[0]
+    if width:
+        # the |D| x |D| product is an argument only, so it is freed before the blocks
+        eigenvalues, factor = psd_eigh(
+            weights[:, None] * kernel.gram(dictionary, dictionary) * weights,
+            "weighted dictionary gram")
+        factor *= weights[:, None]
+        factor /= np.sqrt(eigenvalues + ridge_abs)
+        # kernel-block and projection buffers, shared by every block
+        rows = min(candidates.size, _SCORE_BLOCK_ROWS)
+        gram_buffer = np.empty((rows, width))
+        projected_buffer = np.empty((rows, width))
+        for start in range(0, candidates.size, rows):
+            block = candidates[start:start + rows]
+            gram = kernel.gram(points[block], dictionary, out=gram_buffer[:block.size])
+            projected = np.matmul(gram, factor, out=projected_buffer[:block.size])
+            quad[start:start + block.size] = np.einsum("ij,ij->i", projected, projected)
+    # K_ii = 1 for the Gaussian kernel.
+    scores = (1.0 - quad) / ridge_abs
+    np.clip(scores, 0.0, 1.0, out=scores)
     return scores
 
 
 def approx_krls(points, kernel: GaussianKernel, regularization: float,
                 seed: int) -> np.ndarray:
-    """Approximate kernel ridge leverage scores by recursive half-sampling.
+    """Approximate kernel ridge leverage scores by BLESS.
 
-    The dataset is halved recursively down to a base of at most 256 rows,
-    whose exact scores seed weighted Nystrom-style estimates on subsets S of
-    about 256 rows on the way back up.  Scores are therefore exact for
-    n <= 256, and no eigendecomposition exceeds about 256 rows at any n.
-    Each level scores its rows in blocks of B = 1024 against S, so time is
-    O(n * |S|^2) and storage O(B * |S| + n * d).  The blocking changes only
-    the rounding: scores agree with the unblocked formula to round-off, not
-    bitwise.  Deterministic for a fixed seed and BLAS thread count.
+    BLESS (Rudi, Calandriello, Carratino & Rosasco, NeurIPS 2018) walks the
+    ridge down as lambda_h = max(lambda, 2^-h) for h = 1, ..., H with
+    H = max(1, ceil(log2(1 / lambda))).  Step h draws R_h = min(n,
+    ceil(q1 / lambda_h)) candidate rows uniformly without replacement and
+    scores them against the weighted dictionary D drawn from the candidates
+    of step h - 1; an empty dictionary scores 1 / (lambda_h * n).  Each
+    dictionary costs one eigendecomposition of about c times the effective
+    dimension rows, at most H - 1 in all.  Time is O((q1 / lambda) * |D|^2)
+    and storage O(B * |D| + n * d): candidates are scored in blocks of
+    B = 1024 rows, which changes only the rounding.  Deterministic for a
+    fixed seed and BLAS thread count.
+
+    The candidate sets depend only on n and the seed, and every other draw
+    only on data values, so relabeling the rows relabels the scores in
+    distribution.
 
     Args:
         points: Dataset of shape (n, d).
         kernel: Kernel used to form (sub)matrices on demand.
-        regularization: Ridge parameter lambda; the absolute ridge level
-            lambda * n is held fixed throughout the recursion.
+        regularization: Target ridge parameter lambda.
         seed: Seed for the sampling randomness.
 
     Returns:
-        The n scores: Nystrom-style overestimates of the exact ones, capped
-        at 1.
+        The n scores: zero outside the last candidate set, and inside it
+        Nystrom-style estimates of the exact ones, capped at 1.
     """
     points = as_points(points)
     if regularization <= 0:
         raise ValueError("regularization must be positive")
+    n = points.shape[0]
     rng = np.random.default_rng(seed)
-    return _recursive_scores(points, kernel, regularization * points.shape[0], rng)
+    ridges = [max(regularization, 0.5)]
+    while ridges[-1] > regularization:
+        ridges.append(max(regularization, ridges[-1] / 2))
+    dictionary, weights = points[:0], np.empty(0)
+    for ridge in ridges:
+        size = min(n, math.ceil(_CANDIDATES_PER_INVERSE_RIDGE / ridge))
+        candidates = rng.choice(n, size=size, replace=False)
+        scores = _dictionary_scores(points, candidates, dictionary, weights,
+                                    kernel, ridge * n)
+        if ridge > regularization:
+            # Keep candidate i with probability p_i = min(1, c * d_eff * s_i /
+            # sum(s)), where d_eff = (n / R) * sum(s) estimates the effective
+            # dimension; a kept row stands for 1 / (p_i * R / n) rows.
+            probabilities = np.minimum(1.0, scores * (_DICTIONARY_OVERSAMPLING * n / size))
+            keep = rng.random(size) < probabilities
+            dictionary = points[candidates[keep]]
+            weights = 1.0 / np.sqrt(probabilities[keep] * (size / n))
+    result = np.zeros(n)
+    result[candidates] = scores
+    return result
 
 
 def sample_landmarks(points, ell: int, seed: int,

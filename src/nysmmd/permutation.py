@@ -132,6 +132,8 @@ class TestConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.alpha * (self.n_permutations + 1) < 1.0:
             warnings.warn(
                 f"alpha={self.alpha} is below 1/(P+1)={1 / (self.n_permutations + 1):.4g}; "

@@ -51,6 +51,14 @@ class TestGen:
         assert code == 0
         assert load_csv(out).shape == (100, 2)
 
+    def test_negative_seed_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "sample.csv"
+        code, _, err = run_cli(capsys, "gen", "--family", "correlated-gaussian",
+                               "--n", "10", "--seed", "-1", "--output", str(out))
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
 
 class TestTestCommand:
     @pytest.fixture
@@ -101,6 +109,14 @@ class TestTestCommand:
                                str(tmp_path / "absent.csv"))
         assert code == 1
         assert "error" in err
+
+    def test_negative_seed_is_runtime_error(self, csv_pair, capsys):
+        x_path, y_path = csv_pair
+        code, out, err = run_cli(capsys, "test", "--x", str(x_path), "--y",
+                                 str(y_path), "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "test", "--x")  # missing value

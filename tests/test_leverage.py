@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -126,15 +127,6 @@ def gaussian_data():
 
 class TestApproxKrls:
 
-    def test_small_n_is_bit_identical_to_exact(self, gaussian_data):
-        # At or below the 256-row budget the recursion base is the whole set.
-        points, kernel = gaussian_data
-        small = points[:200]
-        lam = 1.0 / 200
-        via_approx = approx_krls(small, kernel, lam, seed=0)
-        direct = exact_krls(kernel.gram(small, small), lam)
-        np.testing.assert_array_equal(via_approx, direct)
-
     def test_factor_four_sandwich(self, gaussian_data):
         points, kernel = gaussian_data
         lam = 1.0 / 512
@@ -170,10 +162,79 @@ class TestApproxKrls:
         assert sizes
         assert max(sizes) < 512
 
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_cost_claim_of_docstring(self, monkeypatch, n):
+        # At most H - 1 eigendecompositions for H = max(1, ceil(log2(1 / lambda)))
+        # ridge steps, and scores zero outside one set of R = min(n, ceil(q1 /
+        # lambda)) rows.  At n = 40 the target ridge exceeds 1/2: one step.
+        rng = np.random.default_rng(13)
+        points = rng.standard_normal((n, 3))
+        kernel = GaussianKernel(median_heuristic(points))
+        lam = default_regularization(n)
+        sizes = []
+
+        def recording_eigh(matrix, name="matrix"):
+            sizes.append(matrix.shape[0])
+            return psd_eigh(matrix, name)
+
+        monkeypatch.setattr(leverage, "psd_eigh", recording_eigh)
+        scores = approx_krls(points, kernel, lam, seed=0)
+        steps = max(1, math.ceil(math.log2(1.0 / lam)))
+        assert len(sizes) <= steps - 1
+        q1 = leverage._CANDIDATES_PER_INVERSE_RIDGE
+        assert np.count_nonzero(scores) == min(n, math.ceil(q1 / lam)) < n
+
+    def test_candidate_scores_estimate_effective_dimension(self):
+        # (n / R) * sum(s) over the R candidates of the last step estimates the
+        # effective dimension, the sum of the exact scores.  At n = 1000 only
+        # 428 rows are candidates, so dictionary weights without the R / n
+        # factor read about 1.8 times too high, and with (R / n)^2 about 0.6.
+        rng = np.random.default_rng(2)
+        n = 1000
+        points = rng.standard_normal((n, 3))
+        kernel = GaussianKernel(median_heuristic(points))
+        lam = default_regularization(n)
+        effective_dimension = exact_krls(kernel.gram(points, points), lam).sum()
+        ratios = []
+        for seed in range(20):
+            scores = approx_krls(points, kernel, lam, seed)
+            estimate = scores.sum() * n / np.count_nonzero(scores)
+            ratios.append(estimate / effective_dimension)
+        assert 0.95 <= np.mean(ratios) <= 1.35
+
+    def test_relabeling_equivariance_in_distribution(self, monkeypatch):
+        # Chi-square test: landmarks drawn by their approximate scores from a
+        # relabeled dataset are the same point multisets with the same
+        # frequencies.  With q1 = 1 and lambda = 1/4 the two ridge steps draw
+        # 2 and 4 of the 6 rows, and the second scores against a dictionary.
+        monkeypatch.setattr(leverage, "_CANDIDATES_PER_INVERSE_RIDGE", 1)
+        n, ell, trials = 6, 2, 4000
+        points = 0.7 * np.arange(n, dtype=float).reshape(-1, 1)
+        shuffled = points[[4, 2, 0, 5, 1, 3]]
+        kernel = GaussianKernel(1.0)
+
+        def multiset_counts(source):
+            counts = {}
+            for seed in range(trials):
+                scores = approx_krls(source, kernel, 0.25, seed=seed)
+                drawn = sample_landmarks(source, ell, seed=trials + seed,
+                                         scores=scores)
+                key = tuple(sorted(float(v) for v in drawn.points[:, 0]))
+                counts[key] = counts.get(key, 0) + 1
+            return counts
+
+        first = multiset_counts(points)
+        second = multiset_counts(shuffled)
+        keys = sorted(set(first) | set(second))
+        table = np.array([[first.get(k, 0) for k in keys],
+                          [second.get(k, 0) for k in keys]])
+        _, p_value, _, _ = chi2_contingency(table)
+        assert p_value > 1e-3
+
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 3001])
     def test_row_blocks_do_not_change_scores(self, monkeypatch, n):
-        # 7-row blocks leave a partial last block at every level; blocks of
-        # n rows make every level a single block.
+        # 7-row blocks leave a partial last block at every step; blocks of
+        # n rows make every step a single block.
         rng = np.random.default_rng(n)
         points = rng.standard_normal((n, 3))
         kernel = GaussianKernel(median_heuristic(points))
@@ -186,9 +247,10 @@ class TestApproxKrls:
         np.testing.assert_allclose(scores[2], scores[0], rtol=1e-12, atol=0)
 
     def test_memory_does_not_grow_with_n(self):
-        # Storage is O(B * |S| + n * d).  From 8,000 to 32,000 rows only the
-        # half-samples and score vectors grow, by far less than the 2 kB per
-        # row of one n x |S| float64 matrix at |S| = 256.
+        # Storage is O(B * |D| + n * d).  From 8,000 to 32,000 rows the
+        # candidate sets, the score vectors and the dictionary with its
+        # B x |D| block buffers grow, by far less than the 2 kB per row of one
+        # n x |D| float64 matrix at |D| = 256.
         rng = np.random.default_rng(15)
         kernel = GaussianKernel(1.0)
         peaks = []
@@ -208,8 +270,8 @@ class TestApproxKrls:
         # In a process that has freed no large array, glibc maps every
         # per-block temporary of 1-2 MB afresh: about 512 faults each, so
         # fresh kernel-block and projection arrays in each of the ~80 blocks
-        # cost ~50k faults at n = 40,000.  Buffers shared by all blocks and
-        # levels are mapped once.
+        # cost ~50k faults at n = 40,000.  Buffers shared by all blocks of a
+        # ridge step are mapped once per step.
         probe = """
 import resource, numpy as np
 from nysmmd import GaussianKernel, approx_krls, default_regularization
@@ -226,18 +288,20 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert int(result.stdout) < 20_000
 
     def test_recursive_path_null_rank_is_uniform(self, monkeypatch):
-        # Landmarks drawn from recursive (not exact) scores on the pooled
+        # Landmarks drawn from approximate (not exact) scores on the pooled
         # data keep the observed rank uniform under the null.
         assert self._recursive_null_rank_pvalue(monkeypatch) > 1e-3
 
     def test_recursive_path_null_rank_is_uniform_in_row_blocks(self, monkeypatch):
-        # The 10 pooled rows scored at the top level span four 3-row blocks.
+        # The 8 candidates of the last ridge step span three 3-row blocks.
         monkeypatch.setattr(leverage, "_SCORE_BLOCK_ROWS", 3)
         assert self._recursive_null_rank_pvalue(monkeypatch) > 1e-3
 
     @staticmethod
     def _recursive_null_rank_pvalue(monkeypatch):
-        monkeypatch.setattr(leverage, "_AKRLS_BUDGET", 8)
+        # With q1 = 1 and lambda = 1/8 the three ridge steps draw 2, 4 and 8
+        # of the 10 pooled rows; the last two score against a dictionary.
+        monkeypatch.setattr(leverage, "_CANDIDATES_PER_INVERSE_RIDGE", 1)
         n_perms = 9
         kernel = GaussianKernel(1.0)
         counts = np.zeros(n_perms + 1, dtype=int)
@@ -246,8 +310,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             x = rng.standard_normal((5, 2))
             y = rng.standard_normal((5, 2))
             pooled = PooledSample.from_samples(x, y)
-            scores = approx_krls(pooled.points, kernel,
-                                 default_regularization(pooled.n),
+            scores = approx_krls(pooled.points, kernel, 1.0 / 8,
                                  seed=int(rng.integers(2**63)))
             landmarks = sample_landmarks(pooled.points, 4,
                                          seed=int(rng.integers(2**63)),
