@@ -19,13 +19,13 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .data import load_csv, sample_correlated_gaussians, sample_mixture
-from .permutation import METHODS, TestConfig, run_test
+from .permutation import METHODS, TestConfig, quantile_index, run_test
 
 RESULTS_HEADER = ("method", "ell", "n_x", "n_y", "param", "rate",
                   "wilson_low", "wilson_high", "mean_runtime_s", "reps")
@@ -77,11 +77,7 @@ class RateEstimate:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Grid description for a level or power study.
-
-    The JSON form uses exactly the keys scenario, methods, landmarks,
-    sample_sizes, alpha, permutations, repetitions, seed, output.
-    """
+    """Grid description for a level or power study; `from_dict` reads its JSON form."""
 
     scenario: dict
     methods: tuple[str, ...]
@@ -98,57 +94,35 @@ class ExperimentSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if not self.methods:
-            raise ValueError("methods grid is empty")
-        if not self.sample_sizes:
-            raise ValueError("sample_sizes grid is empty")
+        for key in ("methods", "sample_sizes"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} grid is empty")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
-        needs_landmarks = any(m != "exact" for m in self.methods)
-        if needs_landmarks and not self.landmarks:
+        if not self.landmarks and any(m != "exact" for m in self.methods):
             raise ValueError("landmarks grid is empty but a feature-map method "
                              "is requested")
+        # a value that would fail each cell it reaches fails here once instead
+        quantile_index(self.alpha, self.permutations)
+        for name in self.methods:
+            for ell in self.landmarks:
+                METHODS[name](ell)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
         if not isinstance(raw, dict):
             raise ValueError(f"spec must be a JSON object, got {raw!r}")
-        unknown = set(raw) - {field.name for field in fields(cls)}
+        unknown = set(raw) - set(_SPEC_VALUES)
         if unknown:
             raise ValueError(f"unknown spec keys {sorted(unknown)}")
         missing = {"scenario", "methods", "sample_sizes"} - set(raw)
         if missing:
             raise ValueError(f"spec is missing required keys {sorted(missing)}")
-        for key, value in raw.items():
-            if key == "scenario":
-                valid, expected = isinstance(value, dict), "a JSON object"
-            elif key == "methods":
-                valid = isinstance(value, list) and all(isinstance(v, str) for v in value)
-                expected = "a JSON list of strings"
-            elif key in ("landmarks", "sample_sizes"):
-                valid = isinstance(value, list) and all(map(_is_integral, value))
-                expected = "a JSON list of finite numbers without fractional parts"
-            elif key == "output":
-                valid, expected = value is None or isinstance(value, str), "a string or null"
-            elif key == "alpha":
-                valid, expected = _is_number(value), "a finite number"
-            else:
-                valid = _is_integral(value)
-                expected = "a finite number without a fractional part"
-            if not valid:
-                raise ValueError(f"spec key {key!r} must be {expected}, got {value!r}")
-        return cls(
-            scenario=dict(raw["scenario"]),
-            methods=tuple(raw["methods"]),
-            landmarks=tuple(int(v) for v in raw.get("landmarks", ())),
-            sample_sizes=tuple(int(v) for v in raw["sample_sizes"]),
-            alpha=float(raw.get("alpha", 0.05)),
-            permutations=int(raw.get("permutations", 199)),
-            repetitions=int(raw.get("repetitions", 100)),
-            seed=int(raw.get("seed", 0)),
-            output=raw.get("output"),
-        )
+        _check_values("spec", raw, _SPEC_VALUES)
+        # keys left out take the field defaults; an exact-only grid needs no landmarks
+        return cls(**{"landmarks": (), **{key: _SPEC_VALUES[key][2](value)
+                                          for key, value in raw.items()}})
 
 
 def _is_number(value) -> bool:
@@ -168,6 +142,22 @@ def _is_grid(value) -> bool:
                                  and all(map(_is_number, value)))
 
 
+# spec key: (check, what the check expects, conversion of a checked value)
+_SPEC_VALUES = {
+    "scenario": (lambda value: isinstance(value, dict), "a JSON object", dict),
+    "methods": (lambda value: isinstance(value, list)
+                and all(isinstance(v, str) for v in value),
+                "a JSON list of strings", tuple),
+    **{key: (lambda value: isinstance(value, list) and all(map(_is_integral, value)),
+             "a JSON list of finite numbers without fractional parts",
+             lambda value: tuple(map(int, value)))
+       for key in ("landmarks", "sample_sizes")},
+    "alpha": (_is_number, "a finite number", float),
+    **{key: (_is_integral, "a finite number without a fractional part", int)
+       for key in ("permutations", "repetitions", "seed")},
+    "output": (lambda value: value is None or isinstance(value, str),
+               "a string or null", lambda value: value),
+}
 # scenario key: (check, what the check expects)
 _SCENARIO_VALUES = {
     "dim": (_is_integral, "a finite number without a fractional part"),
@@ -186,20 +176,24 @@ _SCENARIO_KEYS = {
 }
 
 
-def _require_keys(raw: dict, *keys: str) -> None:
+def _check_values(what: str, raw: dict, table: dict) -> None:
+    for key, (valid, expected, *_) in table.items():
+        if key in raw and not valid(raw[key]):
+            raise ValueError(f"{what} key {key!r} must be {expected}, got {raw[key]!r}")
+
+
+def _load_pools(raw: dict, *keys: str) -> list[np.ndarray]:
     missing = [key for key in keys if key not in raw]
     if missing:
         raise ValueError(f"{raw['kind']} scenario is missing required keys {missing}")
+    return [load_csv(raw[key], raw.get("has_header", False)) for key in keys]
 
 
 class _Scenario:
     """Resolved scenario: loads CSV pools once, draws (x, y) pairs on demand."""
 
     def __init__(self, raw: dict):
-        for key, (valid, expected) in _SCENARIO_VALUES.items():
-            if key in raw and not valid(raw[key]):
-                raise ValueError(f"scenario key {key!r} must be {expected}, "
-                                 f"got {raw[key]!r}")
+        _check_values("scenario", raw, _SCENARIO_VALUES)
         self.kind = raw.get("kind")
         if self.kind not in _SCENARIO_KEYS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
@@ -213,14 +207,9 @@ class _Scenario:
             rho2 = raw.get("rho2", self.rho1)
             self.rho2_grid = tuple(float(v) for v in np.atleast_1d(rho2))
         elif self.kind == "csv":
-            _require_keys(raw, "x", "y")
-            self.x_pool = load_csv(raw["x"], bool(raw.get("has_header", False)))
-            self.y_pool = load_csv(raw["y"], bool(raw.get("has_header", False)))
+            self.x_pool, self.y_pool = _load_pools(raw, "x", "y")
         else:
-            _require_keys(raw, "background", "signal")
-            self.background = load_csv(raw["background"],
-                                       bool(raw.get("has_header", False)))
-            self.signal = load_csv(raw["signal"], bool(raw.get("has_header", False)))
+            self.background, self.signal = _load_pools(raw, "background", "signal")
             fraction = raw.get("mix_fraction", 0.2)
             self.mix_grid = tuple(float(v) for v in np.atleast_1d(fraction))
 

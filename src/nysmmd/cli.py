@@ -6,6 +6,10 @@ Subcommands:
     power   Power study over an experiment grid; results CSV.
     gen     Write synthetic datasets as CSV.
 
+`level` and `power` lay each given flag over its key of the --spec file or of
+`_BASE_GRID`, check the grid with `ExperimentSpec.from_dict` and take every
+other default from `ExperimentSpec`, the scenario and `TestConfig`.
+
 Exit codes: 0 success, 1 runtime error, 2 usage error; `test` exits 3 when
 the null hypothesis is rejected, so shell scripts can branch on the outcome.
 `level` and `power` exit 4 when some grid cells fail and others succeed (the
@@ -19,12 +23,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import bench as bench_mod
 from . import data as data_mod
-from .bench import ExperimentSpec
 from .permutation import METHODS, TestConfig, run_test
+
+_BASE_GRID = {"scenario": {"kind": "correlated-gaussian", "rho2": 0.63},
+              "methods": ["nystrom-uniform"], "landmarks": [32], "sample_sizes": [500]}
+
+
+def _numbers(text: str) -> list:
+    try:  # JSON values, which from_dict checks as it does a spec file's
+        return json.loads(f"[{text}]")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,36 +52,40 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--y", required=True, help="CSV file with the second sample")
     test.add_argument("--has-header", action="store_true",
                       help="skip one header row in each CSV")
-    test.add_argument("--alpha", type=float, default=0.05)
-    test.add_argument("--permutations", type=int, default=199)
+    test.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    test.add_argument("--permutations", dest="n_permutations", type=int,
+                      default=argparse.SUPPRESS)
     test.add_argument("--method", default="nystrom-uniform",
                       choices=METHODS)
     test.add_argument("--landmarks", type=int, default=None,
                       help="feature count (landmarks, or RFF features); "
                            "defaults to ceil(sqrt(n))")
-    test.add_argument("--bandwidth", type=float, default=None,
+    test.add_argument("--bandwidth", type=float, default=argparse.SUPPRESS,
                       help="fixed kernel bandwidth (default: median heuristic)")
-    test.add_argument("--seed", type=int, default=0)
+    test.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     for name, regime_help in (("level", "type-I error study under the null"),
                               ("power", "power study under the alternative")):
-        grid = sub.add_parser(name, help=regime_help)
+        grid = sub.add_parser(
+            name, help=regime_help, argument_default=argparse.SUPPRESS,
+            description=f"Each flag given replaces its key of the --spec file or of "
+                        f"{json.dumps(_BASE_GRID)}; unset keys take the defaults "
+                        "of ExperimentSpec, the scenario and TestConfig.")
         grid.add_argument("--spec", help="JSON experiment spec file")
-        grid.add_argument("--dim", type=int, default=3)
-        grid.add_argument("--rho1", type=float, default=0.5)
-        grid.add_argument("--rho2", type=float, nargs="+", default=[0.63])
-        grid.add_argument("--methods", default="nystrom-uniform",
+        grid.add_argument("--dim", type=int, help="scenario key dim")
+        grid.add_argument("--rho1", type=float, help="scenario key rho1")
+        grid.add_argument("--rho2", type=float, nargs="+", help="scenario key rho2")
+        grid.add_argument("--methods", type=lambda text: text.split(","),
                           help="comma-separated method names")
-        grid.add_argument("--landmarks", default="32",
+        grid.add_argument("--landmarks", type=_numbers,
                           help="comma-separated feature counts")
-        grid.add_argument("--sample-sizes", default="500",
+        grid.add_argument("--sample-sizes", type=_numbers,
                           help="comma-separated per-sample sizes")
-        grid.add_argument("--alpha", type=float, default=0.05)
-        grid.add_argument("--permutations", type=int, default=199)
-        grid.add_argument("--repetitions", type=int, default=100)
-        grid.add_argument("--seed", type=int, default=0)
-        grid.add_argument("--output", default=None,
-                          help="results CSV path (default: stdout)")
+        grid.add_argument("--alpha", type=float)
+        grid.add_argument("--permutations", type=int)
+        grid.add_argument("--repetitions", type=int)
+        grid.add_argument("--seed", type=int)
+        grid.add_argument("--output", help="results CSV path (default: stdout)")
 
     gen = sub.add_parser("gen", help="write a synthetic dataset as CSV")
     gen.add_argument("--family", required=True,
@@ -91,37 +108,32 @@ def _cmd_test(args) -> int:
     n = x.shape[0] + y.shape[0]
     ell = args.landmarks if args.landmarks is not None else math.ceil(math.sqrt(n))
     method = METHODS[args.method](ell)
-    config = TestConfig(alpha=args.alpha, n_permutations=args.permutations,
-                        seed=args.seed, bandwidth=args.bandwidth,
-                        keep_statistics=False)
+    given = {field.name for field in fields(TestConfig)} & set(vars(args))
+    config = TestConfig(keep_statistics=False,
+                        **{key: getattr(args, key) for key in given})
     outcome = run_test(x, y, config, method)
     payload = outcome.to_dict()
-    payload.update({"method": args.method, "alpha": args.alpha,
-                    "permutations": args.permutations, "seed": args.seed,
+    payload.update({"method": args.method, "alpha": config.alpha,
+                    "permutations": config.n_permutations, "seed": config.seed,
                     "n_x": x.shape[0], "n_y": y.shape[0]})
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 3 if outcome.reject else 0
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in str(text).split(",") if part]
-
-
-def _grid_spec(args) -> ExperimentSpec:
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = ExperimentSpec.from_dict(json.load(handle))
-        return spec if args.output is None else replace(spec, output=args.output)
-    scenario = {"kind": "correlated-gaussian", "dim": args.dim, "rho1": args.rho1,
-                "rho2": args.rho2 if len(args.rho2) > 1 else args.rho2[0]}
-    return ExperimentSpec(
-        scenario=scenario,
-        methods=tuple(str(args.methods).split(",")),
-        landmarks=tuple(_int_list(args.landmarks)),
-        sample_sizes=tuple(_int_list(args.sample_sizes)),
-        alpha=args.alpha, permutations=args.permutations,
-        repetitions=args.repetitions, seed=args.seed, output=args.output)
+def _grid_spec(args) -> bench_mod.ExperimentSpec:
+    flags = dict(vars(args))  # only the flags given
+    del flags["command"]
+    raw = _BASE_GRID
+    if "spec" in flags:
+        with open(flags.pop("spec"), encoding="utf-8") as handle:
+            raw = json.load(handle)
+    scenario = {key: flags.pop(key) for key in ("dim", "rho1", "rho2") if key in flags}
+    if isinstance(raw, dict):  # from_dict names any other value
+        raw = {**raw, **flags}
+        if isinstance(raw.get("scenario"), dict):
+            raw["scenario"] = {**raw["scenario"], **scenario}
+    return bench_mod.ExperimentSpec.from_dict(raw)
 
 
 def _cmd_grid(args, regime: str) -> int:

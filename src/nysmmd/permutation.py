@@ -128,17 +128,14 @@ class TestConfig:
     keep_statistics: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.n_permutations < 1:
-            raise ValueError("n_permutations must be at least 1")
+        quantile_index(self.alpha, self.n_permutations)  # checks both
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.alpha * (self.n_permutations + 1) < 1.0:
             warnings.warn(
                 f"alpha={self.alpha} is below 1/(P+1)={1 / (self.n_permutations + 1):.4g}; "
                 "the test cannot reject except through tie randomization",
-                stacklevel=2)
+                stacklevel=3)  # past the generated __init__ to its caller
 
 
 @dataclass(frozen=True)

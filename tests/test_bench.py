@@ -143,6 +143,22 @@ class TestExperimentSpec:
         assert spec.sample_sizes == (100,)
         assert spec.permutations == 49
 
+    @pytest.mark.parametrize("overrides,message", [
+        pytest.param({"alpha": 1.5}, "alpha must lie strictly between 0 and 1",
+                     id="alpha"),
+        pytest.param({"permutations": 0}, "n_permutations must be at least 1",
+                     id="permutations"),
+        pytest.param({"landmarks": (8, 0)}, "n_landmarks must be at least 1",
+                     id="nystrom-landmarks"),
+        pytest.param({"methods": ("exact", "rff"), "landmarks": (-1,)},
+                     "n_features must be even and >= 2, got 0", id="rff-landmarks"),
+    ])
+    def test_value_failing_every_cell_rejected_at_construction(self, overrides,
+                                                               message):
+        with pytest.raises(ValueError) as error:
+            tiny_null_spec(**overrides)
+        assert str(error.value) == message
+
     @pytest.mark.parametrize("scenario,unread,allowed", [
         ({"kind": "correlated-gaussian", "rho1": 0.5, "rho_2": 0.9}, "['rho_2']",
          "['kind', 'dim', 'rho1', 'rho2']"),

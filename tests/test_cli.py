@@ -1,10 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from helpers import read_results_csv
-from nysmmd import load_csv, write_csv
+from nysmmd import ExperimentSpec, TestConfig, bench, cli, load_csv, write_csv
 from nysmmd.cli import main
 
 
@@ -93,6 +95,9 @@ class TestTestCommand:
         assert code == 3
         assert payload["reject"] is True
         assert payload["n_x"] == 80
+        defaults = TestConfig()
+        assert (payload["alpha"], payload["permutations"], payload["seed"]) == (
+            defaults.alpha, defaults.n_permutations, 1)
 
     def test_method_choices_run(self, csv_pair, capsys):
         x_path, y_path = csv_pair
@@ -299,3 +304,97 @@ class TestGridCommands:
                                "--seed", "0")
         assert code == 0
         assert out.splitlines()[0].startswith("method,ell,n_x,n_y,param")
+
+
+class TestGridFlags:
+    """A level or power grid is built by ExperimentSpec.from_dict alone."""
+
+    @staticmethod
+    def captured_spec(monkeypatch, capsys, *argv):
+        specs = []
+        monkeypatch.setattr(bench, "estimate_rate",
+                            lambda spec, regime: specs.append(spec) or [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("method,ell,n_x,n_y,param")
+        (spec,) = specs
+        return spec
+
+    @pytest.mark.parametrize("command", ["level", "power"])
+    def test_bare_command_runs_the_base_grid(self, monkeypatch, capsys, command):
+        spec = self.captured_spec(monkeypatch, capsys, command)
+        scenario = bench._Scenario(spec.scenario)
+        assert scenario.kind == "correlated-gaussian"
+        assert (scenario.dim, scenario.rho1, scenario.rho2_grid) == (3, 0.5, (0.63,))
+        assert spec.methods == ("nystrom-uniform",)
+        assert spec.landmarks == (32,)
+        assert spec.sample_sizes == (500,)
+        assert (spec.alpha, spec.permutations, spec.repetitions, spec.seed,
+                spec.output) == (0.05, 199, 100, 0, None)
+
+    def test_flags_given_with_spec_replace_its_keys(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "scenario": {"kind": "correlated-gaussian", "rho2": 0.5},
+            "methods": ["nystrom-uniform"], "landmarks": [8],
+            "sample_sizes": [50], "alpha": 0.1, "permutations": 19,
+            "repetitions": 2}))
+        code, out, _ = run_cli(capsys, "level", "--spec", str(spec_path),
+                               "--repetitions", "3", "--methods", "rff",
+                               "--sample-sizes", "30")
+        assert code == 0
+        rows = read_results_csv(out)
+        assert [(row["method"], row["n_x"], row["reps"]) for row in rows] == [
+            ("rff", "30", "3")]
+
+    def test_scenario_flag_over_csv_spec_is_runtime_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "scenario": {"kind": "csv", "x": "x.csv", "y": "y.csv"},
+            "methods": ["nystrom-uniform"], "landmarks": [2], "sample_sizes": [5]}))
+        code, out, err = run_cli(capsys, "power", "--spec", str(spec_path),
+                                 "--rho2", "0.7")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: csv scenario does not read keys ['rho2']")
+
+    def test_value_failing_every_cell_reported_once(self, capsys):
+        code, out, err = run_cli(capsys, "level", "--permutations", "0",
+                                 "--landmarks", "4,8", "--sample-sizes", "20,30")
+        assert code == 1
+        assert out == ""
+        assert err == "error: n_permutations must be at least 1\n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sample-sizes", "2x"),
+        ("--landmarks", "4,,8"),
+        ("--sample-sizes", "20;30"),
+    ])
+    def test_malformed_list_flag_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "level", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: not a list of numbers: {value!r}" in err
+
+    def test_fractional_landmarks_flag_is_runtime_error(self, capsys):
+        code, out, err = run_cli(capsys, "level", "--landmarks", "3.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: spec key 'landmarks' must be a JSON list")
+
+    def test_every_option_is_a_spec_key_without_default(self):
+        """A flag that is no spec key, or has a default, would bypass from_dict."""
+        (commands,) = [action.choices for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        spec_keys = {field.name for field in fields(ExperimentSpec)}
+        scenario_keys = set(bench._SCENARIO_KEYS["correlated-gaussian"])
+        for command in ("level", "power"):
+            options = [action for action in commands[command]._actions
+                       if not isinstance(action, argparse._HelpAction)]
+            assert {action.dest for action in options} <= spec_keys | scenario_keys | {
+                "spec"}
+            assert all(action.default is argparse.SUPPRESS for action in options)
+        config_options = [action for action in commands["test"]._actions
+                          if action.dest in {field.name for field in fields(TestConfig)}]
+        assert len(config_options) == 4
+        assert all(action.default is argparse.SUPPRESS for action in config_options)

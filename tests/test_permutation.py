@@ -265,6 +265,11 @@ class TestConfigValidation:
         with pytest.warns(UserWarning, match="cannot reject"):
             TestConfig(alpha=0.01, n_permutations=19)
 
+    def test_small_alpha_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="cannot reject") as record:
+            TestConfig(alpha=0.001, n_permutations=99)
+        assert record[0].filename == __file__
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             TestConfig(alpha=1.5)
