@@ -12,11 +12,13 @@ All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
 for every permutation, how many x labels fall in each block; each block then
 draws a uniform subset of that size per permutation from its own child
-seed: the rows with the smallest uint32 keys (a rare tie at the cut redraws
-the block).  Together these are uniform splits of the pooled rows.  Storage
-is O((P + 1) * (ell + B)) for the accumulators, the labels and the basis of
-one block, held in buffers that every block reuses, plus the P x (n / B)
-block counts; the n-wide signed weight matrix is formed only by
+seed: the rows whose uint32 keys fall below a cut key, which one partition
+of the block's keys finds for every permutation at once, without a sort (a
+rare tie at the cut redraws the block).  Together these are uniform splits
+of the pooled rows.  Storage is O((P + 1) * (ell + B)) for the
+accumulators, the labels, the basis and the 2 * P * B key scratch of one
+block, held in buffers that every block reuses, plus the P x (n / B) block
+counts; the n-wide signed weight matrix is formed only by
 permutation_weights, for exact mode.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import FeatureMap
 from .kernels import as_points
@@ -68,26 +71,44 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
                      out: np.ndarray, scratch: np.ndarray) -> None:
     """Fill out[p] with the 0/1 indicator of a uniform counts[p]-subset.
 
-    Each row keeps the positions of its counts[p] smallest uniform uint32
-    keys.  A tie at that cut (rare: about size / 2^33 per row) would keep
-    fewer, so the whole block is redrawn; the redraw event is symmetric in
-    the positions and leaves the subsets uniform.  ``scratch`` is a flat
-    uint32 buffer of at least out.size entries for the sorted keys.
+    Row p keeps the positions of its counts[p] smallest uniform uint32 keys,
+    those below its cut: the (counts[p] + 1)-th smallest key.  One partition
+    at an index shared by all rows finds every cut without a sort: with low
+    and top the smallest and largest count, row p's keys are copied to a
+    scratch row and followed by top - counts[p] zero keys and counts[p] - low
+    all-ones keys, which puts its cut at index top.  A tie at a cut (rare:
+    about size / 2^33 per row) would keep fewer keys; it shows as
+    max(part[:top]) == part[top] on a row with 0 < counts[p] < size, and the
+    whole block is redrawn, pads included, since the partition moved them.
+    The redraw event is symmetric in the positions and leaves the subsets
+    uniform.  Full rows are set to 1 directly (an all-ones cut would drop a
+    key of 2^32 - 1), and a block with no row strictly between empty and
+    full draws no keys.  ``scratch`` is a flat uint32 buffer of at least
+    2 * out.size entries.
     """
-    rows = np.arange(counts.size)
     size = out.shape[1]
-    ordered = scratch[:out.size].reshape(out.shape)
+    full = counts == size
+    inner = (counts > 0) & ~full
+    if not inner.any():
+        out[:] = full[:, None]
+        return
+    low, top = int(counts.min()), int(counts.max())
+    padded = scratch[:counts.size * (size + top - low)].reshape(counts.size, -1)
+    # row p's pads: the window of top - low zeros then as many all-ones
+    # keys that starts at counts[p] - low
+    ramp = np.repeat(np.array([0, 2**32 - 1], dtype=np.uint32), top - low)
+    pads = sliding_window_view(ramp, top - low)[counts - low]
     while True:
         words = rng.bit_generator.random_raw((out.size + 1) // 2)
         keys = words.view(np.uint32)[:out.size].reshape(out.shape)
-        np.copyto(ordered, keys)
-        ordered.sort(axis=1)
-        # the (k + 1)-th smallest key bounds the k kept ones; an int64 2^32 keeps all
-        bounds = np.where(counts < size, ordered[rows, np.minimum(counts, size - 1)],
-                          np.int64(2**32))
-        np.less(keys, bounds[:, None], out=out)
-        if np.array_equal(out.sum(axis=1), counts):
-            return
+        padded[:, :size] = keys
+        padded[:, size:] = pads
+        padded.partition(top, axis=1)
+        cuts = padded[:, top]
+        if not (inner & (padded[:, :top].max(axis=1) == cuts)).any():
+            break
+    np.less(keys, cuts[:, None], out=out)
+    out[full] = 1
 
 
 def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
@@ -104,7 +125,7 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
     counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
                                                     size=n_permutations)
     buffer = np.empty((n_permutations + 1) * sizes[0])
-    scratch = np.empty(n_permutations * sizes[0], dtype=np.uint32)
+    scratch = np.empty(2 * n_permutations * sizes[0], dtype=np.uint32)
     for block, (start, size) in enumerate(zip(starts, sizes)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         labels = buffer[:(n_permutations + 1) * size].reshape(-1, size)

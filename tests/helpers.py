@@ -34,6 +34,31 @@ def feature_mmd(x, y, feature_map: FeatureMap) -> float:
     return float(np.linalg.norm(accumulated[0]))
 
 
+def sorted_uniform_subsets(counts: np.ndarray, rng, out: np.ndarray,
+                           scratch: np.ndarray) -> None:
+    """Reference label draw: sort every row of keys and cut at counts[p].
+
+    The sort-based form of statistics._uniform_subsets: the same keys and
+    redraw rule, so the same labels, and the same random_raw calls whenever
+    a row lies strictly between empty and full (it also draws for the rest).
+    ``scratch`` is a flat uint32 buffer of at least out.size entries.
+    """
+    rows = np.arange(counts.size)
+    size = out.shape[1]
+    ordered = scratch[:out.size].reshape(out.shape)
+    while True:
+        words = rng.bit_generator.random_raw((out.size + 1) // 2)
+        keys = words.view(np.uint32)[:out.size].reshape(out.shape)
+        np.copyto(ordered, keys)
+        ordered.sort(axis=1)
+        # the (k + 1)-th smallest key bounds the k kept ones; an int64 2^32 keeps all
+        bounds = np.where(counts < size, ordered[rows, np.minimum(counts, size - 1)],
+                          np.int64(2**32))
+        np.less(keys, bounds[:, None], out=out)
+        if np.array_equal(out.sum(axis=1), counts):
+            return
+
+
 def scalar_kernel(x, y, h) -> float:
     """Gaussian kernel of one pair by a plain scalar loop, independent of gram."""
     acc = 0.0

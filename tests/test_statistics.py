@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from helpers import exact_mmd, feature_mmd, features, landmark_set, scalar_kernel
+from helpers import (
+    exact_mmd,
+    feature_mmd,
+    features,
+    landmark_set,
+    scalar_kernel,
+    sorted_uniform_subsets,
+)
 from nysmmd import (
     GaussianKernel,
     PooledSample,
@@ -16,12 +24,38 @@ from nysmmd import (
     permuted_statistics,
     sample_landmarks,
 )
+from nysmmd import statistics
 from nysmmd.statistics import (
     LABEL_BLOCK_ROWS,
+    _label_blocks,
     _uniform_subsets,
     accumulate_weighted_features,
     permutation_weights,
 )
+
+
+class EditedBits:
+    """PCG64 bit generator whose words pass through edit(call, words) first."""
+
+    def __init__(self, edit, seed=0):
+        self.calls = 0
+        self.edit = edit
+        self.source = np.random.PCG64(seed)
+
+    def random_raw(self, size):
+        self.calls += 1
+        words = self.source.random_raw(size)
+        self.edit(self.calls, words)
+        return words
+
+
+def draw_subsets(draw, counts, size, edit, seed=0):
+    """out and random_raw call count of one draw(counts, ...) on EditedBits."""
+    bits = EditedBits(edit, seed)
+    out = np.empty((counts.size, size))
+    draw(counts, SimpleNamespace(bit_generator=bits), out,
+         np.empty(2 * out.size, dtype=np.uint32))
+    return out, bits.calls
 
 
 def pooled_map(x, y, ell, seed=0, bandwidth=1.0):
@@ -240,10 +274,82 @@ class TestLabelStream:
         counts = np.array([0, 2, 5])
         out = np.empty((3, 5))
         _uniform_subsets(counts, SimpleNamespace(bit_generator=stub), out,
-                         np.empty(out.size, dtype=np.uint32))
+                         np.empty(2 * out.size, dtype=np.uint32))
         assert stub.calls == 2
         np.testing.assert_array_equal(out.sum(axis=1), counts)
         assert set(np.unique(out)) <= {0.0, 1.0}
+
+    def test_tie_in_one_row_redraws_with_fresh_pads(self):
+        # Only row 1 ties on the first draw.  The partition has moved the
+        # pads of every row, so the redraw must write them again.  Full row 4
+        # holds the largest key, which its all-ones pad does not cut above.
+        def tie_row_one(call, words):
+            keys = words.view(np.uint32)
+            keys[24] = 2**32 - 1
+            if call == 1:
+                keys[6:12] = 7
+
+        counts = np.array([1, 3, 5, 0, 6, 2])
+        out, calls = draw_subsets(_uniform_subsets, counts, 6, tie_row_one)
+        expected, expected_calls = draw_subsets(sorted_uniform_subsets, counts, 6,
+                                                tie_row_one)
+        assert calls == expected_calls == 2
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out.sum(axis=1), counts)
+
+    def test_partition_matches_sorted_cut_on_tied_keys(self):
+        # Keys of 5 bits tie often, so many trials redraw; the labels and the
+        # number of draws must equal the sort-based reference's.  A block
+        # whose rows are all empty or full draws no keys.
+        def low_entropy(call, words):
+            words &= np.uint64(0x0000001F0000001F)
+
+        rng = np.random.default_rng(15)
+        redrawn = 0
+        for trial in range(200):
+            size = int(rng.integers(1, 13))
+            counts = rng.integers(0, size + 1, size=int(rng.integers(1, 9)))
+            out, calls = draw_subsets(_uniform_subsets, counts, size,
+                                      low_entropy, seed=trial)
+            expected, expected_calls = draw_subsets(
+                sorted_uniform_subsets, counts, size, low_entropy, seed=trial)
+            np.testing.assert_array_equal(out, expected)
+            inner = ((counts > 0) & (counts < size)).any()
+            assert calls == (expected_calls if inner else 0)
+            redrawn += expected_calls > 1
+        assert redrawn >= 40
+
+    @pytest.mark.parametrize("n", [2, 7, 1000, 1023, 1024, 1025, 2049, 3001])
+    def test_blocks_match_sorted_cut(self, n, monkeypatch):
+        def blocks(n_x, n_permutations):
+            pooled = PooledSample(points=np.zeros((n, 1)), n_x=n_x, n_y=n - n_x)
+            return [(start, labels.copy()) for start, labels
+                    in _label_blocks(pooled, n_permutations, seed=n_x)]
+
+        shapes = [(n_x, n_permutations) for n_x in sorted({1, n // 2, n - 1})
+                  for n_permutations in (0, 1, 9, 199)]
+        drawn = [blocks(*shape) for shape in shapes]
+        monkeypatch.setattr(statistics, "_uniform_subsets", sorted_uniform_subsets)
+        for shape, actual in zip(shapes, drawn):
+            expected = blocks(*shape)
+            assert [start for start, _ in actual] == [start for start, _ in expected]
+            for (_, labels), (_, reference) in zip(actual, expected):
+                np.testing.assert_array_equal(labels, reference)
+
+    @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
+        (1000, 500, 199, 0,
+         "9047f59e424d980c418ed9f9048dfd18c9fa084d233fd7e3342e7329b5a632c6"),
+        (3001, 1500, 49, 3,
+         "0b3d0b76cdfdd12312a29d82468a72731ff3745672599b419da31f7f224657a8"),
+        (2049, 2048, 19, 1,
+         "78a6a4ce19e3c39c5f6e24a3f3b47b4ff65207fe8f257dccb2dd1a5c4fe4330c"),
+    ])
+    def test_label_stream_is_pinned(self, n, n_x, n_permutations, seed, digest):
+        # Statistics stay bit-identical for a fixed seed: a change to the
+        # label stream fails here and must say so.  No BLAS is involved.
+        pooled = PooledSample(points=np.zeros((n, 1)), n_x=n_x, n_y=n - n_x)
+        labels = permutation_weights(pooled, n_permutations, seed) > 0
+        assert hashlib.sha256(np.packbits(labels).tobytes()).hexdigest() == digest
 
     def test_memory_does_not_grow_with_n(self):
         rng = np.random.default_rng(13)
