@@ -5,7 +5,9 @@ landmark points (Nystrom) or onto random Fourier features, leverage-score
 landmark sampling from the pooled data, an exact-level permutation test
 built on a single-pass accumulation of all permuted statistics, seeded
 synthetic data generators, and a harness for level/power studies.
-Importing the package loads numpy only.
+Importing the package loads numpy only; the grid names (ExperimentSpec,
+RateEstimate, estimate_rate, results_to_csv, wilson_interval) load
+`nysmmd.bench` the first time one of them is read.
 """
 
 from .kernels import GaussianKernel, as_points, median_heuristic
@@ -34,13 +36,6 @@ from .data import (
     sample_mixture,
     write_csv,
 )
-from .bench import (
-    ExperimentSpec,
-    RateEstimate,
-    estimate_rate,
-    results_to_csv,
-    wilson_interval,
-)
 
 __version__ = "0.1.0"
 
@@ -57,3 +52,15 @@ __all__ = [
     "wilson_interval",
     "__version__",
 ]
+
+_BENCH_NAMES = frozenset(("ExperimentSpec", "RateEstimate", "estimate_rate",
+                          "results_to_csv", "wilson_interval"))
+
+
+def __getattr__(name):
+    # PEP 562: the grid harness imports concurrent.futures and the standard
+    # statistics module, which a single test never needs
+    if name in _BENCH_NAMES:
+        from . import bench
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

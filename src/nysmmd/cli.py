@@ -8,7 +8,9 @@ Subcommands:
 
 `level` and `power` lay each given flag over its key of the --spec file or of
 `_BASE_GRID`, check the grid with `ExperimentSpec.from_dict` and take every
-other default from `ExperimentSpec`, the scenario and `TestConfig`.
+other default from `ExperimentSpec`, the scenario and `TestConfig`.  Only
+`level` and `power` import the grid harness `nysmmd.bench`, so `test` and
+`gen` load no more than their own path.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error; `test` exits 3 when
 the null hypothesis is rejected, so shell scripts can branch on the outcome.
@@ -25,7 +27,6 @@ import math
 import sys
 from dataclasses import fields
 
-from . import bench as bench_mod
 from . import data as data_mod
 from .permutation import METHODS, TestConfig, run_test
 
@@ -121,7 +122,10 @@ def _cmd_test(args) -> int:
     return 3 if outcome.reject else 0
 
 
-def _grid_spec(args) -> bench_mod.ExperimentSpec:
+def _grid_spec(args):
+    """The ExperimentSpec of a `level` or `power` invocation."""
+    from .bench import ExperimentSpec
+
     flags = dict(vars(args))  # only the flags given
     del flags["command"]
     raw = _BASE_GRID
@@ -133,10 +137,12 @@ def _grid_spec(args) -> bench_mod.ExperimentSpec:
         raw = {**raw, **flags}
         if isinstance(raw.get("scenario"), dict):
             raw["scenario"] = {**raw["scenario"], **scenario}
-    return bench_mod.ExperimentSpec.from_dict(raw)
+    return ExperimentSpec.from_dict(raw)
 
 
 def _cmd_grid(args, regime: str) -> int:
+    from . import bench as bench_mod
+
     spec = _grid_spec(args)
     estimates = bench_mod.estimate_rate(spec, regime)
     failures = [est for est in estimates if est.error is not None]

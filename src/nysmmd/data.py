@@ -1,6 +1,7 @@
 """CSV ingestion and seeded synthetic data generators.
 
-The CSV format is deliberately plain: comma-separated numeric cells, UTF-8,
+The CSV format is deliberately plain: comma-separated numeric cells, UTF-8
+(a leading byte-order mark, as spreadsheet exports write, is accepted),
 decimal point, one observation per row, optional single header row.  All
 generators are pure functions of their arguments and seed; the same seed
 reproduces the same dataset bit for bit.
@@ -37,7 +38,7 @@ def load_csv(path, has_header: bool = False) -> np.ndarray:
 
 def _load_plain_csv(path, has_header: bool) -> np.ndarray | None:
     """np.loadtxt's array for the file, or None where the csv module must decide."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         # a quoted header cell may run over several lines; only csv knows where
         # it ends (np.loadtxt fails on every line that holds a quote)
         if has_header and '"' in handle.readline():
@@ -56,7 +57,7 @@ def _load_plain_csv(path, has_header: bool) -> np.ndarray | None:
 def _load_csv_cells(path, has_header: bool) -> np.ndarray:
     """Parse the file cell by cell, raising with the row and column of a fault."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for line_number, cells in enumerate(reader, start=1):
             if has_header and line_number == 1:
@@ -86,12 +87,14 @@ def _load_csv_cells(path, has_header: bool) -> np.ndarray:
 
 
 def write_csv(points, path) -> None:
-    """Write a dataset as CSV with full float round-trip fidelity."""
+    """Write a dataset as CSV with full float round-trip fidelity.
+
+    Each cell is repr of a Python float, which never needs quoting, and each
+    line ends in \\r\\n, so the bytes are those csv.writer would write.
+    """
     points = as_points(points)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for row in points:
-            writer.writerow([repr(float(v)) for v in row])
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in points.tolist())
 
 
 def equicorrelation_matrix(dim: int, rho: float) -> np.ndarray:

@@ -9,10 +9,9 @@ schemes that are equivariant under relabeling of the pooled data).
 
 from __future__ import annotations
 
-import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -183,16 +182,18 @@ class TestOutcome:
 def quantile_index(alpha: float, n_permutations: int) -> int:
     """Index of the threshold order statistic: ceil((1 - alpha)(P + 1) - 1).
 
-    Evaluated in exact rational arithmetic on the binary value of alpha so
-    the ceiling never flips on float round-off; the result is clamped to
-    [0, P].
+    Evaluated in exact integer arithmetic on the binary value of alpha, a / b
+    with b a power of two, so the ceiling never flips on float round-off;
+    the result is clamped to [0, P].
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if n_permutations < 1:
         raise ValueError("n_permutations must be at least 1")
-    exact = (1 - Fraction(alpha)) * (n_permutations + 1) - 1
-    return min(max(math.ceil(exact), 0), n_permutations)
+    a, b = float(alpha).as_integer_ratio()
+    # (1 - a/b)(P + 1) - 1 = above / b; a numpy integer P could overflow here
+    above = (b - a) * (operator.index(n_permutations) + 1) - b
+    return min(max(-(-above // b), 0), n_permutations)
 
 
 def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:

@@ -166,8 +166,6 @@ def permutation_weights(pooled: PooledSample, n_permutations: int,
     permuted_statistics draws for this seed.  It is O((P + 1) * n) storage;
     the feature-map statistics never form it.
     """
-    if n_permutations < 1:
-        raise ValueError("n_permutations must be at least 1")
     weights = np.empty((n_permutations + 1, pooled.n))
     for start, labels in _label_blocks(pooled, n_permutations, seed):
         weights[:, start:start + labels.shape[1]] = np.where(
@@ -180,11 +178,9 @@ def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
     """The unpermuted statistic followed by P permuted replicates.
 
     Entry 0 is the projected MMD of the observed labeling; entries 1..P use
-    independent uniform splits of the pooled rows.  Deterministic for a
-    fixed seed.
+    independent uniform splits of the pooled rows; P = 0 gives entry 0
+    alone.  Deterministic for a fixed seed.
     """
-    if n_permutations < 1:
-        raise ValueError("n_permutations must be at least 1")
     accumulated = accumulate_weighted_features(pooled, feature_map,
                                                n_permutations, seed)
     return np.linalg.norm(accumulated, axis=1)

@@ -60,24 +60,35 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
 
-    def test_package_import_does_not_load_scipy_stats(self):
-        src = str(Path(nysmmd.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        probe = "import sys, nysmmd; print('scipy.stats' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True,
-                                timeout=120)
-        assert result.stdout.strip() == "False"
 
-    def test_package_and_cli_import_load_no_scipy(self):
+BENCH_NAMES = ("ExperimentSpec", "RateEstimate", "estimate_rate", "results_to_csv",
+               "wilson_interval")
+
+
+class TestImportFootprint:
+    def test_package_and_cli_import_load_only_the_test_path(self):
+        # nothing a single `nysmmd test` skips: scipy, the grid harness and
+        # the standard modules only the harness and exact rationals need
         src = str(Path(nysmmd.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        probe = ("import sys, nysmmd, nysmmd.cli; "
-                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        probe = (
+            "import sys, nysmmd, nysmmd.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m in ('nysmmd.bench', 'concurrent.futures', 'logging',\n"
+            "                      'fractions')))\n"
+            f"names = {BENCH_NAMES!r}\n"
+            "read = {name: getattr(nysmmd, name) for name in names}\n"
+            "import nysmmd.bench\n"
+            "print(all(read[name] is getattr(nysmmd.bench, name) for name in names))\n"
+            "print([name for name in nysmmd.__all__ if not hasattr(nysmmd, name)])\n")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True,
                                 timeout=120)
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines() == ["[]", "True", "[]"]
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'bench_names'"):
+            nysmmd.bench_names
 
 
 class TestExperimentSpec:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from dataclasses import fields
 
@@ -33,6 +34,16 @@ class TestGen:
             run_cli(capsys, "gen", "--family", "correlated-gaussian", "--n",
                     "25", "--seed", "9", "--output", str(path))
         assert first.read_text() == second.read_text()
+
+    def test_gen_bytes_are_pinned(self, tmp_path, capsys):
+        # repr cells and \r\n line ends, as csv.writer wrote them
+        out = tmp_path / "pinned.csv"
+        code, _, _ = run_cli(capsys, "gen", "--family", "correlated-gaussian",
+                             "--n", "1000", "--dim", "3", "--rho", "0.5",
+                             "--seed", "11", "--output", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c569999691eadf8f0ff64208263483181eddc5ecdc99906709304ca2a096bb0f")
 
     def test_mixture_needs_pools(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen", "--family", "mixture", "--n",

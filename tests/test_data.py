@@ -38,6 +38,21 @@ class TestLoadCsv:
         path.write_text("u,v\n" + path.read_text())
         np.testing.assert_array_equal(load_csv(path, has_header=True), points)
 
+    @pytest.mark.parametrize("text,has_header", [
+        ("1.5,2\n3,4\n", False),
+        ("a,b\n1.5,2\n3,4\n", True),
+        ('"1.5",2\n3,4\n', False),  # quoted cells go to the csv module
+        ('"a",b\n1.5,2\n3,4\n', True),
+    ])
+    def test_byte_order_mark_accepted(self, tmp_path, text, has_header):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected = load_csv(plain, has_header)
+        np.testing.assert_array_equal(expected, [[1.5, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(load_csv(marked, has_header), expected)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,32 @@ class TestQuantileIndex:
             n_perms = int(rng.integers(1, 1000))
             index = quantile_index(alpha, n_perms)
             assert 0 <= index <= n_perms
+
+    @staticmethod
+    def rational_index(alpha, n_perms):
+        """The threshold index computed on Fraction(alpha), the exact rational."""
+        return min(max(math.ceil((1 - Fraction(alpha)) * (n_perms + 1) - 1), 0), n_perms)
+
+    @pytest.mark.parametrize("alpha,n_perms", [
+        (0.5, 1), (0.25, 3), (0.75, 3), (0.125, 7),  # (1 - alpha)(P + 1) integral
+        (0.05, 19), (0.05, 199), (0.05, 999), (0.01, 99), (0.1, 9),
+        (1e-300, 10**6),
+        (0.3, 9), (0.3, 199),  # float arithmetic rounds these one index low
+    ])
+    def test_matches_rational_reference(self, alpha, n_perms):
+        assert quantile_index(alpha, n_perms) == self.rational_index(alpha, n_perms)
+
+    def test_matches_rational_reference_on_random_pairs(self):
+        rng = np.random.default_rng(16)
+        for pair in range(2000):
+            if pair % 2:
+                alpha = float(rng.uniform(1e-6, 1 - 1e-6))
+                n_perms = int(rng.integers(1, 10**6))
+            else:  # dyadic alpha, with (1 - alpha)(P + 1) integral when 2^j divides P + 1
+                j = int(rng.integers(1, 12))
+                alpha = int(rng.integers(1, 2**j)) / 2**j
+                n_perms = int(rng.integers(2, 2**13)) * 2 ** int(rng.integers(0, j + 1)) - 1
+            assert quantile_index(alpha, n_perms) == self.rational_index(alpha, n_perms)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

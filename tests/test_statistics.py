@@ -169,6 +169,27 @@ class TestPermutedStatistics:
         stats = permuted_statistics(pooled, fmap, n_permutations=20, seed=3)
         assert stats[0] == pytest.approx(feature_mmd(x, y, fmap), abs=1e-12)
 
+    def test_zero_permutations_give_the_observed_labeling_only(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((30, 3))
+        y = rng.standard_normal((25, 3)) + 0.4
+        pooled, fmap = pooled_map(x, y, ell=7)
+        stats = permuted_statistics(pooled, fmap, 0, seed=3)
+        assert stats.shape == (1,)
+        # feature_mmd takes the norm of a 1-d row, which rounds in another order
+        assert stats[0] == pytest.approx(feature_mmd(x, y, fmap), rel=1e-15, abs=0)
+        np.testing.assert_array_equal(stats, permuted_statistics(pooled, fmap, 0, seed=4))
+        weights = permutation_weights(pooled, 0, seed=3)
+        assert weights.shape == (1, pooled.n)
+        np.testing.assert_array_equal(weights[0], np.repeat([1 / 30, -1 / 25], [30, 25]))
+
+    def test_negative_permutation_count_rejected(self):
+        pooled, fmap = pooled_map(np.zeros((4, 2)), np.ones((3, 2)), ell=2)
+        with pytest.raises(ValueError):
+            permuted_statistics(pooled, fmap, -1, seed=0)
+        with pytest.raises(ValueError):
+            permutation_weights(pooled, -1, seed=0)
+
     def test_rows_match_repartition_oracle(self):
         # Re-derive each permuted statistic from scratch: recover the label
         # assignment from the signed weights and average features directly.
