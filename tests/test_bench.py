@@ -60,6 +60,25 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
 
+    def test_package_import_does_not_load_scipy_stats(self):
+        src = str(Path(nysmmd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, nysmmd; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120)
+        assert result.stdout.strip() == "False"
+
+    def test_package_and_cli_import_load_no_scipy(self):
+        src = str(Path(nysmmd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, nysmmd, nysmmd.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120)
+        assert result.stdout.strip() == "[]"
+
 
 BENCH_NAMES = ("ExperimentSpec", "RateEstimate", "estimate_rate", "results_to_csv",
                "wilson_interval")
