@@ -59,7 +59,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Rejection-rate estimate for one grid cell."""
+    """Rejection-rate estimate for one grid cell.
+
+    A failing cell has ``error`` set to "ExceptionType: message" and
+    ``error_type`` to the exception's class name; a cell that ran has both
+    None.
+    """
 
     method: str
     ell: int
@@ -73,6 +78,7 @@ class RateEstimate:
     wilson_high: float
     mean_runtime_s: float
     error: str | None = None
+    error_type: str | None = None
 
 
 @dataclass(frozen=True)
@@ -289,8 +295,8 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
 
     Returns:
         One RateEstimate per cell, in grid order.  A failing cell yields an
-        entry with its ``error`` field set to "ExceptionType: message"
-        instead of aborting the grid.
+        entry with its ``error`` and ``error_type`` fields set instead of
+        aborting the grid.
     """
     if regime not in ("null", "alternative"):
         raise ValueError("regime must be 'null' or 'alternative'")
@@ -350,7 +356,8 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
                     successes=0, trials=0, rate=float("nan"),
                     wilson_low=float("nan"), wilson_high=float("nan"),
                     mean_runtime_s=float("nan"),
-                    error=f"{type(exc).__name__}: {exc}"))
+                    error=f"{type(exc).__name__}: {exc}",
+                    error_type=type(exc).__name__))
     return results
 
 

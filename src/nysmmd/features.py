@@ -121,6 +121,12 @@ def build_nystrom(landmarks: LandmarkSet, kernel: GaussianKernel) -> NystromMap:
     return NystromMap(landmarks=landmarks, kernel=kernel, transform=transform)
 
 
+def check_feature_count(n_features: int) -> None:
+    """Raise ValueError unless an RFF map can have n_features: even, at least 2."""
+    if n_features < 2 or n_features % 2 != 0:
+        raise ValueError(f"n_features must be even and >= 2, got {n_features}")
+
+
 def build_rff(dim: int, n_features: int, kernel: GaussianKernel, seed: int) -> RffMap:
     """Draw Gaussian frequencies for an ``n_features``-dimensional map.
 
@@ -131,8 +137,7 @@ def build_rff(dim: int, n_features: int, kernel: GaussianKernel, seed: int) -> R
             frequencies are drawn from.
         seed: Frequencies are reproduced bit-exactly for a fixed seed.
     """
-    if n_features < 2 or n_features % 2 != 0:
-        raise ValueError(f"n_features must be even and >= 2, got {n_features}")
+    check_feature_count(n_features)
     if dim < 1:
         raise ValueError("dim must be at least 1")
     rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ from .leverage import (
     exact_krls,
     sample_landmarks,
 )
-from .features import NystromMap, RffMap, build_nystrom, build_rff
+from .features import NystromMap, RffMap, build_nystrom, build_rff, check_feature_count
 from .statistics import PooledSample, permutation_weights, permuted_statistics
 
 # Statistics are bounded by 2 for a unit-bounded kernel, so replicates below
@@ -77,8 +77,7 @@ class RffMethod:
     n_features: int
 
     def __post_init__(self):
-        if self.n_features < 2 or self.n_features % 2 != 0:
-            raise ValueError(f"n_features must be even and >= 2, got {self.n_features}")
+        check_feature_count(self.n_features)
 
     def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,
                     scores_seed: int, draw_seed: int) -> RffMap:

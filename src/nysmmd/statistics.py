@@ -7,6 +7,9 @@ rows labeled x and T the sum over all rows.  Features are linear in a basis
 (kernel columns against the landmarks for Nystrom, the features themselves
 for random Fourier features), so S and T are summed in basis coordinates
 and the map's linear factor is applied once, to the (P + 1) x ell result.
+T comes from the same GEMM as S: each block's label matrix carries one
+all-ones row below its P + 1 labelings, so the product's last row is the
+block's basis total.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
@@ -15,11 +18,11 @@ draws a uniform subset of that size per permutation from its own child
 seed: the rows whose uint32 keys fall below a cut key, which one partition
 of the block's keys finds for every permutation at once, without a sort (a
 rare tie at the cut redraws the block).  Together these are uniform splits
-of the pooled rows.  Storage is O((P + 1) * (ell + B)) for the
-accumulators, the labels, the basis and the 2 * P * B key scratch of one
-block, held in buffers that every block reuses, plus the P x (n / B) block
-counts; the n-wide signed weight matrix is formed only by
-permutation_weights, for exact mode.
+of the pooled rows.  Storage is O((P + 2) * (ell + B)) for the
+accumulators, the labels with their ones row, the basis and the 2 * P * B
+key scratch of one block, held in buffers that every block reuses, plus the
+P x (n / B) block counts; the n-wide signed weight matrix is formed only by
+permutation_weights, for exact mode, which drops the ones row.
 """
 
 from __future__ import annotations
@@ -114,23 +117,28 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
 def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
     """Yield (start, labels) over the fixed grid of LABEL_BLOCK_ROWS-row blocks.
 
-    labels is a float64 (P + 1, block size) matrix with labels[p, i] = 1
+    labels is a float64 (P + 2, block size) matrix with labels[p, i] = 1
     when pooled row start + i is labeled x under permutation p and 0
-    otherwise; row 0 is the observed labeling (the first n_x rows).  It is
-    a view of one buffer that the next block overwrites.
+    otherwise; row 0 is the observed labeling (the first n_x rows).  Its
+    last row is all ones, so a product with the block's basis also yields
+    the basis total; it is no labeling.  The matrix is a view of one buffer
+    that the next block overwrites.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
     counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
                                                     size=n_permutations)
-    buffer = np.empty((n_permutations + 1) * sizes[0])
+    buffer = np.empty((n_permutations + 2) * sizes[0])
     scratch = np.empty(2 * n_permutations * sizes[0], dtype=np.uint32)
     for block, (start, size) in enumerate(zip(starts, sizes)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        labels = buffer[:(n_permutations + 1) * size].reshape(-1, size)
+        labels = buffer[:(n_permutations + 2) * size].reshape(-1, size)
         labels[0] = np.arange(start, start + size) < pooled.n_x
-        _uniform_subsets(counts[:, block], rng, labels[1:], scratch)
+        _uniform_subsets(counts[:, block], rng, labels[1:-1], scratch)
+        # a partial last block re-lays the buffer, so the ones row is
+        # written on every block
+        labels[-1] = 1.0
         yield start, labels
 
 
@@ -140,10 +148,11 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
 
     Row p of the (P + 1, feature width) result is mean_x phi - mean_y phi
     under labeling p.  One pass over the label blocks, evaluating each
-    block's basis once; the sums are basis-wide, (P + 1, dimension).
+    block's basis once; one GEMM per block of the labels and their ones row
+    against the basis gives the block's P + 1 labeled sums and its total T
+    in its last row.  The sums are basis-wide, (P + 2, dimension).
     """
-    sums = np.zeros((n_permutations + 1, feature_map.dimension))
-    total = np.zeros(feature_map.dimension)
+    sums = np.zeros((n_permutations + 2, feature_map.dimension))
     # buffers reused by every block
     basis_buffer = np.empty((min(LABEL_BLOCK_ROWS, pooled.n), feature_map.dimension))
     product = np.empty_like(sums)
@@ -152,8 +161,8 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
         basis = feature_map.basis(pooled.points[start:start + size],
                                   out=basis_buffer[:size])
         sums += np.matmul(labels, basis, out=product)
-        total += basis.sum(axis=0)
-    coordinates = (1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums - total / pooled.n_y
+    coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:-1]
+                   - sums[-1] / pooled.n_y)
     return feature_map.from_basis(coordinates)
 
 
@@ -169,7 +178,7 @@ def permutation_weights(pooled: PooledSample, n_permutations: int,
     weights = np.empty((n_permutations + 1, pooled.n))
     for start, labels in _label_blocks(pooled, n_permutations, seed):
         weights[:, start:start + labels.shape[1]] = np.where(
-            labels > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y)
+            labels[:-1] > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y)
     return weights
 
 

@@ -302,12 +302,12 @@ class TestEstimateRate:
         spec = ExperimentSpec(
             scenario={"kind": "csv", "x": str(x_path), "y": str(x_path)},
             methods=("nystrom-uniform",), landmarks=(4,),
-            sample_sizes=(500,),  # far more rows than the pool holds
+            sample_sizes=(5, 500),  # 500 is far more rows than the pool holds
             alpha=0.1, permutations=9, repetitions=5, seed=0)
-        rows = estimate_rate(spec, "null")
-        assert len(rows) == 1
-        assert rows[0].error is not None
-        assert rows[0].error.startswith("ValueError: pool of 10 rows too small")
+        ran, failed = estimate_rate(spec, "null")
+        assert ran.error is None and ran.error_type is None
+        assert failed.error.startswith("ValueError: pool of 10 rows too small")
+        assert failed.error_type == "ValueError"
 
     def test_results_csv_round_trip(self):
         rows = estimate_rate(tiny_null_spec(repetitions=20), "null")

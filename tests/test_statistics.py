@@ -21,6 +21,7 @@ from nysmmd import (
     PooledSample,
     build_nystrom,
     build_rff,
+    median_heuristic,
     permuted_statistics,
     sample_landmarks,
 )
@@ -242,6 +243,30 @@ class TestPermutedStatistics:
             counts[int((stats < stats[0]).sum())] += 1
         assert chisquare(counts).pvalue > 1e-3
 
+    def test_accumulation_matches_long_double_oracle(self):
+        # The float64 pass against the same labels and basis values summed
+        # and mapped in long double.  Under the null the statistics are
+        # about 1/sqrt(n) of the feature means, so their cancellation and
+        # the Nystrom factor at the median bandwidth amplify the round-off
+        # of the block sums and totals.
+        rng = np.random.default_rng(0)
+        pooled = PooledSample(points=rng.standard_normal((20_000, 3)),
+                              n_x=10_000, n_y=10_000)
+        fmap = build_nystrom(sample_landmarks(pooled.points, 100, seed=0),
+                             GaussianKernel(median_heuristic(pooled.points)))
+        stats = permuted_statistics(pooled, fmap, 49, seed=0)
+        labels = (permutation_weights(pooled, 49, seed=0) > 0).astype(np.longdouble)
+        basis = np.vstack([fmap.basis(pooled.points[start:start + LABEL_BLOCK_ROWS])
+                           for start in range(0, pooled.n, LABEL_BLOCK_ROWS)])
+        basis = basis.astype(np.longdouble)
+        one = np.longdouble(1)
+        coordinates = ((one / pooled.n_x + one / pooled.n_y) * (labels @ basis)
+                       - basis.sum(axis=0) / pooled.n_y)
+        feats = fmap.from_basis(coordinates)
+        expected = np.sqrt((feats * feats).sum(axis=1))
+        assert feats.dtype == np.longdouble
+        assert np.max(np.abs(stats - expected) / expected) <= 5e-11
+
 
 class TestLabelStream:
     def test_splits_are_uniform(self):
@@ -388,11 +413,13 @@ class TestLabelStream:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
 
-    @pytest.mark.parametrize("n", [1023, 1025, 3001])
+    @pytest.mark.parametrize("n", [1023, 1025, 2048, 3001])
     def test_reused_buffers_match_fresh_blocks(self, n):
         # Reference: the same pass with fresh arrays for every block, the
-        # permuted labels read back from permutation_weights.  A partial last
-        # block must not see stale rows of the shared label or basis buffers.
+        # permuted labels read back from permutation_weights and the block
+        # total taken from an all-ones row of the same product.  A partial
+        # last block must not see stale rows of the shared label or basis
+        # buffers, its ones row included.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
@@ -406,9 +433,12 @@ class TestLabelStream:
             total = np.zeros(fmap.dimension)
             for start in range(0, n, LABEL_BLOCK_ROWS):
                 block = slice(start, start + LABEL_BLOCK_ROWS)
+                labels_block = labels[:, block]
                 basis = fmap.basis(pooled.points[block])
-                sums += np.ascontiguousarray(labels[:, block]) @ basis
-                total += basis.sum(axis=0)
+                product = np.vstack([labels_block,
+                                     np.ones(labels_block.shape[1])]) @ basis
+                sums += product[:-1]
+                total += product[-1]
             coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums
                            - total / pooled.n_y)
             expected = np.linalg.norm(fmap.from_basis(coordinates), axis=1)
