@@ -17,15 +17,17 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
 
-from .data import load_csv, sample_correlated_gaussians, sample_mixture
-from .permutation import METHODS, TestConfig, quantile_index, run_test
+from .data import (check_mix_fraction, equicorrelation_matrix, load_csv,
+                   sample_correlated_gaussians, sample_mixture)
+from .permutation import METHODS, SmallAlphaWarning, TestConfig, run_test
 
 RESULTS_HEADER = ("method", "ell", "n_x", "n_y", "param", "rate",
                   "wilson_low", "wilson_high", "mean_runtime_s", "reps")
@@ -94,23 +96,25 @@ class ExperimentSpec:
     repetitions: int = 100
     seed: int = 0
     output: str | None = None
+    config: TestConfig = field(init=False, repr=False)  # a repetition swaps its seed
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         for key in ("methods", "sample_sizes"):
             if not getattr(self, key):
                 raise ValueError(f"{key} grid is empty")
+        if (smallest := min(self.sample_sizes)) < 1:
+            raise ValueError(f"sample_sizes must be at least 1, got {smallest}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
         if not self.landmarks and any(m != "exact" for m in self.methods):
             raise ValueError("landmarks grid is empty but a feature-map method "
                              "is requested")
-        # a value that would fail each cell it reaches fails here once instead
-        quantile_index(self.alpha, self.permutations)
+        # a value that would fail (or warn in) each cell it reaches does so here once
+        object.__setattr__(self, "config", TestConfig(
+            self.alpha, self.permutations, self.seed, keep_statistics=False))
         for name in self.methods:
             for ell in self.landmarks:
                 METHODS[name](ell)
@@ -212,12 +216,16 @@ class _Scenario:
             self.rho1 = float(raw.get("rho1", 0.5))
             rho2 = raw.get("rho2", self.rho1)
             self.rho2_grid = tuple(float(v) for v in np.atleast_1d(rho2))
+            for rho in (self.rho1, *self.rho2_grid):  # fail here, not in every cell
+                equicorrelation_matrix(self.dim, rho)
         elif self.kind == "csv":
             self.x_pool, self.y_pool = _load_pools(raw, "x", "y")
         else:
-            self.background, self.signal = _load_pools(raw, "background", "signal")
             fraction = raw.get("mix_fraction", 0.2)
             self.mix_grid = tuple(float(v) for v in np.atleast_1d(fraction))
+            for value in self.mix_grid:
+                check_mix_fraction(value)
+            self.background, self.signal = _load_pools(raw, "background", "signal")
 
     def params(self, regime: str) -> tuple[float, ...]:
         """Grid of scenario parameter values (a single 0.0 when not applicable)."""
@@ -288,7 +296,8 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
         n_threads: Worker threads for repetitions, in one pool for the
             whole grid; defaults to the NYSMMD_THREADS environment variable
             (1 if unset).  Results are identical for a fixed seed
-            regardless of thread count.
+            regardless of thread count.  Extra threads pay only with
+            OPENBLAS_NUM_THREADS=1 at large n.
 
     Raises:
         ValueError: If n_threads or NYSMMD_THREADS is not a positive integer.
@@ -314,10 +323,11 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
                     cells.append((method_index, method_name, ell, n,
                                   param_index, param))
 
-    # one pool serves every cell; repetitions run in the calling thread when
-    # there is a single worker
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    # one pool serves every cell (repetitions run in the calling thread when
+    # there is a single worker); the spec has already warned of a small alpha
+    with warnings.catch_warnings(), (ThreadPoolExecutor(max_workers=workers)
+                                     if workers > 1 else nullcontext()) as pool:
+        warnings.simplefilter("ignore", SmallAlphaWarning)
         map_repetitions = map if pool is None else pool.map
         for method_index, method_name, ell, n, param_index, param in cells:
             try:
@@ -330,17 +340,13 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
                                     .generate_state(2, np.uint64)[0])
                     x, y = scenario.draw_pair(regime, n, param,
                                               np.random.default_rng(data_seed))
-                    config = TestConfig(alpha=spec.alpha,
-                                        n_permutations=spec.permutations,
-                                        seed=test_seed,
-                                        keep_statistics=False)
+                    config = replace(spec.config, seed=test_seed)
                     start = time.perf_counter()
                     outcome = run_test(x, y, config, method)
                     elapsed = time.perf_counter() - start
                     return outcome.reject, elapsed
 
-                outcomes = list(map_repetitions(one_repetition,
-                                                range(spec.repetitions)))
+                outcomes = list(map_repetitions(one_repetition, range(spec.repetitions)))
                 successes = sum(1 for reject, _ in outcomes if reject)
                 mean_runtime = float(np.mean([t for _, t in outcomes]))
                 low, high = wilson_interval(successes, spec.repetitions)
@@ -348,16 +354,13 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
                     method=method_name, ell=ell, n_x=n, n_y=n, param=param,
                     successes=successes, trials=spec.repetitions,
                     rate=successes / spec.repetitions,
-                    wilson_low=low, wilson_high=high,
-                    mean_runtime_s=mean_runtime))
+                    wilson_low=low, wilson_high=high, mean_runtime_s=mean_runtime))
             except Exception as exc:  # record and continue with the grid
                 results.append(RateEstimate(
                     method=method_name, ell=ell, n_x=n, n_y=n, param=param,
-                    successes=0, trials=0, rate=float("nan"),
-                    wilson_low=float("nan"), wilson_high=float("nan"),
-                    mean_runtime_s=float("nan"),
-                    error=f"{type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__))
+                    successes=0, trials=0, rate=math.nan, wilson_low=math.nan,
+                    wilson_high=math.nan, mean_runtime_s=math.nan,
+                    error=f"{type(exc).__name__}: {exc}", error_type=type(exc).__name__))
     return results
 
 

@@ -130,6 +130,12 @@ def sample_correlated_gaussians(n: int, dim: int, rho: float, seed: int) -> np.n
     return draws @ sqrt_cov
 
 
+def check_mix_fraction(mix_fraction: float) -> None:
+    """Raise ValueError unless mix_fraction lies in [0, 1]."""
+    if not 0.0 <= mix_fraction <= 1.0:
+        raise ValueError(f"mix_fraction must lie in [0, 1], got {mix_fraction}")
+
+
 def sample_mixture(background, signal, mix_fraction: float, n: int,
                    seed: int) -> np.ndarray:
     """Draw n rows, each from the signal pool with probability mix_fraction.
@@ -146,8 +152,7 @@ def sample_mixture(background, signal, mix_fraction: float, n: int,
     signal = as_points(signal, "signal")
     if background.shape[1] != signal.shape[1]:
         raise ValueError("background and signal pools must share a dimension")
-    if not 0.0 <= mix_fraction <= 1.0:
-        raise ValueError("mix_fraction must lie in [0, 1]")
+    check_mix_fraction(mix_fraction)
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import linalg
 from .kernels import GaussianKernel, as_points
-from .leverage import LandmarkSet
 
 
 class FeatureMap(Protocol):
@@ -49,7 +48,7 @@ class NystromMap:
     ||phi(x)||^2 <= k(x, x) = 1 for every x.  ``dimension`` is ell.
     """
 
-    landmarks: LandmarkSet
+    landmarks: np.ndarray
     kernel: GaussianKernel
     transform: np.ndarray
     rank_tolerance = 1e-10
@@ -63,7 +62,7 @@ class NystromMap:
 
     def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
         """k_Z(x) for each of m points: one (m, d + 2) x (d + 2, ell) GEMM and an exp."""
-        return self.kernel.gram(points, self.landmarks.points, out=out)
+        return self.kernel.gram(points, self.landmarks, out=out)
 
     def from_basis(self, coordinates) -> np.ndarray:
         return coordinates @ self.transform
@@ -104,17 +103,17 @@ class RffMap:
         return coordinates
 
 
-def build_nystrom(landmarks: LandmarkSet, kernel: GaussianKernel) -> NystromMap:
+def build_nystrom(landmarks, kernel: GaussianKernel) -> NystromMap:
     """Eigendecompose the landmark kernel matrix once and return the projection map.
 
-    Eigenpairs at or below NystromMap.rank_tolerance (1e-10) times the
-    largest eigenvalue are dropped, so duplicated landmarks give a narrower
-    map, not non-finite output.  The kernel matrix has trace ell, so its
-    largest eigenvalue is at least 1 and one pair is always kept.
+    ``landmarks`` holds the ell landmark points, one per row.  Eigenpairs at
+    or below NystromMap.rank_tolerance (1e-10) times the largest eigenvalue
+    are dropped, so duplicated landmarks give a narrower map, not non-finite
+    output.  The kernel matrix has trace ell, so its largest eigenvalue is at
+    least 1 and one pair is always kept.
     """
-    if landmarks.size < 1:
-        raise ValueError("need at least one landmark")
-    gram = kernel.gram(landmarks.points, landmarks.points)
+    landmarks = as_points(landmarks, "landmarks")
+    gram = kernel.gram(landmarks, landmarks)
     eigenvalues, eigenvectors = linalg.psd_eigh(gram)
     kept = eigenvalues > NystromMap.rank_tolerance * eigenvalues[-1]
     transform = eigenvectors[:, kept] / np.sqrt(eigenvalues[kept])

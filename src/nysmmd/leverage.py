@@ -39,10 +39,6 @@ class LandmarkSet:
 
     points: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
 
 def default_regularization(n: int) -> float:
     """Default ridge level 16 * log(4 / 0.05) / n for a unit-bounded kernel."""

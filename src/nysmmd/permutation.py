@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class NystromMethod:
             scores = approx_krls(pooled.points, kernel, regularization, scores_seed)
         landmarks = sample_landmarks(pooled.points, self.n_landmarks, draw_seed,
                                      scores=scores)
-        return build_nystrom(landmarks, kernel)
+        return build_nystrom(landmarks.points, kernel)
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,17 @@ METHODS = {
 }
 
 
+class SmallAlphaWarning(UserWarning):
+    """alpha is below 1/(P+1), so the test rejects only through tie randomization."""
+
+
 @dataclass(frozen=True)
 class TestConfig:
     """Level, permutation count, seed, and bandwidth policy of a test.
 
     The recommended operating regime is 1 / (P + 1) <= alpha; smaller alpha
     still runs but the threshold saturates at the largest replicate, which
-    costs power (a warning is emitted).
+    costs power (a SmallAlphaWarning is emitted).
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -133,7 +137,7 @@ class TestConfig:
             warnings.warn(
                 f"alpha={self.alpha} is below 1/(P+1)={1 / (self.n_permutations + 1):.4g}; "
                 "the test cannot reject except through tie randomization",
-                stacklevel=3)  # past the generated __init__ to its caller
+                SmallAlphaWarning, stacklevel=3)  # past the generated __init__ to its caller
 
 
 @dataclass(frozen=True)
@@ -166,16 +170,9 @@ class TestOutcome:
     bandwidth: float | None = None
 
     def to_dict(self) -> dict:
-        """JSON-friendly summary (drops the replicate vector)."""
-        return {
-            "reject": self.reject,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "threshold_index": self.threshold_index,
-            "randomized": self.randomized,
-            "rejection_probability": self.rejection_probability,
-            "bandwidth": self.bandwidth,
-        }
+        """JSON-friendly summary: every field but the replicate vector, in field order."""
+        return {field.name: getattr(self, field.name) for field in fields(self)
+                if field.name != "statistics"}
 
 
 def quantile_index(alpha: float, n_permutations: int) -> int:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from nysmmd import FeatureMap, GaussianKernel, LandmarkSet, PooledSample, as_points
+from nysmmd import FeatureMap, GaussianKernel, PooledSample, as_points
 from nysmmd.statistics import accumulate_weighted_features
 
 
@@ -70,11 +70,6 @@ def scalar_kernel(x, y, h) -> float:
 def features(feature_map: FeatureMap, points) -> np.ndarray:
     """Feature vectors of a batch of points, shape (m, feature_map.dimension)."""
     return feature_map.from_basis(feature_map.basis(points))
-
-
-def landmark_set(points) -> LandmarkSet:
-    """Every given point as one landmark."""
-    return LandmarkSet(points=np.asarray(points, dtype=float))
 
 
 def read_results_csv(text: str) -> list[dict]:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from scipy.stats import norm
 import nysmmd
 from helpers import read_results_csv
 from nysmmd import bench
+from nysmmd.permutation import SmallAlphaWarning, TestConfig
 from nysmmd import (
     ExperimentSpec,
     estimate_rate,
@@ -189,6 +191,21 @@ class TestExperimentSpec:
             tiny_null_spec(**overrides)
         assert str(error.value) == message
 
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_small_alpha_warns_once_when_the_spec_is_built(self, n_threads):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = tiny_null_spec(alpha=0.05, permutations=9, repetitions=4,
+                                  landmarks=(4, 8))
+            assert len(caught) == 1
+            rows = estimate_rate(spec, "null", n_threads=n_threads)
+            assert len(caught) == 1
+            TestConfig(alpha=0.05, n_permutations=9)  # the grid's filter is gone
+        assert [row.error for row in rows] == [None, None]
+        assert [warning.category for warning in caught] == [SmallAlphaWarning] * 2
+        assert caught[0].filename == bench.__file__
+        assert caught[1].filename == __file__
+
     @pytest.mark.parametrize("scenario,unread,allowed", [
         ({"kind": "correlated-gaussian", "rho1": 0.5, "rho_2": 0.9}, "['rho_2']",
          "['kind', 'dim', 'rho1', 'rho2']"),
@@ -357,3 +374,16 @@ class TestMixtureScenario:
         # a 40% contamination three sigmas away is easy to detect
         assert alt_rows[0].rate > null_rows[0].rate
         assert alt_rows[0].param == 0.4
+
+    def test_mix_fraction_outside_unit_interval_fails_before_any_cell(self, tmp_path):
+        pool_path = tmp_path / "pool.csv"
+        write_csv(np.random.default_rng(3).standard_normal((400, 2)), pool_path)
+        spec = ExperimentSpec(
+            scenario={"kind": "mixture", "background": str(pool_path),
+                      "signal": str(pool_path), "mix_fraction": [0.2, 1.5]},
+            methods=("nystrom-uniform",), landmarks=(8,), sample_sizes=(20, 40),
+            alpha=0.1, permutations=9, repetitions=2, seed=0)
+        for regime in ("null", "alternative"):
+            with pytest.raises(ValueError) as error:
+                estimate_rate(spec, regime)
+            assert str(error.value) == "mix_fraction must lie in [0, 1], got 1.5"

@@ -376,6 +376,19 @@ class TestGridFlags:
         assert out == ""
         assert err == "error: n_permutations must be at least 1\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("level", "--sample-sizes", "0,-3"), "sample_sizes must be at least 1, got -3"),
+        (("power", "--rho2", "1.5", "--sample-sizes", "20,30"),
+         "rho=1.5 outside the positive-definite range (-0.5, 1) for d=3"),
+        (("power", "--dim", "0"), "dim must be at least 1"),
+    ])
+    def test_size_or_scenario_failing_every_cell_reported_once(self, capsys, argv,
+                                                               message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag,value", [
         ("--sample-sizes", "2x"),
         ("--landmarks", "4,,8"),

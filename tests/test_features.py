@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from helpers import features, landmark_set, scalar_kernel
+from helpers import features, scalar_kernel
 from nysmmd import GaussianKernel, build_nystrom, build_rff, sample_landmarks
 
 
 class TestBuildNystrom:
     def test_single_landmark_transform_is_identity(self):
-        fmap = build_nystrom(landmark_set([[2.0, -1.0]]), GaussianKernel(1.5))
+        fmap = build_nystrom([[2.0, -1.0]], GaussianKernel(1.5))
         np.testing.assert_allclose(fmap.transform, [[1.0]], atol=1e-12)
 
     def test_landmark_gram_reproduction(self):
         rng = np.random.default_rng(0)
         landmarks = rng.standard_normal((12, 3)) * 3.0  # well separated
         kernel = GaussianKernel(1.0)
-        fmap = build_nystrom(landmark_set(landmarks), kernel)
+        fmap = build_nystrom(landmarks, kernel)
         feats = features(fmap, landmarks)
         np.testing.assert_allclose(feats @ feats.T,
                                    kernel.gram(landmarks, landmarks), atol=1e-8)
@@ -24,7 +24,7 @@ class TestBuildNystrom:
         base = rng.standard_normal((6, 2))
         duplicated = np.vstack([base, base[2], base[2]])
         kernel = GaussianKernel(0.8)
-        fmap = build_nystrom(landmark_set(duplicated), kernel)
+        fmap = build_nystrom(duplicated, kernel)
         assert fmap.transform.shape == (8, 6)
         assert np.isfinite(fmap.transform).all()
         feats = features(fmap, duplicated)
@@ -36,7 +36,7 @@ class TestBuildNystrom:
         rng = np.random.default_rng(2)
         landmarks = rng.standard_normal((10, 3))
         kernel = GaussianKernel(1.2)
-        fmap = build_nystrom(landmark_set(landmarks), kernel)
+        fmap = build_nystrom(landmarks, kernel)
         transform = fmap.transform
         gram = kernel.gram(landmarks, landmarks)
         np.testing.assert_allclose(transform @ transform.T,
@@ -49,7 +49,7 @@ class TestBuildNystrom:
         rng = np.random.default_rng(3)
         pooled = rng.standard_normal((40, 2))
         kernel = GaussianKernel(1.0)
-        fmap = build_nystrom(landmark_set(pooled), kernel)
+        fmap = build_nystrom(pooled, kernel)
         feats = features(fmap, pooled)
         np.testing.assert_allclose(feats @ feats.T, kernel.gram(pooled, pooled),
                                    atol=1e-8)
@@ -59,14 +59,14 @@ class TestNystromApply:
     def test_landmark_feature_has_unit_norm_when_full_rank(self):
         rng = np.random.default_rng(4)
         landmarks = rng.standard_normal((8, 3)) * 2.0
-        fmap = build_nystrom(landmark_set(landmarks), GaussianKernel(1.0))
+        fmap = build_nystrom(landmarks, GaussianKernel(1.0))
         assert np.linalg.norm(features(fmap, landmarks[:1])[0]) == pytest.approx(
             1.0, abs=1e-8)
 
     def test_contraction_everywhere(self):
         rng = np.random.default_rng(5)
         landmarks = rng.standard_normal((16, 3))
-        fmap = build_nystrom(landmark_set(landmarks), GaussianKernel(0.9))
+        fmap = build_nystrom(landmarks, GaussianKernel(0.9))
         queries = rng.standard_normal((10_000, 3))
         norms_sq = np.einsum("ij,ij->i", features(fmap, queries),
                              features(fmap, queries))
@@ -75,18 +75,18 @@ class TestNystromApply:
     def test_single_landmark_map_is_kernel_slice(self):
         landmark = np.array([[0.5, -0.25]])
         kernel = GaussianKernel(1.1)
-        fmap = build_nystrom(landmark_set(landmark), kernel)
+        fmap = build_nystrom(landmark, kernel)
         x = np.array([1.0, 2.0])
         np.testing.assert_allclose(features(fmap, x[None])[0],
                                    [scalar_kernel(landmark[0], x, 1.1)], atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
-        fmap = build_nystrom(landmark_set([[0.0, 0.0]]), GaussianKernel(1.0))
+        fmap = build_nystrom([[0.0, 0.0]], GaussianKernel(1.0))
         with pytest.raises(ValueError, match="dimension mismatch"):
             features(fmap, np.zeros((2, 3)))
 
     def test_dimension_attribute(self):
-        fmap = build_nystrom(landmark_set(np.zeros((5, 2)) + np.arange(5)[:, None]),
+        fmap = build_nystrom(np.zeros((5, 2)) + np.arange(5)[:, None],
                              GaussianKernel(1.0))
         assert fmap.dimension == 5
 
@@ -147,7 +147,7 @@ class TestSampledLandmarkIntegration:
         pooled = rng.standard_normal((100, 3))
         kernel = GaussianKernel(1.0)
         landmarks = sample_landmarks(pooled, ell=12, seed=0)
-        fmap = build_nystrom(landmarks, kernel)
+        fmap = build_nystrom(landmarks.points, kernel)
         feats = features(fmap, pooled)
         assert feats.shape == (100, fmap.transform.shape[1])
         assert (np.einsum("ij,ij->i", feats, feats) <= 1.0 + 1e-10).all()

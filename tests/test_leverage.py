@@ -315,7 +315,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             landmarks = sample_landmarks(pooled.points, 4,
                                          seed=int(rng.integers(2**63)),
                                          scores=scores)
-            fmap = build_nystrom(landmarks, kernel)
+            fmap = build_nystrom(landmarks.points, kernel)
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from nysmmd import (
     PooledSample,
     RffMethod,
     TestConfig,
+    TestOutcome,
     decide,
     quantile_index,
     run_test,
@@ -96,6 +98,13 @@ class TestDecide:
         assert outcome.reject  # draw 0.05 < 0.1
         outcome = decide(stats, alpha=0.1, tie_break_draw=0.95)
         assert not outcome.reject
+
+    def test_summary_keys_follow_the_field_order(self):
+        summary = decide(np.zeros(20), alpha=0.1, tie_break_draw=0.5).to_dict()
+        names = [field.name for field in fields(TestOutcome) if field.name != "statistics"]
+        assert list(summary) == names == [
+            "reject", "statistic", "threshold", "threshold_index", "randomized",
+            "rejection_probability", "bandwidth"]
 
     def test_below_threshold_fails_to_reject(self):
         stats = np.linspace(1.0, 2.0, 50)[::-1].copy()

@@ -12,7 +12,6 @@ from helpers import (
     exact_mmd,
     feature_mmd,
     features,
-    landmark_set,
     scalar_kernel,
     sorted_uniform_subsets,
 )
@@ -64,7 +63,7 @@ def pooled_map(x, y, ell, seed=0, bandwidth=1.0):
     pooled = PooledSample.from_samples(x, y)
     kernel = GaussianKernel(bandwidth)
     landmarks = sample_landmarks(pooled.points, ell, seed=seed)
-    return pooled, build_nystrom(landmarks, kernel)
+    return pooled, build_nystrom(landmarks.points, kernel)
 
 
 class TestExactMmd:
@@ -116,7 +115,7 @@ class TestFeatureMmd:
         y = rng.standard_normal((15, 3)) + 0.4
         kernel = GaussianKernel(1.0)
         pooled = PooledSample.from_samples(x, y)
-        fmap = build_nystrom(landmark_set(pooled.points), kernel)
+        fmap = build_nystrom(pooled.points, kernel)
         assert feature_mmd(x, y, fmap) == pytest.approx(
             exact_mmd(x, y, kernel), abs=1e-8)
 
@@ -126,7 +125,7 @@ class TestFeatureMmd:
         y = rng.standard_normal((4, 2))
         z = np.array([[0.3, -0.7]])
         kernel = GaussianKernel(1.0)
-        fmap = build_nystrom(landmark_set(z), kernel)
+        fmap = build_nystrom(z, kernel)
         expected = abs(np.mean([scalar_kernel(z[0], p, 1.0) for p in x])
                        - np.mean([scalar_kernel(z[0], p, 1.0) for p in y]))
         assert feature_mmd(x, y, fmap) == pytest.approx(expected, abs=1e-12)
@@ -140,7 +139,7 @@ class TestFeatureMmd:
             pooled = PooledSample.from_samples(x, y)
             landmarks = sample_landmarks(pooled.points,
                                          ell=int(rng.integers(1, 12)), seed=trial)
-            fmap = build_nystrom(landmarks, kernel)
+            fmap = build_nystrom(landmarks.points, kernel)
             assert feature_mmd(x, y, fmap) <= exact_mmd(x, y, kernel) + 1e-8
 
     def test_approximation_improves_with_landmarks(self):
@@ -155,7 +154,7 @@ class TestFeatureMmd:
             errors = []
             for seed in range(50):
                 landmarks = sample_landmarks(pooled.points, ell, seed=seed)
-                fmap = build_nystrom(landmarks, kernel)
+                fmap = build_nystrom(landmarks.points, kernel)
                 errors.append(abs(exact - feature_mmd(x, y, fmap)))
             mean_errors.append(np.mean(errors))
         assert all(a >= b for a, b in zip(mean_errors, mean_errors[1:]))
@@ -237,7 +236,7 @@ class TestPermutedStatistics:
             pooled = PooledSample.from_samples(x, y)
             landmarks = sample_landmarks(pooled.points, 4,
                                          seed=int(rng.integers(2**63)))
-            fmap = build_nystrom(landmarks, GaussianKernel(1.0))
+            fmap = build_nystrom(landmarks.points, GaussianKernel(1.0))
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
@@ -252,7 +251,7 @@ class TestPermutedStatistics:
         rng = np.random.default_rng(0)
         pooled = PooledSample(points=rng.standard_normal((20_000, 3)),
                               n_x=10_000, n_y=10_000)
-        fmap = build_nystrom(sample_landmarks(pooled.points, 100, seed=0),
+        fmap = build_nystrom(sample_landmarks(pooled.points, 100, seed=0).points,
                              GaussianKernel(median_heuristic(pooled.points)))
         stats = permuted_statistics(pooled, fmap, 49, seed=0)
         labels = (permutation_weights(pooled, 49, seed=0) > 0).astype(np.longdouble)
@@ -399,8 +398,7 @@ class TestLabelStream:
 
     def test_memory_does_not_grow_with_n(self):
         rng = np.random.default_rng(13)
-        fmap = build_nystrom(landmark_set(rng.standard_normal((16, 3))),
-                             GaussianKernel(1.0))
+        fmap = build_nystrom(rng.standard_normal((16, 3)), GaussianKernel(1.0))
         peaks = []
         for n in (8_000, 32_000):
             pooled = PooledSample(points=rng.standard_normal((n, 3)),
@@ -424,7 +422,7 @@ class TestLabelStream:
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
         kernel = GaussianKernel(1.2)
-        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, seed=1),
+        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, seed=1).points,
                                    kernel),
                      build_rff(3, 24, kernel, seed=2)):
             labels = (permutation_weights(pooled, 49, seed=3) > 0).astype(float)
