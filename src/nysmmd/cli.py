@@ -12,7 +12,8 @@ other default from `ExperimentSpec`, the scenario and `TestConfig`.  Only
 `level` and `power` import the grid harness `nysmmd.bench`, so `test` and
 `gen` load no more than their own path.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error; `test` exits 3 when
+Exit codes: 0 success, 1 runtime error (a warning made an error by
+`python -W error` included), 2 usage error; `test` exits 3 when
 the null hypothesis is rejected, so shell scripts can branch on the outcome.
 `level` and `power` exit 4 when some grid cells fail and others succeed (the
 failures go to stderr, the successful rows to the results CSV) and 1 when
@@ -59,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--method", default="nystrom-uniform",
                       choices=METHODS)
     test.add_argument("--landmarks", type=int, default=None,
-                      help="feature count (landmarks, or RFF features); "
+                      help="feature count: landmark draws ell, of which the "
+                           "r of full numerical rank are kept, or RFF features; "
                            "defaults to ceil(sqrt(n))")
     test.add_argument("--bandwidth", type=float, default=argparse.SUPPRESS,
                       help="fixed kernel bandwidth (default: median heuristic)")
@@ -79,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
         grid.add_argument("--methods", type=lambda text: text.split(","),
                           help="comma-separated method names")
         grid.add_argument("--landmarks", type=_numbers,
-                          help="comma-separated feature counts")
+                          help="comma-separated feature counts (landmark draws "
+                               "ell, or RFF features)")
         grid.add_argument("--sample-sizes", type=_numbers,
                           help="comma-separated per-sample sizes")
         grid.add_argument("--alpha", type=float)
@@ -191,7 +194,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return _cmd_grid(args, "null" if args.command == "level" else "alternative")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, Warning) as exc:  # a warning raised under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
 """Finite-dimensional feature maps: landmark projection and random Fourier features.
 
 Both maps send a point to a vector whose inner products approximate the
-Gaussian kernel.  Each map factors as an ell-wide basis evaluation followed by
-a fixed linear map, features(X) = from_basis(basis(X)), so a statistic linear
-in the features can sum basis rows first and apply the linear map once.
+Gaussian kernel.  Each map factors as a basis evaluation of width
+``dimension`` (the r kept landmarks for Nystrom, the ell features for random
+Fourier features) followed by a fixed linear map,
+features(X) = from_basis(basis(X)), so a statistic linear in the features
+can sum basis rows first and apply the linear map once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .kernels import GaussianKernel, as_points
 
 
 class FeatureMap(Protocol):
-    """Deterministic feature map through a basis of width ``dimension`` (ell)."""
+    """Deterministic feature map through a basis of width ``dimension``."""
 
     @property
     def dimension(self) -> int: ...
@@ -41,11 +43,12 @@ class NystromMap:
     """Projection of the kernel feature space onto the span of landmark points.
 
     The map is x -> T' k_Z(x), where k_Z(x) stacks the kernel evaluations
-    against the ell landmarks and T = V_r e_r^-1/2 is the ell x r factor of
-    the eigenpairs of the landmark kernel matrix above ``rank_tolerance``
+    against the landmarks and T = V_q e_q^-1/2 is the thin factor of the
+    q eigenpairs of the landmark kernel matrix above ``rank_tolerance``
     times the largest, so T T' = K_ZZ^+.  Inner products of mapped points
     reproduce the kernel restricted to the landmark span; in particular
-    ||phi(x)||^2 <= k(x, x) = 1 for every x.  ``dimension`` is ell.
+    ||phi(x)||^2 <= k(x, x) = 1 for every x.  ``dimension`` is the landmark
+    count r: the r <= ell draws that sample_landmarks keeps.
     """
 
     landmarks: np.ndarray
@@ -61,7 +64,7 @@ class NystromMap:
         return self.from_basis(self.basis(points))
 
     def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
-        """k_Z(x) for each of m points: one (m, d + 2) x (d + 2, ell) GEMM and an exp."""
+        """k_Z(x) for each of m points: one (m, d + 2) x (d + 2, r) GEMM and an exp."""
         return self.kernel.gram(points, self.landmarks, out=out)
 
     def from_basis(self, coordinates) -> np.ndarray:
@@ -106,11 +109,12 @@ class RffMap:
 def build_nystrom(landmarks, kernel: GaussianKernel) -> NystromMap:
     """Eigendecompose the landmark kernel matrix once and return the projection map.
 
-    ``landmarks`` holds the ell landmark points, one per row.  Eigenpairs at
+    ``landmarks`` holds the r landmark points, one per row, as
+    sample_landmarks returns them; the map's dimension is r.  Eigenpairs at
     or below NystromMap.rank_tolerance (1e-10) times the largest eigenvalue
-    are dropped, so duplicated landmarks give a narrower map, not non-finite
-    output.  The kernel matrix has trace ell, so its largest eigenvalue is at
-    least 1 and one pair is always kept.
+    are dropped, so duplicated landmarks give a narrower factor, not
+    non-finite output.  The kernel matrix has trace r, so its largest
+    eigenvalue is at least 1 and one pair is always kept.
     """
     landmarks = as_points(landmarks, "landmarks")
     gram = kernel.gram(landmarks, landmarks)

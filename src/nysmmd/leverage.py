@@ -5,7 +5,9 @@ Sampling landmarks proportionally to (approximate) leverage scores
 concentrates the landmark budget on directions that matter for the kernel
 mean embeddings; uniform sampling is the baseline.  Both samplers draw with
 replacement from the pooled data, which keeps the sampling probabilities
-equivariant under relabeling of the rows.
+equivariant under relabeling of the rows.  sample_landmarks then keeps only
+the draws that add a direction above the Nystrom map's rank cutoff, so the
+map and the streamed pass are r wide for r <= ell.
 
 approx_krls computes them by BLESS: it walks the ridge down in factor-2
 steps, scoring about q1 / ridge uniformly drawn candidate rows at each step
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import NystromMap
 from .kernels import GaussianKernel, as_points
 from .linalg import psd_eigh
 
@@ -35,7 +38,11 @@ _SCORE_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True, eq=False)
 class LandmarkSet:
-    """Landmark points drawn with replacement from a dataset's rows, shape (ell, d)."""
+    """Landmark points drawn with replacement from a dataset's rows.
+
+    ``points`` has shape (r, d): the r <= ell draws that sample_landmarks
+    keeps, in draw order.
+    """
 
     points: np.ndarray
 
@@ -159,21 +166,13 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
     return result
 
 
-def sample_landmarks(points, ell: int, seed: int,
-                     scores: np.ndarray | None = None) -> LandmarkSet:
-    """Draw ell landmark rows i.i.d. with replacement.
+def _draw_rows(points: np.ndarray, ell: int, seed: int,
+               scores: np.ndarray | None) -> np.ndarray:
+    """ell rows of ``points`` drawn i.i.d. with replacement, in draw order.
 
-    Sampling probabilities are proportional to ``scores`` (one per row, as
-    exact_krls and approx_krls return them) when given and uniform
-    otherwise.  Relabeling the rows of the dataset (and its scores) permutes
-    the sampling distribution identically, which is what makes the
-    permutation test exact when landmarks come from the pooled data.
-
-    Raises:
-        ValueError: If ell < 1, or if the scores are not n finite
-            non-negative numbers with a positive sum.
+    Sampling probabilities are proportional to ``scores`` when given and
+    uniform otherwise; the argument checks are those of sample_landmarks.
     """
-    points = as_points(points)
     if ell < 1:
         raise ValueError("ell must be at least 1")
     n = points.shape[0]
@@ -191,4 +190,37 @@ def sample_landmarks(points, ell: int, seed: int,
         if total == 0:
             raise ValueError("all leverage scores are zero; cannot sample landmarks")
         indices = rng.choice(n, size=ell, replace=True, p=weights / total)
-    return LandmarkSet(points=points[indices])
+    return points[indices]
+
+
+def sample_landmarks(points, ell: int, seed: int, kernel: GaussianKernel,
+                     scores: np.ndarray | None = None) -> LandmarkSet:
+    """Draw ell rows i.i.d. with replacement and keep the r of full numerical rank.
+
+    Sampling probabilities are proportional to ``scores`` (one per row, as
+    exact_krls and approx_krls return them) when given and uniform
+    otherwise.  Draw k is kept when its squared kernel residual against the
+    earlier draws, L_kk^2 - tau / 100 for the Cholesky factor L of
+    K_ZZ + (tau / 100) I, exceeds tau = NystromMap.rank_tolerance * ell:
+    the eigen cutoff's scale, since K_ZZ has trace ell (approximate linear
+    dependence; Engel, Mannor & Meir, IEEE TSP 2004).  Repeats and
+    near-duplicates are dropped.  The kept set is a deterministic function
+    of the drawn values in draw order, so relabeling the rows of the dataset
+    (and its scores) permutes the landmark law identically, which is what
+    makes the permutation test exact when landmarks come from the pooled
+    data.
+
+    Returns:
+        The r <= ell kept rows, in draw order; the first is always kept.
+
+    Raises:
+        ValueError: If ell < 1, or if the scores are not n finite
+            non-negative numbers with a positive sum.
+    """
+    drawn = _draw_rows(as_points(points), ell, seed, scores)
+    tolerance = NystromMap.rank_tolerance * ell
+    jitter = tolerance / 100.0
+    gram = kernel.gram(drawn, drawn)
+    gram.flat[::ell + 1] += jitter
+    residuals = np.linalg.cholesky(gram).diagonal() ** 2 - jitter
+    return LandmarkSet(points=drawn[residuals > tolerance])

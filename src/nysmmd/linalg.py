@@ -31,7 +31,7 @@ def psd_eigh(matrix: np.ndarray, name: str = "matrix"):
     if not np.isfinite(matrix).all():
         raise ValueError(f"{name} contains non-finite entries")
     scale = max(1.0, float(np.abs(matrix).max()))
-    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=_SYMMETRY_ATOL * scale):
+    if np.abs(matrix - matrix.T).max() > _SYMMETRY_ATOL * scale:
         raise ValueError(f"{name} is not symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
     np.maximum(eigenvalues, 0.0, out=eigenvalues)

@@ -41,7 +41,8 @@ class NystromMethod:
     landmark pseudo-inverse factor the spectral cutoff of build_nystrom.
 
     Attributes:
-        n_landmarks: Landmark count ell, the basis width of the map.
+        n_landmarks: Draw count ell; sample_landmarks keeps the r <= ell
+            draws of full numerical rank, and r is the basis width of the map.
         sampler: "uniform", "akrls", or "exact_krls".
     """
 
@@ -56,7 +57,7 @@ class NystromMethod:
 
     def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,
                     scores_seed: int, draw_seed: int) -> NystromMap:
-        """Draw landmarks from the pooled data and factorize them."""
+        """Draw landmarks from the pooled data, prune them to their rank and factorize them."""
         regularization = default_regularization(pooled.n)
         if self.sampler == "uniform":
             scores = None
@@ -66,7 +67,7 @@ class NystromMethod:
         else:
             scores = approx_krls(pooled.points, kernel, regularization, scores_seed)
         landmarks = sample_landmarks(pooled.points, self.n_landmarks, draw_seed,
-                                     scores=scores)
+                                     kernel, scores=scores)
         return build_nystrom(landmarks.points, kernel)
 
 

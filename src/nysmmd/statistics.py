@@ -4,12 +4,14 @@ The projected statistic is the norm of the difference of empirical feature
 means.  Under a labeling that marks which pooled rows form the first sample,
 it equals ||(1/n_x + 1/n_y) S - T / n_y|| with S the feature sum over the
 rows labeled x and T the sum over all rows.  Features are linear in a basis
-(kernel columns against the landmarks for Nystrom, the features themselves
-for random Fourier features), so S and T are summed in basis coordinates
-and the map's linear factor is applied once, to the (P + 1) x ell result.
-T comes from the same GEMM as S: each block's label matrix carries one
-all-ones row below its P + 1 labelings, so the product's last row is the
-block's basis total.
+of width r (kernel columns against the r kept landmarks for Nystrom, the
+features themselves for random Fourier features, r = ell), so S and T are
+summed in basis coordinates and the map's linear factor is applied once, to
+the (P + 1) x r result.  T comes from the same GEMM as S: each block's label
+matrix carries one all-ones row below its P + 1 labelings, so the product's
+last column is the block's basis total.  The product is formed as
+basis' labels' into an r x (P + 2) accumulator, whose cost stays flat in r
+where labels @ basis runs into the BLAS's edge tiles.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
@@ -18,7 +20,7 @@ draws a uniform subset of that size per permutation from its own child
 seed: the rows whose uint32 keys fall below a cut key, which one partition
 of the block's keys finds for every permutation at once, without a sort (a
 rare tie at the cut redraws the block).  Together these are uniform splits
-of the pooled rows.  Storage is O((P + 2) * (ell + B)) for the
+of the pooled rows.  Storage is O((P + 2) * (r + B)) for the
 accumulators, the labels with their ones row, the basis and the 2 * P * B
 key scratch of one block, held in buffers that every block reuses, plus the
 P x (n / B) block counts; the n-wide signed weight matrix is formed only by
@@ -148,11 +150,11 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
 
     Row p of the (P + 1, feature width) result is mean_x phi - mean_y phi
     under labeling p.  One pass over the label blocks, evaluating each
-    block's basis once; one GEMM per block of the labels and their ones row
-    against the basis gives the block's P + 1 labeled sums and its total T
-    in its last row.  The sums are basis-wide, (P + 2, dimension).
+    block's basis once; one GEMM per block, basis' against the labels and
+    their ones row, gives the block's P + 1 labeled sums and its total T in
+    its last column.  The sums are basis-wide, (dimension, P + 2).
     """
-    sums = np.zeros((n_permutations + 2, feature_map.dimension))
+    sums = np.zeros((feature_map.dimension, n_permutations + 2))
     # buffers reused by every block
     basis_buffer = np.empty((min(LABEL_BLOCK_ROWS, pooled.n), feature_map.dimension))
     product = np.empty_like(sums)
@@ -160,10 +162,10 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
         size = labels.shape[1]
         basis = feature_map.basis(pooled.points[start:start + size],
                                   out=basis_buffer[:size])
-        sums += np.matmul(labels, basis, out=product)
-    coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:-1]
-                   - sums[-1] / pooled.n_y)
-    return feature_map.from_basis(coordinates)
+        sums += np.matmul(basis.T, labels.T, out=product)
+    coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, :-1]
+                   - sums[:, -1:] / pooled.n_y)
+    return feature_map.from_basis(coordinates.T)
 
 
 def permutation_weights(pooled: PooledSample, n_permutations: int,

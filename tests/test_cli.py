@@ -1,12 +1,17 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import read_results_csv
+import nysmmd
 from nysmmd import ExperimentSpec, TestConfig, bench, cli, load_csv, write_csv
 from nysmmd.cli import main
 
@@ -143,6 +148,36 @@ class TestTestCommand:
         assert code == 2
         code, _, _ = run_cli(capsys, "bench")
         assert code == 2
+
+
+class TestWarningsAsErrors:
+    """Under python -W error a warning is reported as one error line, exit 1."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(nysmmd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-W", "error", "-m", "nysmmd.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    def check_small_alpha_error(self, result):
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: alpha=0.05 is below 1/(P+1)=0.1;")
+        assert result.stderr.count("\n") == 1
+
+    def test_small_alpha_test_command(self, tmp_path):
+        rng = np.random.default_rng(12)
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_csv(rng.standard_normal((30, 2)), x_path)
+        write_csv(rng.standard_normal((30, 2)), y_path)
+        self.check_small_alpha_error(self.run_module(
+            "test", "--x", str(x_path), "--y", str(y_path), "--permutations", "9"))
+
+    def test_small_alpha_level_command(self):
+        self.check_small_alpha_error(self.run_module(
+            "level", "--permutations", "9", "--repetitions", "2",
+            "--sample-sizes", "20"))
 
 
 class TestGridCommands:

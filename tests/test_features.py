@@ -146,7 +146,7 @@ class TestSampledLandmarkIntegration:
         rng = np.random.default_rng(10)
         pooled = rng.standard_normal((100, 3))
         kernel = GaussianKernel(1.0)
-        landmarks = sample_landmarks(pooled, ell=12, seed=0)
+        landmarks = sample_landmarks(pooled, ell=12, seed=0, kernel=kernel)
         fmap = build_nystrom(landmarks.points, kernel)
         feats = features(fmap, pooled)
         assert feats.shape == (100, fmap.transform.shape[1])

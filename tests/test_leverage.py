@@ -89,6 +89,23 @@ class TestExactKrls:
             exact_krls(bad, 0.1)
 
 
+class TestPsdEigh:
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_symmetry_tolerance_boundary(self, scale):
+        # The tolerance is 1e-10 times the largest entry (or 1): an
+        # asymmetry exactly at it is accepted, the next float above it not.
+        tolerance = 1e-10 * scale
+        for gap, accepted in ((tolerance, True),
+                              (np.nextafter(tolerance, 1.0), False)):
+            matrix = np.array([[scale, gap], [0.0, 0.0]])
+            if accepted:
+                eigenvalues, _ = psd_eigh(matrix)
+                assert eigenvalues[-1] == pytest.approx(scale)
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    psd_eigh(matrix)
+
+
 class TestEffectiveDimension:
     """The effective dimension trace(K (K + lambda*n I)^-1) is the score sum."""
 
@@ -217,7 +234,7 @@ class TestApproxKrls:
             counts = {}
             for seed in range(trials):
                 scores = approx_krls(source, kernel, 0.25, seed=seed)
-                drawn = sample_landmarks(source, ell, seed=trials + seed,
+                drawn = sample_landmarks(source, ell, trials + seed, kernel,
                                          scores=scores)
                 key = tuple(sorted(float(v) for v in drawn.points[:, 0]))
                 counts[key] = counts.get(key, 0) + 1
@@ -313,7 +330,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             scores = approx_krls(pooled.points, kernel, 1.0 / 8,
                                  seed=int(rng.integers(2**63)))
             landmarks = sample_landmarks(pooled.points, 4,
-                                         seed=int(rng.integers(2**63)),
+                                         int(rng.integers(2**63)), kernel,
                                          scores=scores)
             fmap = build_nystrom(landmarks.points, kernel)
             stats = permuted_statistics(pooled, fmap, n_perms,
@@ -323,22 +340,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 class TestSampleLandmarks:
+    # The i.i.d. draw that sample_landmarks prunes is leverage._draw_rows.
+
     def test_single_point_dataset(self):
         points = np.array([[1.0, 2.0]])
-        landmarks = sample_landmarks(points, ell=5, seed=0)
-        np.testing.assert_array_equal(landmarks.points, np.repeat(points, 5, axis=0))
+        drawn = leverage._draw_rows(points, 5, 0, None)
+        np.testing.assert_array_equal(drawn, np.repeat(points, 5, axis=0))
+        landmarks = sample_landmarks(points, ell=5, seed=0, kernel=GaussianKernel(1.0))
+        np.testing.assert_array_equal(landmarks.points, points)
 
     def test_one_hot_scores_pick_single_index(self):
         rng = np.random.default_rng(8)
         points = rng.standard_normal((7, 2))
-        landmarks = sample_landmarks(points, ell=6, seed=1, scores=np.eye(7)[3])
-        np.testing.assert_array_equal(landmarks.points,
-                                      np.repeat(points[3:4], 6, axis=0))
+        drawn = leverage._draw_rows(points, 6, 1, np.eye(7)[3])
+        np.testing.assert_array_equal(drawn, np.repeat(points[3:4], 6, axis=0))
+        landmarks = sample_landmarks(points, ell=6, seed=1, kernel=GaussianKernel(1.0),
+                                     scores=np.eye(7)[3])
+        np.testing.assert_array_equal(landmarks.points, points[3:4])
 
     def test_uniform_frequencies_concentrate(self):
         points = np.arange(10, dtype=float).reshape(-1, 1)
-        landmarks = sample_landmarks(points, ell=100_000, seed=2)
-        counts = np.bincount(landmarks.points[:, 0].astype(int), minlength=10)
+        drawn = leverage._draw_rows(points, 100_000, 2, None)
+        counts = np.bincount(drawn[:, 0].astype(int), minlength=10)
         sigma = np.sqrt(0.1 * 0.9 / 100_000)
         assert np.abs(counts / 100_000 - 0.1).max() <= 3 * sigma
 
@@ -346,13 +369,14 @@ class TestSampleLandmarks:
         rng = np.random.default_rng(9)
         points = rng.standard_normal((20, 2))
         base = exact_krls(GaussianKernel(1.0).gram(points, points), 0.05)
-        first = sample_landmarks(points, ell=50, seed=3, scores=base)
-        second = sample_landmarks(points, ell=50, seed=3, scores=base * 17.0)
-        np.testing.assert_array_equal(first.points, second.points)
+        first = leverage._draw_rows(points, 50, 3, base)
+        second = leverage._draw_rows(points, 50, 3, base * 17.0)
+        np.testing.assert_array_equal(first, second)
 
     def test_all_zero_scores_rejected(self):
         with pytest.raises(ValueError, match="all leverage scores are zero"):
-            sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, scores=np.zeros(4))
+            sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, kernel=GaussianKernel(1.0),
+                             scores=np.zeros(4))
 
     @pytest.mark.parametrize("scores", [
         [0.5, np.nan, 0.5, 0.5],
@@ -365,24 +389,68 @@ class TestSampleLandmarks:
     def test_non_finite_or_negative_scores_rejected(self, scores):
         with pytest.raises(ValueError,
                            match="leverage scores must be finite and non-negative"):
-            sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, scores=np.array(scores))
+            sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, kernel=GaussianKernel(1.0),
+                             scores=np.array(scores))
 
     def test_invalid_ell(self):
         with pytest.raises(ValueError, match="ell"):
-            sample_landmarks(np.zeros((3, 1)), ell=0, seed=0)
+            sample_landmarks(np.zeros((3, 1)), ell=0, seed=0, kernel=GaussianKernel(1.0))
+
+    def test_kept_draws_match_residual_oracle(self):
+        # Each draw is kept when its squared kernel residual against all
+        # earlier draws, 1 - k' K^+ k by least squares on kernel values from
+        # explicit differences, exceeds 1e-10 * ell.  The rows hold a pair
+        # 2e-3 apart (residual ~4e-6, kept) and a pair 1e-7 apart (residual
+        # ~1e-14, dropped); every residual lies at least a factor 100 from
+        # the tolerance, so the comparison does not hinge on round-off.
+        points = np.array([[0.0], [1.0], [1.0 + 2e-3], [2.5], [2.5 + 1e-7], [4.0]])
+        ell = 12
+        tolerance = 1e-10 * ell
+
+        def k(a, b):
+            return np.exp(-np.subtract.outer(a, b) ** 2 / 2.0)
+
+        kept_pair = 0
+        for seed in range(20):
+            drawn = leverage._draw_rows(points, ell, seed, None)[:, 0]
+            residuals = np.ones(ell)
+            for j in range(1, ell):
+                column = k(drawn[:j], drawn[j])
+                coefficients = np.linalg.lstsq(k(drawn[:j], drawn[:j]), column,
+                                               rcond=None)[0]
+                residuals[j] = 1.0 - column @ coefficients
+            assert np.all((np.abs(residuals) > 100 * tolerance)
+                          | (np.abs(residuals) < tolerance / 100))
+            landmarks = sample_landmarks(points, ell, seed, GaussianKernel(1.0))
+            np.testing.assert_array_equal(landmarks.points[:, 0],
+                                          drawn[residuals > tolerance])
+            kept = set(landmarks.points[:, 0].tolist())
+            assert not {2.5, 2.5 + 1e-7} <= kept
+            kept_pair += {1.0, 1.0 + 2e-3} <= kept
+        assert kept_pair > 0
 
     def test_relabeling_equivariance_in_distribution(self):
         # Chi-square test: sampling landmarks from a relabeled dataset draws
-        # the same point multisets with the same frequencies.
-        n, ell, trials = 4, 2, 4000
-        points = np.arange(n, dtype=float).reshape(-1, 1)
-        relabel = np.array([2, 0, 3, 1])
-        shuffled = points[relabel]
+        # the same pruned point multisets with the same frequencies.
+        points = np.arange(4, dtype=float).reshape(-1, 1)
+        assert self._relabeling_pvalue(points) > 1e-3
+
+    def test_relabeling_equivariance_with_near_duplicate(self):
+        # The last row is 1e-7 from the third, so one of the two is pruned:
+        # whichever is drawn first is kept.
+        points = np.array([[0.0], [1.0], [2.0], [2.0 + 1e-7]])
+        assert self._relabeling_pvalue(points) > 1e-3
+
+    @staticmethod
+    def _relabeling_pvalue(points):
+        ell, trials = 2, 4000
+        shuffled = points[[2, 0, 3, 1]]
+        kernel = GaussianKernel(1.0)
 
         def multiset_counts(source):
             counts = {}
             for seed in range(trials):
-                drawn = sample_landmarks(source, ell, seed=seed)
+                drawn = sample_landmarks(source, ell, seed, kernel)
                 key = tuple(sorted(float(v) for v in drawn.points[:, 0]))
                 counts[key] = counts.get(key, 0) + 1
             return counts
@@ -392,8 +460,7 @@ class TestSampleLandmarks:
         keys = sorted(set(first) | set(second))
         table = np.array([[first.get(k, 0) for k in keys],
                           [second.get(k, 0) for k in keys]])
-        _, p_value, _, _ = chi2_contingency(table)
-        assert p_value > 1e-3
+        return chi2_contingency(table)[1]
 
 
 class TestDefaultRegularization:

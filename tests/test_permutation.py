@@ -24,6 +24,7 @@ from nysmmd import (
     quantile_index,
     run_test,
 )
+from nysmmd import permutation
 from nysmmd.permutation import METHODS
 from nysmmd.statistics import permutation_weights
 
@@ -278,6 +279,43 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         outcome = run_test(x, y, TestConfig(seed=0, keep_statistics=False),
                            NystromMethod(n_landmarks=4))
         assert outcome.statistics is None
+
+    @pytest.mark.parametrize("sampler", ["uniform", "akrls"])
+    def test_statistic_matches_plain_numpy_over_returned_landmarks(self, monkeypatch,
+                                                                   sampler):
+        # The observed statistic is sqrt(a' K^+ a) over the landmarks that
+        # sample_landmarks returned, with a the difference of the mean kernel
+        # vectors and K^+ cut at 1e-10 times the largest eigenvalue, kernel
+        # values taken from explicit differences.  The draw is pruned: fewer
+        # landmarks come back than were drawn.
+        returned = []
+
+        def recording_sampler(*args, **kwargs):
+            landmarks = sample_landmarks(*args, **kwargs)
+            returned.append(landmarks.points)
+            return landmarks
+
+        sample_landmarks = permutation.sample_landmarks
+        monkeypatch.setattr(permutation, "sample_landmarks", recording_sampler)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((300, 2))
+        y = 1.1 * rng.standard_normal((300, 2))
+        ell = 80
+        outcome = run_test(x, y, TestConfig(n_permutations=19, seed=4),
+                           NystromMethod(ell, sampler))
+        (landmarks,) = returned
+        assert landmarks.shape[0] < ell
+
+        def gram(a, b):
+            diff = a[:, None, :] - b[None, :, :]
+            return np.exp(-np.sum(diff * diff, axis=2) / (2.0 * outcome.bandwidth**2))
+
+        a = gram(x, landmarks).mean(axis=0) - gram(y, landmarks).mean(axis=0)
+        eigenvalues, eigenvectors = np.linalg.eigh(gram(landmarks, landmarks))
+        keep = eigenvalues > 1e-10 * eigenvalues[-1]
+        coefficients = eigenvectors[:, keep].T @ a
+        expected = math.sqrt(np.sum(coefficients**2 / eigenvalues[keep]))
+        assert outcome.statistic == pytest.approx(expected, rel=1e-9)
 
     def test_exact_level_small_sample(self):
         # Null simulation: empirical rejection rate within 3 sigma of alpha.

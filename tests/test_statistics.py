@@ -62,7 +62,7 @@ def pooled_map(x, y, ell, seed=0, bandwidth=1.0):
     """Uniform-landmark map on the pooled data, for test convenience."""
     pooled = PooledSample.from_samples(x, y)
     kernel = GaussianKernel(bandwidth)
-    landmarks = sample_landmarks(pooled.points, ell, seed=seed)
+    landmarks = sample_landmarks(pooled.points, ell, seed, kernel)
     return pooled, build_nystrom(landmarks.points, kernel)
 
 
@@ -137,8 +137,8 @@ class TestFeatureMmd:
             x = rng.standard_normal((25, 2))
             y = rng.standard_normal((20, 2)) + rng.uniform(0, 1)
             pooled = PooledSample.from_samples(x, y)
-            landmarks = sample_landmarks(pooled.points,
-                                         ell=int(rng.integers(1, 12)), seed=trial)
+            landmarks = sample_landmarks(pooled.points, int(rng.integers(1, 12)),
+                                         trial, kernel)
             fmap = build_nystrom(landmarks.points, kernel)
             assert feature_mmd(x, y, fmap) <= exact_mmd(x, y, kernel) + 1e-8
 
@@ -153,7 +153,7 @@ class TestFeatureMmd:
         for ell in (4, 16, 64, 512):
             errors = []
             for seed in range(50):
-                landmarks = sample_landmarks(pooled.points, ell, seed=seed)
+                landmarks = sample_landmarks(pooled.points, ell, seed, kernel)
                 fmap = build_nystrom(landmarks.points, kernel)
                 errors.append(abs(exact - feature_mmd(x, y, fmap)))
             mean_errors.append(np.mean(errors))
@@ -234,9 +234,10 @@ class TestPermutedStatistics:
             x = rng.standard_normal((5, 2))
             y = rng.standard_normal((5, 2))
             pooled = PooledSample.from_samples(x, y)
+            kernel = GaussianKernel(1.0)
             landmarks = sample_landmarks(pooled.points, 4,
-                                         seed=int(rng.integers(2**63)))
-            fmap = build_nystrom(landmarks.points, GaussianKernel(1.0))
+                                         int(rng.integers(2**63)), kernel)
+            fmap = build_nystrom(landmarks.points, kernel)
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
@@ -251,8 +252,9 @@ class TestPermutedStatistics:
         rng = np.random.default_rng(0)
         pooled = PooledSample(points=rng.standard_normal((20_000, 3)),
                               n_x=10_000, n_y=10_000)
-        fmap = build_nystrom(sample_landmarks(pooled.points, 100, seed=0).points,
-                             GaussianKernel(median_heuristic(pooled.points)))
+        kernel = GaussianKernel(median_heuristic(pooled.points))
+        fmap = build_nystrom(sample_landmarks(pooled.points, 100, 0, kernel).points,
+                             kernel)
         stats = permuted_statistics(pooled, fmap, 49, seed=0)
         labels = (permutation_weights(pooled, 49, seed=0) > 0).astype(np.longdouble)
         basis = np.vstack([fmap.basis(pooled.points[start:start + LABEL_BLOCK_ROWS])
@@ -415,31 +417,31 @@ class TestLabelStream:
     def test_reused_buffers_match_fresh_blocks(self, n):
         # Reference: the same pass with fresh arrays for every block, the
         # permuted labels read back from permutation_weights and the block
-        # total taken from an all-ones row of the same product.  A partial
-        # last block must not see stale rows of the shared label or basis
-        # buffers, its ones row included.
+        # total taken from an all-ones column of the same product
+        # basis' labels'.  A partial last block must not see stale rows of
+        # the shared label or basis buffers, its ones row included.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
         kernel = GaussianKernel(1.2)
-        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, seed=1).points,
+        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, 1, kernel).points,
                                    kernel),
                      build_rff(3, 24, kernel, seed=2)):
             labels = (permutation_weights(pooled, 49, seed=3) > 0).astype(float)
             labels[0] = np.arange(n) < pooled.n_x
-            sums = np.zeros((50, fmap.dimension))
+            sums = np.zeros((fmap.dimension, 50))
             total = np.zeros(fmap.dimension)
             for start in range(0, n, LABEL_BLOCK_ROWS):
                 block = slice(start, start + LABEL_BLOCK_ROWS)
                 labels_block = labels[:, block]
                 basis = fmap.basis(pooled.points[block])
-                product = np.vstack([labels_block,
-                                     np.ones(labels_block.shape[1])]) @ basis
-                sums += product[:-1]
-                total += product[-1]
+                product = basis.T @ np.vstack([labels_block,
+                                               np.ones(labels_block.shape[1])]).T
+                sums += product[:, :-1]
+                total += product[:, -1]
             coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums
-                           - total / pooled.n_y)
-            expected = np.linalg.norm(fmap.from_basis(coordinates), axis=1)
+                           - total[:, None] / pooled.n_y)
+            expected = np.linalg.norm(fmap.from_basis(coordinates.T), axis=1)
             np.testing.assert_array_equal(
                 permuted_statistics(pooled, fmap, 49, seed=3), expected)
 
