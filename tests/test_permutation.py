@@ -289,13 +289,13 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         # values taken from explicit differences.  The draw is pruned: fewer
         # landmarks come back than were drawn.
         returned = []
+        original = permutation.sample_landmarks
 
         def recording_sampler(*args, **kwargs):
-            landmarks = sample_landmarks(*args, **kwargs)
+            landmarks = original(*args, **kwargs)
             returned.append(landmarks.points)
             return landmarks
 
-        sample_landmarks = permutation.sample_landmarks
         monkeypatch.setattr(permutation, "sample_landmarks", recording_sampler)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((300, 2))
