@@ -17,14 +17,16 @@ All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
 for every permutation, how many x labels fall in each block; each block then
 draws a uniform subset of that size per permutation from its own child
-seed: the rows whose uint32 keys fall below a cut key, which one partition
-of the block's keys finds for every permutation at once, without a sort (a
-rare tie at the cut redraws the block).  Together these are uniform splits
-of the pooled rows.  Storage is O((P + 2) * (r + B)) for the
-accumulators, the labels with their ones row, the basis and the 2 * P * B
-key scratch of one block, held in buffers that every block reuses, plus the
-P x (n / B) block counts; the n-wide signed weight matrix is formed only by
-permutation_weights, for exact mode, which drops the ones row.
+seed: the rows whose uint16 keys fall below a cut key, which one partition
+of the block's keys finds for every permutation at once, without a sort.  A
+tie at a cut (about B / 2^17 per permutation, so most blocks have one)
+redraws the keys of that permutation's row alone.  Together these are
+uniform splits of the pooled rows.  Storage is O((P + 2) * (r + B)) for
+the accumulators, the labels with their ones row, the basis and the
+2 * P * B uint16 key scratch of one block, held in buffers that every block
+reuses, plus the P x (n / B) block counts; the n-wide signed weight matrix
+is formed only by permutation_weights, for exact mode, which drops the ones
+row.
 """
 
 from __future__ import annotations
@@ -72,24 +74,33 @@ class PooledSample:
         return self.n_x + self.n_y
 
 
+def _keys(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
+    """A (rows, size) array of uniform uint16 keys, four to a random_raw word."""
+    count = rows * size
+    words = rng.bit_generator.random_raw((count + 3) // 4)
+    return words.view(np.uint16)[:count].reshape(rows, size)
+
+
 def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
                      out: np.ndarray, scratch: np.ndarray) -> None:
     """Fill out[p] with the 0/1 indicator of a uniform counts[p]-subset.
 
-    Row p keeps the positions of its counts[p] smallest uniform uint32 keys,
+    Row p keeps the positions of its counts[p] smallest uniform uint16 keys,
     those below its cut: the (counts[p] + 1)-th smallest key.  One partition
     at an index shared by all rows finds every cut without a sort: with low
     and top the smallest and largest count, row p's keys are copied to a
     scratch row and followed by top - counts[p] zero keys and counts[p] - low
-    all-ones keys, which puts its cut at index top.  A tie at a cut (rare:
-    about size / 2^33 per row) would keep fewer keys; it shows as
-    max(part[:top]) == part[top] on a row with 0 < counts[p] < size, and the
-    whole block is redrawn, pads included, since the partition moved them.
-    The redraw event is symmetric in the positions and leaves the subsets
-    uniform.  Full rows are set to 1 directly (an all-ones cut would drop a
-    key of 2^32 - 1), and a block with no row strictly between empty and
-    full draws no keys.  ``scratch`` is a flat uint32 buffer of at least
-    2 * out.size entries.
+    0xFFFF keys, which puts its cut at index top.  A tie at a cut would keep
+    fewer keys; it shows as max(part[:top]) == part[top] on a row with
+    0 < counts[p] < size, about size / 2^17 of such rows (0.8% at 1,024).
+    Only the tied rows draw fresh keys, in row order and in one random_raw
+    call, and are partitioned again with fresh pads, until none ties.  Each
+    row's accepted keys are i.i.d. uniform given an event symmetric in the
+    positions, so its subset is uniform, and the rows stay independent.
+    Full rows are set to 1 directly (a 0xFFFF cut would drop a key of
+    0xFFFF), and a block with no row strictly between empty and full draws
+    no keys.  ``scratch`` is a flat uint16 buffer of at least 2 * out.size
+    entries.
     """
     size = out.shape[1]
     full = counts == size
@@ -98,20 +109,23 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
         out[:] = full[:, None]
         return
     low, top = int(counts.min()), int(counts.max())
-    padded = scratch[:counts.size * (size + top - low)].reshape(counts.size, -1)
-    # row p's pads: the window of top - low zeros then as many all-ones
-    # keys that starts at counts[p] - low
-    ramp = np.repeat(np.array([0, 2**32 - 1], dtype=np.uint32), top - low)
+    # row p's pads: the window of top - low zeros then as many 0xFFFF keys
+    # that starts at counts[p] - low
+    ramp = np.repeat(np.array([0, 2**16 - 1], dtype=np.uint16), top - low)
     pads = sliding_window_view(ramp, top - low)[counts - low]
-    while True:
-        words = rng.bit_generator.random_raw((out.size + 1) // 2)
-        keys = words.view(np.uint32)[:out.size].reshape(out.shape)
-        padded[:, :size] = keys
-        padded[:, size:] = pads
+    keys = _keys(rng, counts.size, size)
+    padded = scratch[:counts.size * (size + top - low)].reshape(counts.size, -1)
+    padded[:, :size] = keys
+    padded[:, size:] = pads
+    rows = np.arange(counts.size)
+    cuts = np.empty(counts.size, dtype=np.uint16)
+    while rows.size:
         padded.partition(top, axis=1)
-        cuts = padded[:, top]
-        if not (inner & (padded[:, :top].max(axis=1) == cuts)).any():
-            break
+        cuts[rows] = padded[:, top]
+        rows = rows[inner[rows] & (padded[:, :top].max(axis=1) == cuts[rows])]
+        if rows.size:
+            keys[rows] = _keys(rng, rows.size, size)
+            padded = np.concatenate([keys[rows], pads[rows]], axis=1)
     np.less(keys, cuts[:, None], out=out)
     out[full] = 1
 
@@ -132,7 +146,7 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
     counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
                                                     size=n_permutations)
     buffer = np.empty((n_permutations + 2) * sizes[0])
-    scratch = np.empty(2 * n_permutations * sizes[0], dtype=np.uint32)
+    scratch = np.empty(2 * n_permutations * sizes[0], dtype=np.uint16)
     for block, (start, size) in enumerate(zip(starts, sizes)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         labels = buffer[:(n_permutations + 2) * size].reshape(-1, size)

@@ -38,25 +38,29 @@ def sorted_uniform_subsets(counts: np.ndarray, rng, out: np.ndarray,
                            scratch: np.ndarray) -> None:
     """Reference label draw: sort every row of keys and cut at counts[p].
 
-    The sort-based form of statistics._uniform_subsets: the same keys and
-    redraw rule, so the same labels, and the same random_raw calls whenever
-    a row lies strictly between empty and full (it also draws for the rest).
-    ``scratch`` is a flat uint32 buffer of at least out.size entries.
+    The sort-based form of statistics._uniform_subsets: the same uint16 keys,
+    four to a random_raw word, and the same redraw rule, in which only the
+    rows that keep the wrong number of keys draw fresh ones, in row order
+    and in one random_raw call, until every row keeps counts[p].  So it
+    gives the same labels, and makes the same random_raw calls whenever a
+    row lies strictly between empty and full (it also draws for the rest).
+    ``scratch`` is a flat uint16 buffer of at least out.size entries.
     """
     rows = np.arange(counts.size)
     size = out.shape[1]
+    keys = np.empty(out.shape, dtype=np.uint16)
     ordered = scratch[:out.size].reshape(out.shape)
-    while True:
-        words = rng.bit_generator.random_raw((out.size + 1) // 2)
-        keys = words.view(np.uint32)[:out.size].reshape(out.shape)
+    redraw = rows
+    while redraw.size:
+        words = rng.bit_generator.random_raw((redraw.size * size + 3) // 4)
+        keys[redraw] = words.view(np.uint16)[:redraw.size * size].reshape(-1, size)
         np.copyto(ordered, keys)
         ordered.sort(axis=1)
-        # the (k + 1)-th smallest key bounds the k kept ones; an int64 2^32 keeps all
+        # the (k + 1)-th smallest key bounds the k kept ones; an int64 2^16 keeps all
         bounds = np.where(counts < size, ordered[rows, np.minimum(counts, size - 1)],
-                          np.int64(2**32))
+                          np.int64(2**16))
         np.less(keys, bounds[:, None], out=out)
-        if np.array_equal(out.sum(axis=1), counts):
-            return
+        redraw = np.flatnonzero(out.sum(axis=1) != counts)
 
 
 def scalar_kernel(x, y, h) -> float:

@@ -35,27 +35,30 @@ from nysmmd.statistics import (
 
 
 class EditedBits:
-    """PCG64 bit generator whose words pass through edit(call, words) first."""
+    """PCG64 bit generator whose words pass through edit(call, words) first.
+
+    ``sizes`` lists the word count of every random_raw call.
+    """
 
     def __init__(self, edit, seed=0):
-        self.calls = 0
+        self.sizes = []
         self.edit = edit
         self.source = np.random.PCG64(seed)
 
     def random_raw(self, size):
-        self.calls += 1
+        self.sizes.append(size)
         words = self.source.random_raw(size)
-        self.edit(self.calls, words)
+        self.edit(len(self.sizes), words)
         return words
 
 
 def draw_subsets(draw, counts, size, edit, seed=0):
-    """out and random_raw call count of one draw(counts, ...) on EditedBits."""
+    """out and random_raw call sizes of one draw(counts, ...) on EditedBits."""
     bits = EditedBits(edit, seed)
     out = np.empty((counts.size, size))
     draw(counts, SimpleNamespace(bit_generator=bits), out,
-         np.empty(2 * out.size, dtype=np.uint32))
-    return out, bits.calls
+         np.empty(2 * out.size, dtype=np.uint16))
+    return out, bits.sizes
 
 
 def pooled_map(x, y, ell, seed=0, bandwidth=1.0):
@@ -303,67 +306,117 @@ class TestLabelStream:
         assert 0.5 * variance <= first.var() <= 1.5 * variance
 
     def test_tie_at_the_cut_redraws_the_block(self):
-        class TiedFirstDraw:
-            """Bit generator whose first draw makes every key equal."""
+        # The first draw makes every key of rows 1 and 3 equal, so both tie
+        # at their cuts.  Only they draw again, in one call of
+        # ceil(2 * 5 / 4) words, row 1's keys first; the untied inner row 2
+        # keeps its first keys.
+        drawn = []
 
-            def __init__(self):
-                self.calls = 0
-                self.source = np.random.PCG64(0)
+        def tie_rows(call, words):
+            keys = words.view(np.uint16)
+            if call == 1:
+                keys[5:10] = 0xF000
+                keys[15:20] = 0xF000
+            drawn.append(keys.copy())
 
-            def random_raw(self, size):
-                self.calls += 1
-                words = self.source.random_raw(size)
-                if self.calls == 1:
-                    words[:] = 0
-                return words
-
-        stub = TiedFirstDraw()
-        counts = np.array([0, 2, 5])
-        out = np.empty((3, 5))
-        _uniform_subsets(counts, SimpleNamespace(bit_generator=stub), out,
-                         np.empty(2 * out.size, dtype=np.uint32))
-        assert stub.calls == 2
-        np.testing.assert_array_equal(out.sum(axis=1), counts)
+        counts = np.array([0, 2, 3, 1, 5])
+        out, sizes = draw_subsets(_uniform_subsets, counts, 5, tie_rows)
+        assert sizes == [7, 3]
+        keys = drawn[0][:25].reshape(5, 5)
+        keys[[1, 3]] = drawn[1][:10].reshape(2, 5)
+        for p, count in enumerate(counts):
+            kept = np.flatnonzero(out[p])
+            np.testing.assert_array_equal(kept, np.sort(np.argsort(keys[p])[:count]))
+            # no tie remains at the cut of an inner row
+            if 0 < count < 5:
+                assert keys[p, kept].max() < np.sort(keys[p])[count]
         assert set(np.unique(out)) <= {0.0, 1.0}
 
     def test_tie_in_one_row_redraws_with_fresh_pads(self):
         # Only row 1 ties on the first draw.  The partition has moved the
-        # pads of every row, so the redraw must write them again.  Full row 4
-        # holds the largest key, which its all-ones pad does not cut above.
+        # pads of every row, so the redrawn row must take them afresh (its
+        # tied keys lie above most fresh keys, so stale tails would move
+        # the cut), and the untied rows keep their first keys.  Full row 4
+        # holds the largest key, which its 0xFFFF pad does not cut above.
         def tie_row_one(call, words):
-            keys = words.view(np.uint32)
-            keys[24] = 2**32 - 1
+            keys = words.view(np.uint16)
             if call == 1:
-                keys[6:12] = 7
+                keys[24] = 2**16 - 1
+                keys[6:12] = 0xF000
 
         counts = np.array([1, 3, 5, 0, 6, 2])
-        out, calls = draw_subsets(_uniform_subsets, counts, 6, tie_row_one)
-        expected, expected_calls = draw_subsets(sorted_uniform_subsets, counts, 6,
+        out, sizes = draw_subsets(_uniform_subsets, counts, 6, tie_row_one)
+        expected, expected_sizes = draw_subsets(sorted_uniform_subsets, counts, 6,
                                                 tie_row_one)
-        assert calls == expected_calls == 2
+        assert sizes == expected_sizes == [9, 2]
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(out.sum(axis=1), counts)
 
-    def test_partition_matches_sorted_cut_on_tied_keys(self):
-        # Keys of 5 bits tie often, so many trials redraw; the labels and the
-        # number of draws must equal the sort-based reference's.  A block
-        # whose rows are all empty or full draws no keys.
+    def test_keys_equal_to_the_pads_match_sorted_cut(self):
+        # Real keys of 0 and 0xFFFF, the pad values, in an empty row, a full
+        # row and inner rows: 0xFFFF as row 2's cut, zeros kept below row
+        # 3's cut, and two zeros that tie at row 4's cut.  A real key is 0,
+        # or 0xFFFF, with probability 2^-16: about 3 keys of each per
+        # 199 x 1,024 block.
+        top = 2**16 - 1
+
+        def pad_values(call, words):
+            if call == 1:
+                words.view(np.uint16)[:30] = [
+                    0, top, 4, top, 0, 8,
+                    top, 0, top, 3, 0, 5,
+                    top, 5, 0, top, 9, 3,
+                    0, top, 0, 7, 8, 9,
+                    3, 0, top, 0, 5, 6]
+
+        counts = np.array([0, 6, 4, 2, 1])
+        out, sizes = draw_subsets(_uniform_subsets, counts, 6, pad_values)
+        expected, expected_sizes = draw_subsets(sorted_uniform_subsets, counts, 6,
+                                                pad_values)
+        assert sizes == expected_sizes == [8, 2]
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out[2], [0, 1, 1, 0, 1, 1])
+        np.testing.assert_array_equal(out[3], [1, 0, 1, 0, 0, 0])
+
+    @pytest.mark.parametrize("bits, tied", [(3, 0.25), (1, 0.6)])
+    def test_per_row_redraws_keep_subsets_uniform(self, bits, tied):
+        # Keys of 3 bits tie at the cut of 3 of 6 in about 31% of rows, keys
+        # of 1 bit in about 69%, so the per-row redraw is the common path;
+        # each of the C(6, 3) = 20 subsets must still be equally likely.
+        lanes = np.uint64((2**bits - 1) * 0x0001000100010001)
+
         def low_entropy(call, words):
-            words &= np.uint64(0x0000001F0000001F)
+            words &= lanes
+
+        out, sizes = draw_subsets(_uniform_subsets, np.full(4000, 3), 6, low_entropy)
+        assert sizes[1] >= tied * sizes[0]
+        splits = {subset: index for index, subset
+                  in enumerate(itertools.combinations(range(6), 3))}
+        counts = np.zeros(len(splits), dtype=int)
+        for row in out:
+            counts[splits[tuple(np.flatnonzero(row))]] += 1
+        assert chisquare(counts).pvalue > 1e-3
+
+    def test_partition_matches_sorted_cut_on_tied_keys(self):
+        # Keys of 5 bits tie often, so many trials redraw rows; the labels
+        # and the random_raw calls must equal the sort-based reference's.
+        # A block whose rows are all empty or full draws no keys.
+        def low_entropy(call, words):
+            words &= np.uint64(0x001F001F001F001F)
 
         rng = np.random.default_rng(15)
         redrawn = 0
         for trial in range(200):
             size = int(rng.integers(1, 13))
             counts = rng.integers(0, size + 1, size=int(rng.integers(1, 9)))
-            out, calls = draw_subsets(_uniform_subsets, counts, size,
+            out, sizes = draw_subsets(_uniform_subsets, counts, size,
                                       low_entropy, seed=trial)
-            expected, expected_calls = draw_subsets(
+            expected, expected_sizes = draw_subsets(
                 sorted_uniform_subsets, counts, size, low_entropy, seed=trial)
             np.testing.assert_array_equal(out, expected)
             inner = ((counts > 0) & (counts < size)).any()
-            assert calls == (expected_calls if inner else 0)
-            redrawn += expected_calls > 1
+            assert sizes == (expected_sizes if inner else [])
+            redrawn += len(expected_sizes) > 1
         assert redrawn >= 40
 
     @pytest.mark.parametrize("n", [2, 7, 1000, 1023, 1024, 1025, 2049, 3001])
@@ -383,14 +436,15 @@ class TestLabelStream:
             for (_, labels), (_, reference) in zip(actual, expected):
                 np.testing.assert_array_equal(labels, reference)
 
+    # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
         (1000, 500, 199, 0,
-         "9047f59e424d980c418ed9f9048dfd18c9fa084d233fd7e3342e7329b5a632c6"),
+         "ff9111ef3fe564b616f6e9418f40658e9e3423c6777d45a69107eb3a894c6b57"),
         (3001, 1500, 49, 3,
-         "0b3d0b76cdfdd12312a29d82468a72731ff3745672599b419da31f7f224657a8"),
+         "fee1ca919750ad6044c57650c6106a19c83d60058e9cf65c03c4e3b70f3fdd53"),
         (2049, 2048, 19, 1,
-         "78a6a4ce19e3c39c5f6e24a3f3b47b4ff65207fe8f257dccb2dd1a5c4fe4330c"),
-    ])
+         "7c078f06baa9d6dbe8c642e0a58bfa3e6725d11a680c3aa72659fec447a28441"),
+    ], ids=["1000-500-199-0", "3001-1500-49-3", "2049-2048-19-1"])
     def test_label_stream_is_pinned(self, n, n_x, n_permutations, seed, digest):
         # Statistics stay bit-identical for a fixed seed: a change to the
         # label stream fails here and must say so.  No BLAS is involved.
