@@ -23,14 +23,12 @@ from .leverage import (
     sample_landmarks,
 )
 from .features import NystromMap, RffMap, build_nystrom, build_rff, check_feature_count
-from .statistics import PooledSample, permutation_weights, permuted_statistics
-
-# Statistics are bounded by 2 for a unit-bounded kernel, so replicates below
-# this are pure cancellation round-off.  When EVERY replicate is that small
-# (degenerate data, e.g. all points equal), the values are snapped to exact
-# zeros; otherwise the residues, which are not exchangeable, would leak
-# through the bitwise-equality tie rule and break the exact level.
-DEGENERATE_TIE_TOLERANCE = 1e-12
+from .statistics import (
+    DEGENERATE_TIE_TOLERANCE,
+    PooledSample,
+    permutation_weights,
+    permuted_statistics,
+)
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,10 @@ class TestConfig:
     The recommended operating regime is 1 / (P + 1) <= alpha; smaller alpha
     still runs but the threshold saturates at the largest replicate, which
     costs power (a SmallAlphaWarning is emitted).
+
+    keep_statistics=False asks for the decision only: the outcome keeps no
+    replicate vector, and a feature-map test may stop its permutations
+    once its decision is fixed (see run_test).
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -148,14 +150,20 @@ class TestOutcome:
     Attributes:
         reject: Decision; always true when statistic > threshold.
         statistic: The observed (unpermuted) statistic.
-        threshold: The threshold order statistic among all P + 1 values.
-        threshold_index: Index of the threshold in sorted order.
+        threshold: The threshold order statistic among the
+            permutations_run + 1 values that ran.  For a test stopped early
+            this is taken over those values only, and lies strictly above
+            statistic: the accept is not randomized.
+        threshold_index: Index of the threshold in sorted order, among the
+            same values.
         randomized: True only when the decision used tie randomization,
             i.e. statistic == threshold exactly.
         rejection_probability: The tie-branch rejection probability when
             randomized, else None.
-        statistics: All P + 1 statistic values (entry 0 observed), or None
-            when not retained.
+        permutations_run: The permuted replicates that were computed: the
+            config's P, or fewer when a decision-only test stopped early.
+        statistics: The permutations_run + 1 statistic values (entry 0
+            observed), or None when not retained.
         bandwidth: Kernel bandwidth the test ran with.
     """
 
@@ -167,6 +175,7 @@ class TestOutcome:
     threshold_index: int
     randomized: bool
     rejection_probability: float | None
+    permutations_run: int
     statistics: np.ndarray | None = None
     bandwidth: float | None = None
 
@@ -191,6 +200,21 @@ def quantile_index(alpha: float, n_permutations: int) -> int:
     # (1 - a/b)(P + 1) - 1 = above / b; a numpy integer P could overflow here
     above = (b - a) * (operator.index(n_permutations) + 1) - b
     return min(max(-(-above // b), 0), n_permutations)
+
+
+def accept_count(alpha: float, n_permutations: int) -> int:
+    """m = ceil(alpha (P + 1)): once m replicates exceed the observed value, the test accepts.
+
+    In exact integer arithmetic on the binary value of alpha, as in
+    quantile_index.  With at least m of the P replicates strictly above the
+    observed statistic, decide accepts: the observed value lies below the
+    threshold, or ties it with a rejection probability of at most 0.  On a
+    vector of b < P replicates with m of them above, the threshold index is
+    b - floor(alpha (b + 1)) and floor(alpha (b + 1)) < m, so decide accepts
+    without randomizing.
+    """
+    a, b = float(alpha).as_integer_ratio()
+    return -(-a * (operator.index(n_permutations) + 1) // b)
 
 
 def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:
@@ -233,7 +257,8 @@ def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:
         reject = False
     return TestOutcome(reject=reject, statistic=observed, threshold=threshold,
                        threshold_index=index, randomized=randomized,
-                       rejection_probability=probability, statistics=statistics)
+                       rejection_probability=probability,
+                       permutations_run=n_permutations, statistics=statistics)
 
 
 def _seed_int(seed_sequence: np.random.SeedSequence) -> int:
@@ -260,6 +285,18 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     rounds differently at other thread counts, and the statistics then agree
     to round-off); the tie-break variate is drawn from its own stream whether
     or not a tie occurs, so outcomes are reproducible across code paths.
+
+    A decision-only config (keep_statistics=False) on a feature map
+    curtails the pass, as in the sequential Monte Carlo test of Besag and
+    Clifford (1991): a pooled sample of one label block stops after its
+    first ceil(P / 5) permutations when at least accept_count(alpha, P) of
+    them strictly exceed the observed statistic and not all values are
+    degenerate round-off.  Its pass run to the end would then accept too,
+    on the same labels and bit-identical values, so the level stays exact;
+    permutations_run says how many ran.  That pass forms its two batches'
+    sums in two GEMMs, so its values agree with those of keep_statistics=True
+    to round-off, as across BLAS thread counts, and so do the decisions
+    unless a replicate ties the observed statistic within round-off.
     """
     pooled = PooledSample.from_samples(x, y)
     root = np.random.SeedSequence(config.seed)
@@ -278,8 +315,10 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     else:
         feature_map = method.feature_map(pooled, kernel, _seed_int(scores_ss),
                                          _seed_int(draw_ss))
+        accept_at = (None if config.keep_statistics
+                     else accept_count(config.alpha, config.n_permutations))
         statistics = permuted_statistics(pooled, feature_map,
-                                         config.n_permutations, perm_seed)
+                                         config.n_permutations, perm_seed, accept_at)
 
     if statistics.max() <= DEGENERATE_TIE_TOLERANCE:
         statistics = np.zeros_like(statistics)

@@ -16,17 +16,21 @@ where labels @ basis runs into the BLAS's edge tiles.
 All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
 for every permutation, how many x labels fall in each block; each block then
-draws a uniform subset of that size per permutation from its own child
-seed: the rows whose uint16 keys fall below a cut key, which one partition
-of the block's keys finds for every permutation at once, without a sort.  A
-tie at a cut (about B / 2^17 per permutation, so most blocks have one)
-redraws the keys of that permutation's row alone.  Together these are
-uniform splits of the pooled rows.  Storage is O((P + 2) * (r + B)) for
-the accumulators, the labels with their ones row, the basis and the
-2 * P * B uint16 key scratch of one block, held in buffers that every block
-reuses, plus the P x (n / B) block counts; the n-wide signed weight matrix
-is formed only by permutation_weights, for exact mode, which drops the ones
-row.
+draws a uniform subset of that size per permutation, in batches of
+permutations, each batch from its own generator keyed by (block, batch):
+the rows whose uint16 keys fall below a cut key, which one partition of the
+batch's keys finds for every permutation at once, without a sort.  A tie at
+a cut (about B / 2^17 per permutation, so most blocks have one) redraws the
+keys of that permutation's row alone.  Together these are uniform splits of
+the pooled rows.  A pooled sample that fits one block draws two batches,
+the first ceil(P / 5) permutations and then the rest, and a decision-only
+pass may stop after the first (accumulate_weighted_features); a larger one
+draws all P in one batch per block, and always runs in full.  Storage is
+O((P + 2) * (r + B)) for the accumulators, the labels with their ones row,
+the basis and the uint16 key scratch of one block's larger batch, held in
+buffers that every block reuses, plus the P x (n / B) block counts; the
+n-wide signed weight matrix is formed only by permutation_weights, for
+exact mode, which drops the ones row.
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ from .features import FeatureMap
 from .kernels import as_points
 
 LABEL_BLOCK_ROWS = 1024
+# Statistics are bounded by 2 for a unit-bounded kernel, so replicates below
+# this are pure cancellation round-off.  When EVERY replicate is that small
+# (degenerate data, e.g. all points equal), run_test snaps the values to
+# exact zeros; otherwise the residues, which are not exchangeable, would
+# leak through the bitwise-equality tie rule and break the exact level.
+DEGENERATE_TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,56 +140,108 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
     out[full] = 1
 
 
-def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
-    """Yield (start, labels) over the fixed grid of LABEL_BLOCK_ROWS-row blocks.
+def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int,
+                  partial: bool = False):
+    """Yield (start, begin, labels) over the fixed grid of LABEL_BLOCK_ROWS-row blocks.
 
-    labels is a float64 (P + 2, block size) matrix with labels[p, i] = 1
-    when pooled row start + i is labeled x under permutation p and 0
-    otherwise; row 0 is the observed labeling (the first n_x rows).  Its
-    last row is all ones, so a product with the block's basis also yields
-    the basis total; it is no labeling.  The matrix is a view of one buffer
-    that the next block overwrites.
+    labels is a float64 matrix with labels[j, i] = 1 when pooled row
+    start + i is labeled x under labeling begin + j and 0 otherwise, for a
+    run of labelings: labeling 0 is the observed one (the first n_x rows),
+    labeling p permutation p.  Its last row is all ones, so a product with
+    the block's basis also yields the basis total; it is no labeling.  The
+    matrix is a view of one buffer that the next yield overwrites.
+
+    A block draws its permutations in batches, each from its own generator
+    keyed by (block, batch), so a permutation's labels do not depend on
+    whether a later batch is drawn.  A pooled sample of one block draws the
+    first ceil(P / 5) permutations, then the rest; a larger one draws all P
+    in one batch per block.  A block is yielded once, with begin = 0 and
+    all P + 1 labelings, unless ``partial``: then each batch is yielded as
+    drawn, the first with the observed labeling, and the buffer is sized
+    for the larger batch.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
     counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
                                                     size=n_permutations)
-    buffer = np.empty((n_permutations + 2) * sizes[0])
-    scratch = np.empty(2 * n_permutations * sizes[0], dtype=np.uint16)
+    first = -(-n_permutations // 5)
+    bounds = ([0, first, n_permutations] if len(sizes) == 1 and first < n_permutations
+              else [0, n_permutations])
+    widest = max(high - low for low, high in zip(bounds, bounds[1:]))
+    buffer = np.empty(((widest if partial else n_permutations) + 2) * sizes[0])
+    scratch = np.empty(2 * widest * sizes[0], dtype=np.uint16)
     for block, (start, size) in enumerate(zip(starts, sizes)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        labels = buffer[:(n_permutations + 2) * size].reshape(-1, size)
-        labels[0] = np.arange(start, start + size) < pooled.n_x
-        _uniform_subsets(counts[:, block], rng, labels[1:-1], scratch)
-        # a partial last block re-lays the buffer, so the ones row is
-        # written on every block
-        labels[-1] = 1.0
-        yield start, labels
+        for batch, (low, high) in enumerate(zip(bounds, bounds[1:])):
+            if batch == 0 or partial:
+                # labelings begin .. end - 1, then the ones row
+                begin = low + 1 if batch else 0
+                end = high + 1 if partial else n_permutations + 1
+                labels = buffer[:(end - begin + 1) * size].reshape(-1, size)
+                if begin == 0:
+                    labels[0] = np.arange(start, start + size) < pooled.n_x
+                labels[-1] = 1.0
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(block, batch)))
+            _uniform_subsets(counts[low:high, block], rng,
+                             labels[1 + low - begin:1 + high - begin], scratch)
+            if partial or high == n_permutations:
+                yield start, begin, labels
 
 
 def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
-                                 n_permutations: int, seed: int) -> np.ndarray:
+                                 n_permutations: int, seed: int,
+                                 accept_at: int | None = None) -> np.ndarray:
     """Signed feature mean differences under the observed and P permuted labelings.
 
     Row p of the (P + 1, feature width) result is mean_x phi - mean_y phi
     under labeling p.  One pass over the label blocks, evaluating each
-    block's basis once; one GEMM per block, basis' against the labels and
-    their ones row, gives the block's P + 1 labeled sums and its total T in
-    its last column.  The sums are basis-wide, (dimension, P + 2).
+    block's basis once; one GEMM per yielded label matrix, basis' against
+    the labels and their ones row, gives the labeled sums and, in its last
+    column, the block's total T.  The sums are basis-wide, (dimension,
+    P + 1), and are mapped to features after the pass.
+
+    With ``accept_at`` = m, a one-block pass runs its two batches as two
+    GEMMs and maps the first, of ceil(P / 5) permutations, on its own.  It
+    stops there when at least m of their statistics (row norms) strictly
+    exceed row 0's and the largest exceeds DEGENERATE_TIE_TOLERANCE; the
+    result then holds the batch's rows only, bit-identical to the first
+    rows of the same pass run to the end.  A BLAS rounds a column
+    differently at other GEMM widths, so these values agree with those of
+    the one-GEMM pass without accept_at to round-off, not bit for bit.
     """
-    sums = np.zeros((feature_map.dimension, n_permutations + 2))
+    sums = np.zeros((feature_map.dimension, n_permutations + 1))
+    total = np.zeros(feature_map.dimension)
     # buffers reused by every block
     basis_buffer = np.empty((min(LABEL_BLOCK_ROWS, pooled.n), feature_map.dimension))
-    product = np.empty_like(sums)
-    for start, labels in _label_blocks(pooled, n_permutations, seed):
+    products = np.empty((feature_map.dimension, n_permutations + 2))
+
+    def mapped(labelings: slice) -> np.ndarray:
+        coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, labelings]
+                       - total[:, None] / pooled.n_y)
+        return feature_map.from_basis(coordinates.T)
+
+    first = None
+    for start, begin, labels in _label_blocks(pooled, n_permutations, seed,
+                                              partial=accept_at is not None):
         size = labels.shape[1]
-        basis = feature_map.basis(pooled.points[start:start + size],
-                                  out=basis_buffer[:size])
-        sums += np.matmul(basis.T, labels.T, out=product)
-    coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, :-1]
-                   - sums[:, -1:] / pooled.n_y)
-    return feature_map.from_basis(coordinates.T)
+        if begin == 0:  # a block's first labels; a later batch reuses its basis
+            basis = feature_map.basis(pooled.points[start:start + size],
+                                      out=basis_buffer[:size])
+        count = labels.shape[0] - 1
+        product = np.matmul(basis.T, labels.T, out=products[:, :count + 1])
+        sums[:, begin:begin + count] += product[:, :-1]
+        if begin == 0:
+            total += product[:, -1]
+        if begin + count <= n_permutations:  # the first batch of a partial pass
+            first = mapped(slice(0, count))
+            statistics = np.linalg.norm(first, axis=1)
+            if (np.count_nonzero(statistics[1:] > statistics[0]) >= accept_at
+                    and statistics.max() > DEGENERATE_TIE_TOLERANCE):
+                return first
+    if first is None:
+        return mapped(slice(None))
+    return np.concatenate([first, mapped(slice(first.shape[0], None))])
 
 
 def permutation_weights(pooled: PooledSample, n_permutations: int,
@@ -192,20 +254,24 @@ def permutation_weights(pooled: PooledSample, n_permutations: int,
     the feature-map statistics never form it.
     """
     weights = np.empty((n_permutations + 1, pooled.n))
-    for start, labels in _label_blocks(pooled, n_permutations, seed):
+    for start, _, labels in _label_blocks(pooled, n_permutations, seed):
         weights[:, start:start + labels.shape[1]] = np.where(
             labels[:-1] > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y)
     return weights
 
 
 def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
-                        n_permutations: int, seed: int) -> np.ndarray:
+                        n_permutations: int, seed: int,
+                        accept_at: int | None = None) -> np.ndarray:
     """The unpermuted statistic followed by P permuted replicates.
 
     Entry 0 is the projected MMD of the observed labeling; entries 1..P use
     independent uniform splits of the pooled rows; P = 0 gives entry 0
-    alone.  Deterministic for a fixed seed.
+    alone.  Deterministic for a fixed seed.  With ``accept_at``, a
+    one-block pass may stop after its first batch and return the first
+    entries of the vector it returns when it does not stop (see
+    accumulate_weighted_features).
     """
     accumulated = accumulate_weighted_features(pooled, feature_map,
-                                               n_permutations, seed)
+                                               n_permutations, seed, accept_at)
     return np.linalg.norm(accumulated, axis=1)

@@ -103,6 +103,24 @@ class TestTestCommand:
         if payload["reject"]:
             assert payload["randomized"]
 
+    def test_null_test_reports_the_permutations_it_ran(self, tmp_path, capsys):
+        # identical files: the observed statistic is round-off, so the test
+        # stops after its first batch of ceil(199 / 5) = 40 permutations
+        rng = np.random.default_rng(4)
+        path = tmp_path / "same.csv"
+        write_csv(rng.standard_normal((60, 2)), path)
+        code, out, _ = run_cli(capsys, "test", "--x", str(path), "--y", str(path),
+                               "--seed", "7")
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["permutations"] == 199
+        assert payload["permutations_run"] == 40
+        assert payload["randomized"] is False
+
     def test_shifted_files_reject_with_exit_three(self, csv_pair, capsys):
         x_path, y_path = csv_pair
         code, out, _ = run_cli(capsys, "test", "--x", str(x_path), "--y",

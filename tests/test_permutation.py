@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from nysmmd import (
     run_test,
 )
 from nysmmd import permutation
-from nysmmd.permutation import METHODS
+from nysmmd.permutation import METHODS, SmallAlphaWarning, accept_count
 from nysmmd.statistics import permutation_weights
 
 
@@ -73,6 +73,22 @@ class TestQuantileIndex:
                 n_perms = int(rng.integers(2, 2**13)) * 2 ** int(rng.integers(0, j + 1)) - 1
             assert quantile_index(alpha, n_perms) == self.rational_index(alpha, n_perms)
 
+    @pytest.mark.parametrize("alpha,n_perms,expected", [
+        (0.004, 199, 1), (0.5, 1, 1), (0.25, 7, 2), (0.3, 9, 3),
+        # the doubles nearest 0.05 and 0.1 lie above them, so these products
+        # exceed an integer that float arithmetic rounds them to
+        (0.05, 199, 11), (0.1, 19, 3), (0.1, 9, 2),
+    ])
+    def test_accept_count_known_values(self, alpha, n_perms, expected):
+        assert accept_count(alpha, n_perms) == expected
+
+    def test_accept_count_matches_rational_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            alpha = float(rng.uniform(1e-6, 1 - 1e-6))
+            n_perms = int(rng.integers(1, 10**6))
+            assert accept_count(alpha, n_perms) == math.ceil(Fraction(alpha) * (n_perms + 1))
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             quantile_index(0.0, 10)
@@ -105,7 +121,7 @@ class TestDecide:
         names = [field.name for field in fields(TestOutcome) if field.name != "statistics"]
         assert list(summary) == names == [
             "reject", "statistic", "threshold", "threshold_index", "randomized",
-            "rejection_probability", "bandwidth"]
+            "rejection_probability", "permutations_run", "bandwidth"]
 
     def test_below_threshold_fails_to_reject(self):
         stats = np.linspace(1.0, 2.0, 50)[::-1].copy()
@@ -279,6 +295,58 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         outcome = run_test(x, y, TestConfig(seed=0, keep_statistics=False),
                            NystromMethod(n_landmarks=4))
         assert outcome.statistics is None
+
+    @pytest.mark.filterwarnings("ignore", category=SmallAlphaWarning)
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.004])
+    @pytest.mark.parametrize("n_permutations", [1, 4, 19, 199])
+    @pytest.mark.parametrize("method", [NystromMethod(n_landmarks=4), RffMethod(4)],
+                             ids=["nystrom", "rff"])
+    def test_decision_only_matches_the_full_pass(self, method, n_permutations, alpha):
+        # A decision-only test may stop its permutations early; over 200
+        # seeds of null, shifted and all-equal data it must reject exactly
+        # when the full pass does.  Its values are the full pass's to
+        # round-off, and a stopped test accepts without randomizing.  The
+        # points of the all-equal data differ by 1e-14, so that their
+        # values, which run_test snaps to zeros, are round-off of which
+        # some exceed the observed one.
+        stopped = 0
+        for seed in range(200):
+            rng = np.random.default_rng([18, seed])
+            x = rng.standard_normal((12, 2))
+            y = rng.standard_normal((10, 2))
+            equal = 1.0 + 1e-14 * rng.standard_normal((22, 2))
+            for data in ((x, y), (x, y + 1.0), (equal[:12], equal[12:])):
+                config = TestConfig(alpha=alpha, n_permutations=n_permutations,
+                                    seed=seed, bandwidth=1.0)
+                full = run_test(*data, config, method)
+                only = run_test(*data, replace(config, keep_statistics=False), method)
+                assert only.reject == full.reject
+                assert only.statistics is None
+                assert full.permutations_run == n_permutations
+                assert only.statistic == pytest.approx(full.statistic, rel=1e-12,
+                                                       abs=1e-15)
+                if only.permutations_run == n_permutations:
+                    assert only.randomized == full.randomized
+                    assert only.threshold == pytest.approx(full.threshold, rel=1e-12,
+                                                           abs=1e-15)
+                    continue
+                stopped += 1
+                assert only.permutations_run == math.ceil(n_permutations / 5)
+                assert not (only.reject or only.randomized)
+                assert only.threshold > only.statistic
+        assert stopped > 0 or n_permutations == 1
+
+    def test_stopped_outcome_is_strict_json(self):
+        # identical samples: the observed statistic is round-off, so a null
+        # decision-only test stops after its first batch of 40
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((50, 2))
+        outcome = run_test(x, x.copy(), TestConfig(seed=3, keep_statistics=False),
+                           NystromMethod(n_landmarks=8))
+        assert outcome.permutations_run == 40
+        summary = json.loads(json.dumps(outcome.to_dict(), allow_nan=False))
+        assert summary["permutations_run"] == 40
+        assert summary["threshold_index"] == 40 - 2
 
     @pytest.mark.parametrize("sampler", ["uniform", "akrls"])
     def test_statistic_matches_plain_numpy_over_returned_landmarks(self, monkeypatch,

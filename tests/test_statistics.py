@@ -182,9 +182,65 @@ class TestPermutedStatistics:
         # feature_mmd takes the norm of a 1-d row, which rounds in another order
         assert stats[0] == pytest.approx(feature_mmd(x, y, fmap), rel=1e-15, abs=0)
         np.testing.assert_array_equal(stats, permuted_statistics(pooled, fmap, 0, seed=4))
+        np.testing.assert_array_equal(
+            stats, permuted_statistics(pooled, fmap, 0, seed=3, accept_at=1))
         weights = permutation_weights(pooled, 0, seed=3)
         assert weights.shape == (1, pooled.n)
         np.testing.assert_array_equal(weights[0], np.repeat([1 / 30, -1 / 25], [30, 25]))
+
+    @pytest.mark.parametrize("n", [22, 60, 1000, 1023, 1024, 1025])
+    def test_stopped_vector_is_a_prefix_of_the_complete_pass(self, n):
+        # A pass given accept_at stops after its first batch of ceil(49 / 5)
+        # = 10 permutations exactly when at least accept_at of them exceed
+        # entry 0, and only on one label block.  Its values are bit for bit
+        # those of the same pass run to the end (accept_at = 11 cannot
+        # stop), and agree with the one-GEMM pass without accept_at to
+        # round-off, as across BLAS thread counts.
+        rng = np.random.default_rng(n)
+        pooled = PooledSample(points=rng.standard_normal((n, 3)),
+                              n_x=n // 2, n_y=n - n // 2)
+        kernel = GaussianKernel(1.2)
+        stopped = 0
+        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, 1, kernel).points,
+                                   kernel),
+                     build_nystrom(sample_landmarks(pooled.points, 6, 1, kernel).points,
+                                   kernel),
+                     build_rff(3, 24, kernel, seed=2)):
+            for seed in range(8):
+                complete = permuted_statistics(pooled, fmap, 49, seed, accept_at=11)
+                one_gemm = permuted_statistics(pooled, fmap, 49, seed)
+                assert (np.abs(complete - one_gemm).max()
+                        <= 1e-12 * np.abs(one_gemm).max())
+                if n > LABEL_BLOCK_ROWS:
+                    np.testing.assert_array_equal(complete, one_gemm)
+                exceeding = np.count_nonzero(complete[1:11] > complete[0])
+                for accept_at in (1, 3, 6):
+                    stats = permuted_statistics(pooled, fmap, 49, seed, accept_at)
+                    stops = n <= LABEL_BLOCK_ROWS and exceeding >= accept_at
+                    assert stats.size == (11 if stops else 50)
+                    np.testing.assert_array_equal(stats, complete[:stats.size])
+                    stopped += stops
+        assert stopped > 0 or n > LABEL_BLOCK_ROWS
+
+    def test_degenerate_values_never_stop_the_pass(self):
+        # Points equal up to 1e-14: every value is round-off below
+        # DEGENERATE_TIE_TOLERANCE, which run_test snaps to zeros, so the
+        # pass must run in full even when replicates exceed entry 0 (they
+        # do under the RFF map).
+        rng = np.random.default_rng(3)
+        points = 1.0 + 1e-14 * rng.standard_normal((21, 2))
+        pooled = PooledSample.from_samples(points[:12], points[12:])
+        kernel = GaussianKernel(1.0)
+        exceeded = 0
+        for fmap in (build_nystrom(sample_landmarks(pooled.points, 4, 0, kernel).points,
+                                   kernel),
+                     build_rff(2, 4, kernel, seed=0)):
+            for seed in range(20):
+                stats = permuted_statistics(pooled, fmap, 19, seed, accept_at=1)
+                assert stats.size == 20
+                assert stats.max() <= statistics.DEGENERATE_TIE_TOLERANCE
+                exceeded += bool((stats[1:5] > stats[0]).any())
+        assert exceeded > 0
 
     def test_negative_permutation_count_rejected(self):
         pooled, fmap = pooled_map(np.zeros((4, 2)), np.ones((3, 2)), ell=2)
@@ -423,7 +479,7 @@ class TestLabelStream:
     def test_blocks_match_sorted_cut(self, n, monkeypatch):
         def blocks(n_x, n_permutations):
             pooled = PooledSample(points=np.zeros((n, 1)), n_x=n_x, n_y=n - n_x)
-            return [(start, labels.copy()) for start, labels
+            return [(start, labels.copy()) for start, _, labels
                     in _label_blocks(pooled, n_permutations, seed=n_x)]
 
         shapes = [(n_x, n_permutations) for n_x in sorted({1, n // 2, n - 1})
@@ -436,14 +492,59 @@ class TestLabelStream:
             for (_, labels), (_, reference) in zip(actual, expected):
                 np.testing.assert_array_equal(labels, reference)
 
+    @pytest.mark.parametrize("n, n_permutations", [
+        (7, 0), (7, 1), (7, 4), (60, 19), (1024, 199), (1025, 49), (2049, 19)])
+    def test_batches_draw_from_keyed_generators(self, n, n_permutations):
+        # Reference: one multivariate hypergeometric draw of the block
+        # counts for all P; then each block draws its batches from
+        # generators keyed by (block, batch).  One block draws the first
+        # ceil(P / 5) permutations, then the rest; more blocks draw all P at
+        # once.
+        seed, n_x = 5, n // 2 + 1
+        pooled = PooledSample(points=np.zeros((n, 1)), n_x=n_x, n_y=n - n_x)
+        starts = range(0, n, LABEL_BLOCK_ROWS)
+        sizes = [min(LABEL_BLOCK_ROWS, n - start) for start in starts]
+        counts = np.random.default_rng(np.random.SeedSequence(seed)) \
+            .multivariate_hypergeometric(sizes, n_x, size=n_permutations)
+        first = math.ceil(n_permutations / 5)
+        bounds = ([0, first, n_permutations] if n <= LABEL_BLOCK_ROWS
+                  and first < n_permutations else [0, n_permutations])
+        expected = np.zeros((n_permutations, n))
+        for block, (start, size) in enumerate(zip(starts, sizes)):
+            for batch, (low, high) in enumerate(zip(bounds, bounds[1:])):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(block, batch)))
+                out = expected[low:high, start:start + size]
+                sorted_uniform_subsets(counts[low:high, block], rng, out,
+                                       np.empty(out.size, dtype=np.uint16))
+        labels = permutation_weights(pooled, n_permutations, seed) > 0
+        np.testing.assert_array_equal(labels[1:], expected > 0)
+
+    @pytest.mark.parametrize("n", [7, 1024])
+    def test_partial_pass_yields_each_batch(self, n):
+        # A one-block pass asked for partial yields its first batch, with
+        # the observed labeling, then the rest, each followed by the ones
+        # row; the labels are those of the complete block.
+        pooled = PooledSample(points=np.zeros((n, 1)), n_x=3, n_y=n - 3)
+        (_, begin, complete), = _label_blocks(pooled, 19, seed=2)
+        assert begin == 0 and complete.shape == (21, n)
+        yields = [(start, begin, labels.copy()) for start, begin, labels
+                  in _label_blocks(pooled, 19, seed=2, partial=True)]
+        assert [(start, begin, labels.shape) for start, begin, labels in yields] == [
+            (0, 0, (6, n)), (0, 5, (16, n))]
+        np.testing.assert_array_equal(yields[0][2][:-1], complete[:5])
+        np.testing.assert_array_equal(yields[1][2][:-1], complete[5:-1])
+        for _, _, labels in yields:
+            np.testing.assert_array_equal(labels[-1], 1.0)
+
     # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
         (1000, 500, 199, 0,
-         "ff9111ef3fe564b616f6e9418f40658e9e3423c6777d45a69107eb3a894c6b57"),
+         "54f2b6c1128845a3815db31a1c69d69d26013ebd19c547bdca9872a454fda313"),
         (3001, 1500, 49, 3,
-         "fee1ca919750ad6044c57650c6106a19c83d60058e9cf65c03c4e3b70f3fdd53"),
+         "8a73e5098b4f89fa02c7b4514e778cd8bd9a87a79ebc04fd0116fbf07ff6d9f7"),
         (2049, 2048, 19, 1,
-         "7c078f06baa9d6dbe8c642e0a58bfa3e6725d11a680c3aa72659fec447a28441"),
+         "73e008ff6559aa504c5811fed6c89c5178a4e067f2096d8cf7e22d0aadbda304"),
     ], ids=["1000-500-199-0", "3001-1500-49-3", "2049-2048-19-1"])
     def test_label_stream_is_pinned(self, n, n_x, n_permutations, seed, digest):
         # Statistics stay bit-identical for a fixed seed: a change to the
