@@ -121,7 +121,8 @@ class TestConfig:
 
     keep_statistics=False asks for the decision only: the outcome keeps no
     replicate vector, and a feature-map test may stop its permutations
-    once its decision is fixed (see run_test).
+    once its decision is fixed.  The values it computes are bit for bit
+    the first values of the keep_statistics=True test (see run_test).
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -291,12 +292,11 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     Clifford (1991): a pooled sample of one label block stops after its
     first ceil(P / 5) permutations when at least accept_count(alpha, P) of
     them strictly exceed the observed statistic and not all values are
-    degenerate round-off.  Its pass run to the end would then accept too,
-    on the same labels and bit-identical values, so the level stays exact;
-    permutations_run says how many ran.  That pass forms its two batches'
-    sums in two GEMMs, so its values agree with those of keep_statistics=True
-    to round-off, as across BLAS thread counts, and so do the decisions
-    unless a replicate ties the observed statistic within round-off.
+    degenerate round-off.  Its values are bit for bit the first values of
+    the keep_statistics=True pass, so that pass would accept too and the
+    level stays exact; permutations_run says how many ran.  A test that
+    does not stop gives the outcome of keep_statistics=True bit for bit,
+    without the replicate vector.
     """
     pooled = PooledSample.from_samples(x, y)
     root = np.random.SeedSequence(config.seed)

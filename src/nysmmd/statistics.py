@@ -7,9 +7,9 @@ rows labeled x and T the sum over all rows.  Features are linear in a basis
 of width r (kernel columns against the r kept landmarks for Nystrom, the
 features themselves for random Fourier features, r = ell), so S and T are
 summed in basis coordinates and the map's linear factor is applied once, to
-the (P + 1) x r result.  T comes from the same GEMM as S: each block's label
-matrix carries one all-ones row below its P + 1 labelings, so the product's
-last column is the block's basis total.  The product is formed as
+the (P + 1) x r result.  T comes from the same GEMM as S: each label matrix
+carries one all-ones row below its labelings, so the product's last column
+is the block's basis total.  The product is formed as
 basis' labels' into an r x (P + 2) accumulator, whose cost stays flat in r
 where labels @ basis runs into the BLAS's edge tiles.
 
@@ -23,14 +23,15 @@ batch's keys finds for every permutation at once, without a sort.  A tie at
 a cut (about B / 2^17 per permutation, so most blocks have one) redraws the
 keys of that permutation's row alone.  Together these are uniform splits of
 the pooled rows.  A pooled sample that fits one block draws two batches,
-the first ceil(P / 5) permutations and then the rest, and a decision-only
-pass may stop after the first (accumulate_weighted_features); a larger one
-draws all P in one batch per block, and always runs in full.  Storage is
-O((P + 2) * (r + B)) for the accumulators, the labels with their ones row,
-the basis and the uint16 key scratch of one block's larger batch, held in
-buffers that every block reuses, plus the P x (n / B) block counts; the
-n-wide signed weight matrix is formed only by permutation_weights, for
-exact mode, which drops the ones row.
+the first ceil(P / 5) permutations and then the rest, and every pass forms
+and maps them apart, so a decision-only pass that stops after the first
+(accumulate_weighted_features) returns a bitwise prefix of the complete
+one; a larger sample draws all P in one batch per block, and always runs
+in full.  Storage is O((P + 2) * (r + B)) for the accumulators, the labels
+with their ones row, the basis and the uint16 key scratch of one block's
+larger batch, held in buffers that every block and batch reuses, plus the
+P x (n / B) block counts; the n-wide signed weight matrix is formed only by
+permutation_weights, for exact mode, which drops the ones row.
 """
 
 from __future__ import annotations
@@ -140,25 +141,23 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
     out[full] = 1
 
 
-def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int,
-                  partial: bool = False):
-    """Yield (start, begin, labels) over the fixed grid of LABEL_BLOCK_ROWS-row blocks.
+def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
+    """Yield (start, begin, labels) for each batch of each LABEL_BLOCK_ROWS-row block.
 
     labels is a float64 matrix with labels[j, i] = 1 when pooled row
     start + i is labeled x under labeling begin + j and 0 otherwise, for a
     run of labelings: labeling 0 is the observed one (the first n_x rows),
     labeling p permutation p.  Its last row is all ones, so a product with
     the block's basis also yields the basis total; it is no labeling.  The
-    matrix is a view of one buffer that the next yield overwrites.
+    matrix is a view of one buffer, sized for the larger batch, that the
+    next yield overwrites.
 
     A block draws its permutations in batches, each from its own generator
     keyed by (block, batch), so a permutation's labels do not depend on
-    whether a later batch is drawn.  A pooled sample of one block draws the
-    first ceil(P / 5) permutations, then the rest; a larger one draws all P
-    in one batch per block.  A block is yielded once, with begin = 0 and
-    all P + 1 labelings, unless ``partial``: then each batch is yielded as
-    drawn, the first with the observed labeling, and the buffer is sized
-    for the larger batch.
+    whether a later batch is drawn, and yields each batch as drawn, the
+    first with the observed labeling.  A pooled sample of one block draws
+    the first ceil(P / 5) permutations, then the rest; a larger one draws
+    all P in one batch per block.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
@@ -169,24 +168,21 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int,
     bounds = ([0, first, n_permutations] if len(sizes) == 1 and first < n_permutations
               else [0, n_permutations])
     widest = max(high - low for low, high in zip(bounds, bounds[1:]))
-    buffer = np.empty(((widest if partial else n_permutations) + 2) * sizes[0])
+    buffer = np.empty((widest + 2) * sizes[0])
     scratch = np.empty(2 * widest * sizes[0], dtype=np.uint16)
     for block, (start, size) in enumerate(zip(starts, sizes)):
         for batch, (low, high) in enumerate(zip(bounds, bounds[1:])):
-            if batch == 0 or partial:
-                # labelings begin .. end - 1, then the ones row
-                begin = low + 1 if batch else 0
-                end = high + 1 if partial else n_permutations + 1
-                labels = buffer[:(end - begin + 1) * size].reshape(-1, size)
-                if begin == 0:
-                    labels[0] = np.arange(start, start + size) < pooled.n_x
-                labels[-1] = 1.0
+            # labelings begin .. high, then the ones row
+            begin = low + 1 if batch else 0
+            labels = buffer[:(high - begin + 2) * size].reshape(-1, size)
+            if begin == 0:
+                labels[0] = np.arange(start, start + size) < pooled.n_x
+            labels[-1] = 1.0
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(block, batch)))
             _uniform_subsets(counts[low:high, block], rng,
-                             labels[1 + low - begin:1 + high - begin], scratch)
-            if partial or high == n_permutations:
-                yield start, begin, labels
+                             labels[1 + low - begin:-1], scratch)
+            yield start, begin, labels
 
 
 def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
@@ -199,16 +195,14 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
     block's basis once; one GEMM per yielded label matrix, basis' against
     the labels and their ones row, gives the labeled sums and, in its last
     column, the block's total T.  The sums are basis-wide, (dimension,
-    P + 1), and are mapped to features after the pass.
+    P + 1), and are mapped to features after the pass; a one-block pass
+    maps its first batch, of ceil(P / 5) permutations, on its own.
 
-    With ``accept_at`` = m, a one-block pass runs its two batches as two
-    GEMMs and maps the first, of ceil(P / 5) permutations, on its own.  It
-    stops there when at least m of their statistics (row norms) strictly
-    exceed row 0's and the largest exceeds DEGENERATE_TIE_TOLERANCE; the
-    result then holds the batch's rows only, bit-identical to the first
-    rows of the same pass run to the end.  A BLAS rounds a column
-    differently at other GEMM widths, so these values agree with those of
-    the one-GEMM pass without accept_at to round-off, not bit for bit.
+    With ``accept_at`` = m, a one-block pass stops after that batch when at
+    least m of its statistics (row norms) strictly exceed row 0's and the
+    largest exceeds DEGENERATE_TIE_TOLERANCE.  The result then holds the
+    batch's rows only, bit for bit the first rows of the pass without
+    accept_at.
     """
     sums = np.zeros((feature_map.dimension, n_permutations + 1))
     total = np.zeros(feature_map.dimension)
@@ -222,8 +216,7 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
         return feature_map.from_basis(coordinates.T)
 
     first = None
-    for start, begin, labels in _label_blocks(pooled, n_permutations, seed,
-                                              partial=accept_at is not None):
+    for start, begin, labels in _label_blocks(pooled, n_permutations, seed):
         size = labels.shape[1]
         if begin == 0:  # a block's first labels; a later batch reuses its basis
             basis = feature_map.basis(pooled.points[start:start + size],
@@ -233,10 +226,11 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
         sums[:, begin:begin + count] += product[:, :-1]
         if begin == 0:
             total += product[:, -1]
-        if begin + count <= n_permutations:  # the first batch of a partial pass
+        if begin + count <= n_permutations:  # the first of a block's two batches
             first = mapped(slice(0, count))
             statistics = np.linalg.norm(first, axis=1)
-            if (np.count_nonzero(statistics[1:] > statistics[0]) >= accept_at
+            if (accept_at is not None
+                    and np.count_nonzero(statistics[1:] > statistics[0]) >= accept_at
                     and statistics.max() > DEGENERATE_TIE_TOLERANCE):
                 return first
     if first is None:
@@ -254,9 +248,9 @@ def permutation_weights(pooled: PooledSample, n_permutations: int,
     the feature-map statistics never form it.
     """
     weights = np.empty((n_permutations + 1, pooled.n))
-    for start, _, labels in _label_blocks(pooled, n_permutations, seed):
-        weights[:, start:start + labels.shape[1]] = np.where(
-            labels[:-1] > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y)
+    for start, begin, labels in _label_blocks(pooled, n_permutations, seed):
+        weights[begin:begin + labels.shape[0] - 1, start:start + labels.shape[1]] = (
+            np.where(labels[:-1] > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y))
     return weights
 
 
@@ -268,8 +262,8 @@ def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
     Entry 0 is the projected MMD of the observed labeling; entries 1..P use
     independent uniform splits of the pooled rows; P = 0 gives entry 0
     alone.  Deterministic for a fixed seed.  With ``accept_at``, a
-    one-block pass may stop after its first batch and return the first
-    entries of the vector it returns when it does not stop (see
+    one-block pass may stop after its first batch and return, bit for bit,
+    the first entries of the vector returned without accept_at (see
     accumulate_weighted_features).
     """
     accumulated = accumulate_weighted_features(pooled, feature_map,

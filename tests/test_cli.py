@@ -12,8 +12,18 @@ import pytest
 
 from helpers import read_results_csv
 import nysmmd
-from nysmmd import ExperimentSpec, TestConfig, bench, cli, load_csv, write_csv
+from nysmmd import (
+    ExperimentSpec,
+    TestConfig,
+    bench,
+    cli,
+    decide,
+    load_csv,
+    run_test,
+    write_csv,
+)
 from nysmmd.cli import main
+from nysmmd.permutation import METHODS
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +130,13 @@ class TestTestCommand:
         assert payload["permutations"] == 199
         assert payload["permutations_run"] == 40
         assert payload["randomized"] is False
+        # the values that ran are bit for bit the first 41 of the library's
+        # full pass on the same files, method (ell = ceil(sqrt(120))) and seed
+        full = run_test(load_csv(path), load_csv(path), TestConfig(seed=7),
+                        METHODS["nystrom-uniform"](11))
+        assert full.permutations_run == 199
+        assert payload["statistic"] == full.statistic
+        assert payload["threshold"] == decide(full.statistics[:41], 0.05, 0.0).threshold
 
     def test_shifted_files_reject_with_exit_three(self, csv_pair, capsys):
         x_path, y_path = csv_pair
@@ -129,6 +146,12 @@ class TestTestCommand:
         assert code == 3
         assert payload["reject"] is True
         assert payload["n_x"] == 80
+        # a test that ran all its permutations reports the full pass's values
+        full = run_test(load_csv(x_path), load_csv(y_path), TestConfig(seed=1),
+                        METHODS["nystrom-uniform"](13))
+        assert payload["permutations_run"] == 199
+        assert (payload["statistic"], payload["threshold"]) == (full.statistic,
+                                                                full.threshold)
         defaults = TestConfig()
         assert (payload["alpha"], payload["permutations"], payload["seed"]) == (
             defaults.alpha, defaults.n_permutations, 1)

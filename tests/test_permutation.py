@@ -304,11 +304,12 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
     def test_decision_only_matches_the_full_pass(self, method, n_permutations, alpha):
         # A decision-only test may stop its permutations early; over 200
         # seeds of null, shifted and all-equal data it must reject exactly
-        # when the full pass does.  Its values are the full pass's to
-        # round-off, and a stopped test accepts without randomizing.  The
-        # points of the all-equal data differ by 1e-14, so that their
-        # values, which run_test snaps to zeros, are round-off of which
-        # some exceed the observed one.
+        # when the full pass does.  Its statistic is the full pass's bit for
+        # bit, as are its threshold and randomization when it does not
+        # stop, and a stopped test accepts without randomizing.  The points
+        # of the all-equal data differ by 1e-14, so that their values,
+        # which run_test snaps to zeros, are round-off of which some exceed
+        # the observed one.
         stopped = 0
         for seed in range(200):
             rng = np.random.default_rng([18, seed])
@@ -323,18 +324,39 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
                 assert only.reject == full.reject
                 assert only.statistics is None
                 assert full.permutations_run == n_permutations
-                assert only.statistic == pytest.approx(full.statistic, rel=1e-12,
-                                                       abs=1e-15)
+                assert only.statistic == full.statistic
                 if only.permutations_run == n_permutations:
                     assert only.randomized == full.randomized
-                    assert only.threshold == pytest.approx(full.threshold, rel=1e-12,
-                                                           abs=1e-15)
+                    assert only.threshold == full.threshold
                     continue
                 stopped += 1
                 assert only.permutations_run == math.ceil(n_permutations / 5)
                 assert not (only.reject or only.randomized)
                 assert only.threshold > only.statistic
         assert stopped > 0 or n_permutations == 1
+
+    @pytest.mark.parametrize("method", [NystromMethod(n_landmarks=32), RffMethod(32)],
+                             ids=["nystrom", "rff"])
+    def test_decision_only_is_bitwise_on_a_large_label_block(self, method):
+        # At 300 points per side OpenBLAS rounds a GEMM's columns
+        # differently at other GEMM widths, which it does not on the 22-row
+        # data above; the decision-only test's values must still be the
+        # full pass's bit for bit, those of a stopped test its first 41.
+        stopped = 0
+        for seed in range(10):
+            rng = np.random.default_rng([20, seed])
+            x = rng.standard_normal((300, 3))
+            y = rng.standard_normal((300, 3))
+            full = run_test(x, y, TestConfig(seed=seed), method)
+            only = run_test(x, y, TestConfig(seed=seed, keep_statistics=False), method)
+            assert (only.statistic, only.reject) == (full.statistic, full.reject)
+            if only.permutations_run == 199:
+                assert (only.threshold, only.randomized) == (full.threshold,
+                                                             full.randomized)
+            else:
+                stopped += 1
+                assert only.threshold == decide(full.statistics[:41], 0.05, 0.0).threshold
+        assert 0 < stopped < 10
 
     def test_stopped_outcome_is_strict_json(self):
         # identical samples: the observed statistic is round-off, so a null

@@ -193,9 +193,8 @@ class TestPermutedStatistics:
         # A pass given accept_at stops after its first batch of ceil(49 / 5)
         # = 10 permutations exactly when at least accept_at of them exceed
         # entry 0, and only on one label block.  Its values are bit for bit
-        # those of the same pass run to the end (accept_at = 11 cannot
-        # stop), and agree with the one-GEMM pass without accept_at to
-        # round-off, as across BLAS thread counts.
+        # the first values of the pass without accept_at, as are those of a
+        # pass that cannot stop (accept_at = 11).
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
@@ -207,12 +206,9 @@ class TestPermutedStatistics:
                                    kernel),
                      build_rff(3, 24, kernel, seed=2)):
             for seed in range(8):
-                complete = permuted_statistics(pooled, fmap, 49, seed, accept_at=11)
-                one_gemm = permuted_statistics(pooled, fmap, 49, seed)
-                assert (np.abs(complete - one_gemm).max()
-                        <= 1e-12 * np.abs(one_gemm).max())
-                if n > LABEL_BLOCK_ROWS:
-                    np.testing.assert_array_equal(complete, one_gemm)
+                complete = permuted_statistics(pooled, fmap, 49, seed)
+                np.testing.assert_array_equal(
+                    permuted_statistics(pooled, fmap, 49, seed, accept_at=11), complete)
                 exceeding = np.count_nonzero(complete[1:11] > complete[0])
                 for accept_at in (1, 3, 6):
                     stats = permuted_statistics(pooled, fmap, 49, seed, accept_at)
@@ -520,22 +516,25 @@ class TestLabelStream:
         labels = permutation_weights(pooled, n_permutations, seed) > 0
         np.testing.assert_array_equal(labels[1:], expected > 0)
 
-    @pytest.mark.parametrize("n", [7, 1024])
-    def test_partial_pass_yields_each_batch(self, n):
-        # A one-block pass asked for partial yields its first batch, with
-        # the observed labeling, then the rest, each followed by the ones
-        # row; the labels are those of the complete block.
+    @pytest.mark.parametrize("n", [7, 1024, 1025])
+    def test_pass_yields_each_batch_as_drawn(self, n):
+        # A one-block pass yields its first batch of ceil(19 / 5) = 4
+        # permutations, with the observed labeling, then the other 15; a
+        # larger pass yields each block once, with all 20 labelings.  Each
+        # matrix ends in the ones row, and its labelings are the rows that
+        # permutation_weights writes for them.
         pooled = PooledSample(points=np.zeros((n, 1)), n_x=3, n_y=n - 3)
-        (_, begin, complete), = _label_blocks(pooled, 19, seed=2)
-        assert begin == 0 and complete.shape == (21, n)
-        yields = [(start, begin, labels.copy()) for start, begin, labels
-                  in _label_blocks(pooled, 19, seed=2, partial=True)]
-        assert [(start, begin, labels.shape) for start, begin, labels in yields] == [
-            (0, 0, (6, n)), (0, 5, (16, n))]
-        np.testing.assert_array_equal(yields[0][2][:-1], complete[:5])
-        np.testing.assert_array_equal(yields[1][2][:-1], complete[5:-1])
-        for _, _, labels in yields:
+        expected = permutation_weights(pooled, 19, seed=2) > 0
+        yields = [(start, begin, labels.copy())
+                  for start, begin, labels in _label_blocks(pooled, 19, seed=2)]
+        shapes = ([(0, 0, (6, n)), (0, 5, (16, n))] if n <= LABEL_BLOCK_ROWS
+                  else [(0, 0, (21, 1024)), (1024, 0, (21, 1))])
+        assert [(start, begin, labels.shape) for start, begin, labels in yields] == shapes
+        for start, begin, labels in yields:
             np.testing.assert_array_equal(labels[-1], 1.0)
+            np.testing.assert_array_equal(
+                labels[:-1] > 0, expected[begin:begin + labels.shape[0] - 1,
+                                          start:start + labels.shape[1]])
 
     # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
@@ -573,7 +572,9 @@ class TestLabelStream:
         # Reference: the same pass with fresh arrays for every block, the
         # permuted labels read back from permutation_weights and the block
         # total taken from an all-ones column of the same product
-        # basis' labels'.  A partial last block must not see stale rows of
+        # basis' labels'.  One block forms and maps its two batches apart,
+        # labelings 0 .. ceil(49 / 5) = 10 and 11 .. 49, each with a ones
+        # row.  A partial last block or batch must not see stale rows of
         # the shared label or basis buffers, its ones row included.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
@@ -584,19 +585,24 @@ class TestLabelStream:
                      build_rff(3, 24, kernel, seed=2)):
             labels = (permutation_weights(pooled, 49, seed=3) > 0).astype(float)
             labels[0] = np.arange(n) < pooled.n_x
+            batches = ([slice(0, 11), slice(11, 50)] if n <= LABEL_BLOCK_ROWS
+                       else [slice(0, 50)])
             sums = np.zeros((fmap.dimension, 50))
             total = np.zeros(fmap.dimension)
             for start in range(0, n, LABEL_BLOCK_ROWS):
                 block = slice(start, start + LABEL_BLOCK_ROWS)
-                labels_block = labels[:, block]
                 basis = fmap.basis(pooled.points[block])
-                product = basis.T @ np.vstack([labels_block,
-                                               np.ones(labels_block.shape[1])]).T
-                sums += product[:, :-1]
-                total += product[:, -1]
-            coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums
-                           - total[:, None] / pooled.n_y)
-            expected = np.linalg.norm(fmap.from_basis(coordinates.T), axis=1)
+                for batch in batches:
+                    labels_batch = labels[batch, block]
+                    product = basis.T @ np.vstack([labels_batch,
+                                                   np.ones(labels_batch.shape[1])]).T
+                    sums[:, batch] += product[:, :-1]
+                    if batch.start == 0:
+                        total += product[:, -1]
+            expected = np.linalg.norm(np.vstack([
+                fmap.from_basis(((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, batch]
+                                 - total[:, None] / pooled.n_y).T)
+                for batch in batches]), axis=1)
             np.testing.assert_array_equal(
                 permuted_statistics(pooled, fmap, 49, seed=3), expected)
 
