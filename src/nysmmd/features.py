@@ -43,12 +43,16 @@ class NystromMap:
     """Projection of the kernel feature space onto the span of landmark points.
 
     The map is x -> T' k_Z(x), where k_Z(x) stacks the kernel evaluations
-    against the landmarks and T = V_q e_q^-1/2 is the thin factor of the
-    q eigenpairs of the landmark kernel matrix above ``rank_tolerance``
-    times the largest, so T T' = K_ZZ^+.  Inner products of mapped points
-    reproduce the kernel restricted to the landmark span; in particular
-    ||phi(x)||^2 <= k(x, x) = 1 for every x.  ``dimension`` is the landmark
-    count r: the r <= ell draws that sample_landmarks keeps.
+    against the landmarks and T T' = K_ZZ^+, the pseudo-inverse that keeps
+    the eigenpairs of the landmark kernel matrix above ``rank_tolerance``
+    times the largest.  build_nystrom computes T in one of two ways with
+    that one definition: T = L^-T for the Cholesky factor L of K_ZZ when a
+    bound certifies that no eigenvalue is cut (then K_ZZ^+ = K_ZZ^-1), and
+    otherwise the thin eigen factor T = V_q e_q^-1/2 of the q kept pairs.
+    Inner products of mapped points reproduce the kernel restricted to the
+    landmark span; in particular ||phi(x)||^2 <= k(x, x) = 1 for every x.
+    ``dimension`` is the landmark count r: the r <= ell draws that
+    sample_landmarks keeps.
     """
 
     landmarks: np.ndarray
@@ -106,21 +110,37 @@ class RffMap:
         return coordinates
 
 
-def build_nystrom(landmarks, kernel: GaussianKernel) -> NystromMap:
-    """Eigendecompose the landmark kernel matrix once and return the projection map.
+def build_nystrom(landmarks, kernel: GaussianKernel, gram) -> NystromMap:
+    """Factor the landmark kernel matrix once and return the projection map.
 
-    ``landmarks`` holds the r landmark points, one per row, as
-    sample_landmarks returns them; the map's dimension is r.  Eigenpairs at
-    or below NystromMap.rank_tolerance (1e-10) times the largest eigenvalue
-    are dropped, so duplicated landmarks give a narrower factor, not
-    non-finite output.  The kernel matrix has trace r, so its largest
-    eigenvalue is at least 1 and one pair is always kept.
+    ``landmarks`` holds the r landmark points, one per row, and ``gram``
+    their r x r kernel matrix K_ZZ, as sample_landmarks returns both; the
+    map's dimension is r.  The eigen cutoff is tau = NystromMap.rank_tolerance
+    (1e-10) times the largest eigenvalue, which the trace r bounds.  When
+    linalg.certified_inverse_factor bounds the smallest eigenvalue above
+    tau * r, no eigenpair would be cut and T = L^-T for the Cholesky factor
+    L.  Otherwise (the factorization refuses, or its pivots or the bound
+    fail) K_ZZ is eigendecomposed and the pairs at or below tau times the
+    largest eigenvalue are dropped, so duplicated landmarks give a narrower
+    factor, not non-finite output.  The largest eigenvalue is at least 1, so
+    one pair is always kept.  Both factors satisfy T T' = K_ZZ^+; a map
+    built either way differs from the other by round-off only.
     """
     landmarks = as_points(landmarks, "landmarks")
-    gram = kernel.gram(landmarks, landmarks)
-    eigenvalues, eigenvectors = linalg.psd_eigh(gram)
-    kept = eigenvalues > NystromMap.rank_tolerance * eigenvalues[-1]
-    transform = eigenvectors[:, kept] / np.sqrt(eigenvalues[kept])
+    gram = np.asarray(gram, dtype=np.float64)
+    size = landmarks.shape[0]
+    if gram.shape != (size, size):
+        raise ValueError(f"gram has shape {gram.shape}, expected ({size}, {size}) "
+                         "for the landmarks")
+    # the trace bounds the largest eigenvalue; it is r for a unit diagonal
+    inverse = linalg.certified_inverse_factor(
+        gram, NystromMap.rank_tolerance * np.trace(gram), "landmark gram")
+    if inverse is not None:
+        transform = inverse.T
+    else:
+        eigenvalues, eigenvectors = linalg.psd_eigh(gram, "landmark gram")
+        kept = eigenvalues > NystromMap.rank_tolerance * eigenvalues[-1]
+        transform = eigenvectors[:, kept] / np.sqrt(eigenvalues[kept])
     return NystromMap(landmarks=landmarks, kernel=kernel, transform=transform)
 
 

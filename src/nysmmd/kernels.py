@@ -117,7 +117,8 @@ def median_heuristic(points, seed: int = 0) -> float:
         raise ValueError("median heuristic needs at least two points")
     rng = np.random.default_rng(seed)
     first = rng.integers(0, n, size=_MEDIAN_PAIRS)
-    second = (first + rng.integers(1, n, size=_MEDIAN_PAIRS)) % n
+    second = first + rng.integers(1, n, size=_MEDIAN_PAIRS)
+    second -= n * (second >= n)  # (first + offset) mod n, without a division
     # one row per coordinate; reducing over axis 0 adds the squares in order
     # of coordinate, as pdist does, so each distance is pdist's bit for bit
     columns = points.T

@@ -7,7 +7,8 @@ mean embeddings; uniform sampling is the baseline.  Both samplers draw with
 replacement from the pooled data, which keeps the sampling probabilities
 equivariant under relabeling of the rows.  sample_landmarks then keeps only
 the draws that add a direction above the Nystrom map's rank cutoff, so the
-map and the streamed pass are r wide for r <= ell.
+map and the streamed pass are r wide for r <= ell, and returns their kernel
+matrix beside them, which build_nystrom factors without forming it again.
 
 approx_krls computes them by BLESS: it walks the ridge down in factor-2
 steps, scoring about q1 / ridge uniformly drawn candidate rows at each step
@@ -41,10 +42,12 @@ class LandmarkSet:
     """Landmark points drawn with replacement from a dataset's rows.
 
     ``points`` has shape (r, d): the r <= ell draws that sample_landmarks
-    keeps, in draw order.
+    keeps, in draw order.  ``gram`` is their (r, r) kernel matrix, with a
+    unit diagonal, for build_nystrom to factor.
     """
 
     points: np.ndarray
+    gram: np.ndarray
 
 
 def default_regularization(n: int) -> float:
@@ -204,14 +207,16 @@ def sample_landmarks(points, ell: int, seed: int, kernel: GaussianKernel,
     K_ZZ + (tau / 100) I, exceeds tau = NystromMap.rank_tolerance * ell:
     the eigen cutoff's scale, since K_ZZ has trace ell (approximate linear
     dependence; Engel, Mannor & Meir, IEEE TSP 2004).  Repeats and
-    near-duplicates are dropped.  The kept set is a deterministic function
-    of the drawn values in draw order, so relabeling the rows of the dataset
-    (and its scores) permutes the landmark law identically, which is what
-    makes the permutation test exact when landmarks come from the pooled
-    data.
+    near-duplicates are dropped.  The kept set and its kernel matrix are
+    deterministic functions of the drawn values in draw order, so
+    relabeling the rows of the dataset (and its scores) permutes the
+    landmark law identically, which is what makes the permutation test
+    exact when landmarks come from the pooled data.
 
     Returns:
         The r <= ell kept rows, in draw order; the first is always kept.
+        Beside them, their kernel matrix: the kept rows and columns of
+        K_ZZ, which equals kernel.gram of the kept rows up to round-off.
 
     Raises:
         ValueError: If ell < 1, or if the scores are not n finite
@@ -223,4 +228,7 @@ def sample_landmarks(points, ell: int, seed: int, kernel: GaussianKernel,
     gram = kernel.gram(drawn, drawn)
     gram.flat[::ell + 1] += jitter
     residuals = np.linalg.cholesky(gram).diagonal() ** 2 - jitter
-    return LandmarkSet(points=drawn[residuals > tolerance])
+    kept = residuals > tolerance
+    gram = gram[kept][:, kept]
+    np.fill_diagonal(gram, 1.0)  # the kernel's unit diagonal, without the jitter
+    return LandmarkSet(points=drawn[kept], gram=gram)

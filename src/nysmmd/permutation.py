@@ -36,7 +36,8 @@ class NystromMethod:
     """Projected-MMD statistic with landmarks sampled from the pooled data.
 
     Leverage scores use the ridge level 16 * log(4 / 0.05) / n, and the
-    landmark pseudo-inverse factor the spectral cutoff of build_nystrom.
+    landmark pseudo-inverse factor the spectral cutoff of build_nystrom,
+    which factors the kernel matrix that sample_landmarks already formed.
 
     Attributes:
         n_landmarks: Draw count ell; sample_landmarks keeps the r <= ell
@@ -66,7 +67,7 @@ class NystromMethod:
             scores = approx_krls(pooled.points, kernel, regularization, scores_seed)
         landmarks = sample_landmarks(pooled.points, self.n_landmarks, draw_seed,
                                      kernel, scores=scores)
-        return build_nystrom(landmarks.points, kernel)
+        return build_nystrom(landmarks.points, kernel, landmarks.gram)
 
 
 @dataclass(frozen=True)

@@ -157,13 +157,18 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
     whether a later batch is drawn, and yields each batch as drawn, the
     first with the observed labeling.  A pooled sample of one block draws
     the first ceil(P / 5) permutations, then the rest; a larger one draws
-    all P in one batch per block.
+    all P in one batch per block.  A multivariate hypergeometric draw from
+    a generator of its own splits each permutation's n_x x labels among the
+    blocks; one block takes them all without a draw.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
-    counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
-                                                    size=n_permutations)
+    if len(sizes) == 1:  # every labeling puts all n_x x labels in the one block
+        counts = np.full((n_permutations, 1), pooled.n_x, dtype=np.int64)
+    else:
+        counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
+        counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
+                                                        size=n_permutations)
     first = -(-n_permutations // 5)
     bounds = ([0, first, n_permutations] if len(sizes) == 1 and first < n_permutations
               else [0, n_permutations])

@@ -6,7 +6,15 @@ import math
 
 import numpy as np
 
-from nysmmd import FeatureMap, GaussianKernel, PooledSample, as_points
+from nysmmd import (
+    FeatureMap,
+    GaussianKernel,
+    NystromMap,
+    PooledSample,
+    as_points,
+    build_nystrom,
+    sample_landmarks,
+)
 from nysmmd.statistics import accumulate_weighted_features
 
 
@@ -74,6 +82,18 @@ def scalar_kernel(x, y, h) -> float:
 def features(feature_map: FeatureMap, points) -> np.ndarray:
     """Feature vectors of a batch of points, shape (m, feature_map.dimension)."""
     return feature_map.from_basis(feature_map.basis(points))
+
+
+def nystrom_map(landmarks, kernel: GaussianKernel) -> NystromMap:
+    """build_nystrom over given landmarks, with kernel.gram as their kernel matrix."""
+    landmarks = as_points(landmarks, "landmarks")
+    return build_nystrom(landmarks, kernel, kernel.gram(landmarks, landmarks))
+
+
+def sampled_nystrom(points, ell: int, seed: int, kernel: GaussianKernel) -> NystromMap:
+    """The map run_test builds from uniformly sampled landmarks: sample_landmarks, then build_nystrom."""
+    landmarks = sample_landmarks(points, ell, seed, kernel)
+    return build_nystrom(landmarks.points, kernel, landmarks.gram)
 
 
 def read_results_csv(text: str) -> list[dict]:

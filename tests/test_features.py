@@ -1,20 +1,45 @@
 import numpy as np
 import pytest
 
-from helpers import features, scalar_kernel
-from nysmmd import GaussianKernel, build_nystrom, build_rff, sample_landmarks
+from helpers import features, nystrom_map, scalar_kernel
+from nysmmd import (
+    GaussianKernel,
+    NystromMap,
+    PooledSample,
+    build_nystrom,
+    build_rff,
+    decide,
+    median_heuristic,
+    permuted_statistics,
+    sample_correlated_gaussians,
+    sample_landmarks,
+)
+from nysmmd import linalg
+from nysmmd.linalg import psd_eigh
+
+
+def recorded_eigh(monkeypatch) -> list:
+    """Sizes of the matrices build_nystrom eigendecomposes from now on."""
+    sizes = []
+
+    def recording_eigh(matrix, name="matrix"):
+        sizes.append(len(matrix))
+        return psd_eigh(matrix, name)
+
+    monkeypatch.setattr(linalg, "psd_eigh", recording_eigh)
+    return sizes
 
 
 class TestBuildNystrom:
     def test_single_landmark_transform_is_identity(self):
-        fmap = build_nystrom([[2.0, -1.0]], GaussianKernel(1.5))
+        fmap = nystrom_map([[2.0, -1.0]], GaussianKernel(1.5))
         np.testing.assert_allclose(fmap.transform, [[1.0]], atol=1e-12)
 
     def test_landmark_gram_reproduction(self):
         rng = np.random.default_rng(0)
         landmarks = rng.standard_normal((12, 3)) * 3.0  # well separated
         kernel = GaussianKernel(1.0)
-        fmap = build_nystrom(landmarks, kernel)
+        fmap = nystrom_map(landmarks, kernel)
         feats = features(fmap, landmarks)
         np.testing.assert_allclose(feats @ feats.T,
                                    kernel.gram(landmarks, landmarks), atol=1e-8)
@@ -24,7 +49,7 @@ class TestBuildNystrom:
         base = rng.standard_normal((6, 2))
         duplicated = np.vstack([base, base[2], base[2]])
         kernel = GaussianKernel(0.8)
-        fmap = build_nystrom(duplicated, kernel)
+        fmap = nystrom_map(duplicated, kernel)
         assert fmap.transform.shape == (8, 6)
         assert np.isfinite(fmap.transform).all()
         feats = features(fmap, duplicated)
@@ -36,7 +61,7 @@ class TestBuildNystrom:
         rng = np.random.default_rng(2)
         landmarks = rng.standard_normal((10, 3))
         kernel = GaussianKernel(1.2)
-        fmap = build_nystrom(landmarks, kernel)
+        fmap = nystrom_map(landmarks, kernel)
         transform = fmap.transform
         gram = kernel.gram(landmarks, landmarks)
         np.testing.assert_allclose(transform @ transform.T,
@@ -45,13 +70,68 @@ class TestBuildNystrom:
         np.testing.assert_allclose(transform.T @ gram @ transform,
                                    np.eye(transform.shape[1]), atol=1e-8)
 
+    def test_gram_of_other_landmarks_rejected(self):
+        landmarks = np.zeros((3, 2)) + np.arange(3)[:, None]
+        with pytest.raises(ValueError, match="gram has shape"):
+            build_nystrom(landmarks, GaussianKernel(1.0), np.eye(2))
+
     def test_full_coverage_reproduces_exact_gram(self):
         rng = np.random.default_rng(3)
         pooled = rng.standard_normal((40, 2))
         kernel = GaussianKernel(1.0)
-        fmap = build_nystrom(pooled, kernel)
+        fmap = nystrom_map(pooled, kernel)
         feats = features(fmap, pooled)
         np.testing.assert_allclose(feats @ feats.T, kernel.gram(pooled, pooled),
+                                   atol=1e-8)
+
+
+class TestCertifiedFactor:
+    """build_nystrom's two factorizations of the one map T T' = K_ZZ^+."""
+
+    def test_level_cell_maps_match_the_eigen_cutoff(self, monkeypatch):
+        # The n = 500 + 500, ell = 32 level-study cell.  Its landmark sets
+        # are far from the cutoff (smallest eigenvalue 3e-9 to 7e-6 of the
+        # largest over these seeds, against 1e-10), so build_nystrom takes
+        # T = L^-T without an eigendecomposition, and its statistics match those of the thin
+        # eigen factor to 1e-10 relative, with the same decisions.
+        sizes = recorded_eigh(monkeypatch)
+        decisions = []
+        for seed in range(200):
+            x = sample_correlated_gaussians(500, 3, 0.5, seed=2 * seed)
+            y = sample_correlated_gaussians(500, 3, 0.5, seed=2 * seed + 1)
+            pooled = PooledSample.from_samples(x, y)
+            kernel = GaussianKernel(median_heuristic(pooled.points, seed=seed))
+            landmarks = sample_landmarks(pooled.points, 32, seed, kernel)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
+            eigenvalues, eigenvectors = psd_eigh(landmarks.gram)
+            assert eigenvalues[0] > NystromMap.rank_tolerance * eigenvalues[-1]
+            eigen_map = NystromMap(landmarks=fmap.landmarks, kernel=kernel,
+                                   transform=eigenvectors / np.sqrt(eigenvalues))
+            statistics = permuted_statistics(pooled, fmap, 199, seed)
+            expected = permuted_statistics(pooled, eigen_map, 199, seed)
+            np.testing.assert_allclose(statistics, expected, rtol=1e-10, atol=0.0)
+            decision = decide(statistics, 0.05, 0.5).reject
+            assert decision == decide(expected, 0.05, 0.5).reject
+            decisions.append(decision)
+        assert sizes == []
+        assert 0 < sum(decisions) < 40  # about 10 of 200 at level 0.05
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-6])
+    def test_duplicated_or_near_duplicate_landmarks_take_the_eigen_path(
+            self, monkeypatch, offset):
+        # The copy's kernel residual is 0 or about offset^2, far below the
+        # cutoff: the pair is cut and the map stays finite and reproduces K.
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((6, 2))
+        landmarks = np.vstack([base, base[2] + offset])
+        kernel = GaussianKernel(0.8)
+        sizes = recorded_eigh(monkeypatch)
+        fmap = nystrom_map(landmarks, kernel)
+        assert sizes == [7]
+        assert fmap.transform.shape == (7, 6)
+        feats = features(fmap, landmarks)
+        assert np.isfinite(feats).all()
+        np.testing.assert_allclose(feats @ feats.T, kernel.gram(landmarks, landmarks),
                                    atol=1e-8)
 
 
@@ -59,14 +139,14 @@ class TestNystromApply:
     def test_landmark_feature_has_unit_norm_when_full_rank(self):
         rng = np.random.default_rng(4)
         landmarks = rng.standard_normal((8, 3)) * 2.0
-        fmap = build_nystrom(landmarks, GaussianKernel(1.0))
+        fmap = nystrom_map(landmarks, GaussianKernel(1.0))
         assert np.linalg.norm(features(fmap, landmarks[:1])[0]) == pytest.approx(
             1.0, abs=1e-8)
 
     def test_contraction_everywhere(self):
         rng = np.random.default_rng(5)
         landmarks = rng.standard_normal((16, 3))
-        fmap = build_nystrom(landmarks, GaussianKernel(0.9))
+        fmap = nystrom_map(landmarks, GaussianKernel(0.9))
         queries = rng.standard_normal((10_000, 3))
         norms_sq = np.einsum("ij,ij->i", features(fmap, queries),
                              features(fmap, queries))
@@ -75,18 +155,18 @@ class TestNystromApply:
     def test_single_landmark_map_is_kernel_slice(self):
         landmark = np.array([[0.5, -0.25]])
         kernel = GaussianKernel(1.1)
-        fmap = build_nystrom(landmark, kernel)
+        fmap = nystrom_map(landmark, kernel)
         x = np.array([1.0, 2.0])
         np.testing.assert_allclose(features(fmap, x[None])[0],
                                    [scalar_kernel(landmark[0], x, 1.1)], atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
-        fmap = build_nystrom([[0.0, 0.0]], GaussianKernel(1.0))
+        fmap = nystrom_map([[0.0, 0.0]], GaussianKernel(1.0))
         with pytest.raises(ValueError, match="dimension mismatch"):
             features(fmap, np.zeros((2, 3)))
 
     def test_dimension_attribute(self):
-        fmap = build_nystrom(np.zeros((5, 2)) + np.arange(5)[:, None],
+        fmap = nystrom_map(np.zeros((5, 2)) + np.arange(5)[:, None],
                              GaussianKernel(1.0))
         assert fmap.dimension == 5
 
@@ -147,7 +227,7 @@ class TestSampledLandmarkIntegration:
         pooled = rng.standard_normal((100, 3))
         kernel = GaussianKernel(1.0)
         landmarks = sample_landmarks(pooled, ell=12, seed=0, kernel=kernel)
-        fmap = build_nystrom(landmarks.points, kernel)
+        fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
         feats = features(fmap, pooled)
         assert feats.shape == (100, fmap.transform.shape[1])
         assert (np.einsum("ij,ij->i", feats, feats) <= 1.0 + 1e-10).all()

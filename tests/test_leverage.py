@@ -22,7 +22,7 @@ from nysmmd import (
 )
 import nysmmd
 from nysmmd import leverage
-from nysmmd.linalg import psd_eigh
+from nysmmd.linalg import certified_inverse_factor, psd_eigh
 
 
 def random_psd(rng, n, rank=None):
@@ -104,6 +104,53 @@ class TestPsdEigh:
             else:
                 with pytest.raises(ValueError, match="not symmetric"):
                     psd_eigh(matrix)
+
+
+class TestCertifiedInverseFactor:
+    # K = [[1, 1 - e], [1 - e, 1]] has eigenvalues e and 2 - e, Cholesky
+    # pivots L_kk^2 of 1 and e (2 - e), about 2e, and trace(K^-1) =
+    # 2 / (e (2 - e)), so the certified lower bound 1 / ||L^-1||_F^2 is
+    # e (2 - e) / 2, just under e.  diag(K, K) has the same pivots twice, so
+    # 1 / sum_k L_kk^-2 is about e there.
+    e = 1e-3
+
+    def pair(self):
+        return np.array([[1.0, 1.0 - self.e], [1.0 - self.e, 1.0]])
+
+    def test_inverse_factor_above_the_floor(self):
+        matrix = self.pair()
+        inverse = certified_inverse_factor(matrix, 0.5 * self.e)
+        np.testing.assert_allclose(inverse @ np.linalg.cholesky(matrix), np.eye(2),
+                                   atol=1e-12)
+        np.testing.assert_allclose(inverse.T @ inverse, np.linalg.inv(matrix),
+                                   rtol=1e-12)
+
+    def test_bound_below_the_floor_refuses(self):
+        # both pivots exceed 1.5e, the bound does not; the bound is
+        # conservative, so 0.9998e refuses although lambda_min = e exceeds it
+        for floor in (1.5 * self.e, 0.9998 * self.e):
+            assert certified_inverse_factor(self.pair(), floor) is None
+
+    @pytest.mark.parametrize("floor_in_e", [3.0, 1.5])
+    def test_pivots_refuse_without_an_inverse(self, monkeypatch, floor_in_e):
+        # At 3e the pivot about 2e is at or below the floor; at 1.5e every
+        # pivot of diag(K, K) is above it but 1 / sum_k L_kk^-2 is not.
+        def no_inverse(matrix):
+            raise AssertionError("inverse formed")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        block = np.kron(np.eye(2), self.pair())
+        assert certified_inverse_factor(block, floor_in_e * self.e) is None
+
+    @pytest.mark.parametrize("matrix", [np.ones((2, 2)), [[1.0, 2.0], [2.0, 1.0]]])
+    def test_singular_or_indefinite_refuses(self, matrix):
+        assert certified_inverse_factor(np.array(matrix), 1e-10) is None
+
+    def test_checks_of_psd_eigh(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            certified_inverse_factor(np.array([[1.0, 0.5], [0.2, 1.0]]), 1e-10)
+        with pytest.raises(ValueError, match="non-finite"):
+            certified_inverse_factor(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-10)
 
 
 class TestEffectiveDimension:
@@ -332,7 +379,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             landmarks = sample_landmarks(pooled.points, 4,
                                          int(rng.integers(2**63)), kernel,
                                          scores=scores)
-            fmap = build_nystrom(landmarks.points, kernel)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
@@ -391,6 +438,22 @@ class TestSampleLandmarks:
                            match="leverage scores must be finite and non-negative"):
             sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, kernel=GaussianKernel(1.0),
                              scores=np.array(scores))
+
+    def test_returned_gram_is_the_kernel_matrix_of_the_kept_rows(self):
+        # 30 draws from 8 rows repeat rows, which the pruning drops; the
+        # returned matrix is the kept part of the one it factored, with the
+        # unit diagonal in place of the jitter
+        rng = np.random.default_rng(14)
+        points = rng.standard_normal((8, 2))
+        kernel = GaussianKernel(1.3)
+        landmarks = sample_landmarks(points, ell=30, seed=2, kernel=kernel)
+        kept = landmarks.points.shape[0]
+        assert kept <= 8
+        assert landmarks.gram.shape == (kept, kept)
+        np.testing.assert_array_equal(np.diagonal(landmarks.gram), 1.0)
+        np.testing.assert_allclose(landmarks.gram,
+                                   kernel.gram(landmarks.points, landmarks.points),
+                                   rtol=0.0, atol=1e-14)
 
     def test_invalid_ell(self):
         with pytest.raises(ValueError, match="ell"):

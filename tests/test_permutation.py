@@ -24,9 +24,26 @@ from nysmmd import (
     quantile_index,
     run_test,
 )
-from nysmmd import permutation
+from nysmmd import leverage, linalg, permutation
 from nysmmd.permutation import METHODS, SmallAlphaWarning, accept_count
 from nysmmd.statistics import permutation_weights
+
+
+def plain_numpy_statistic(x, y, landmarks, bandwidth) -> float:
+    """sqrt(a' K^+ a), K^+ cut at 1e-10 times the largest eigenvalue.
+
+    a is the difference of the mean kernel vectors of x and y against the
+    landmarks, with kernel values taken from explicit differences.
+    """
+    def gram(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.exp(-np.sum(diff * diff, axis=2) / (2.0 * bandwidth**2))
+
+    a = gram(x, landmarks).mean(axis=0) - gram(y, landmarks).mean(axis=0)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram(landmarks, landmarks))
+    keep = eigenvalues > 1e-10 * eigenvalues[-1]
+    coefficients = eigenvectors[:, keep].T @ a
+    return math.sqrt(np.sum(coefficients**2 / eigenvalues[keep]))
 
 
 class TestQuantileIndex:
@@ -370,6 +387,45 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         assert summary["permutations_run"] == 40
         assert summary["threshold_index"] == 40 - 2
 
+    def test_level_cell_test_needs_no_eigendecomposition(self, monkeypatch):
+        # On the n = 500 + 500, ell = 32 level-study cell the landmark Gram
+        # matrix is certified far from singular: build_nystrom factors the
+        # one sample_landmarks formed by Cholesky.  A test forms two kernel
+        # matrices, the landmarks' and the basis of its one label block, and
+        # its statistic is the plain numpy one over the eigen cutoff.
+        eigh_sizes, gram_shapes, returned = [], [], []
+        original_eigh = linalg.psd_eigh
+        original_gram = GaussianKernel.gram
+        original_sampler = permutation.sample_landmarks
+
+        def recording_eigh(matrix, name="matrix"):
+            eigh_sizes.append(len(matrix))
+            return original_eigh(matrix, name)
+
+        def recording_gram(self, a, b, out=None):
+            gram_shapes.append((len(a), len(b)))
+            return original_gram(self, a, b, out=out)
+
+        def recording_sampler(*args, **kwargs):
+            landmarks = original_sampler(*args, **kwargs)
+            returned.append(landmarks.points)
+            return landmarks
+
+        monkeypatch.setattr(linalg, "psd_eigh", recording_eigh)
+        monkeypatch.setattr(leverage, "psd_eigh", recording_eigh)
+        monkeypatch.setattr(GaussianKernel, "gram", recording_gram)
+        monkeypatch.setattr(permutation, "sample_landmarks", recording_sampler)
+        x = nysmmd.sample_correlated_gaussians(500, 3, 0.5, seed=5)
+        y = nysmmd.sample_correlated_gaussians(500, 3, 0.5, seed=6)
+        outcome = run_test(x, y, TestConfig(seed=7), NystromMethod(32))
+        assert eigh_sizes == []
+        ((drawn, also_drawn), (rows, width)) = gram_shapes
+        assert drawn == also_drawn == 32
+        assert (rows, width) == (1000, 32)
+        (landmarks,) = returned
+        assert outcome.statistic == pytest.approx(
+            plain_numpy_statistic(x, y, landmarks, outcome.bandwidth), rel=1e-9)
+
     @pytest.mark.parametrize("sampler", ["uniform", "akrls"])
     def test_statistic_matches_plain_numpy_over_returned_landmarks(self, monkeypatch,
                                                                    sampler):
@@ -395,17 +451,8 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
                            NystromMethod(ell, sampler))
         (landmarks,) = returned
         assert landmarks.shape[0] < ell
-
-        def gram(a, b):
-            diff = a[:, None, :] - b[None, :, :]
-            return np.exp(-np.sum(diff * diff, axis=2) / (2.0 * outcome.bandwidth**2))
-
-        a = gram(x, landmarks).mean(axis=0) - gram(y, landmarks).mean(axis=0)
-        eigenvalues, eigenvectors = np.linalg.eigh(gram(landmarks, landmarks))
-        keep = eigenvalues > 1e-10 * eigenvalues[-1]
-        coefficients = eigenvectors[:, keep].T @ a
-        expected = math.sqrt(np.sum(coefficients**2 / eigenvalues[keep]))
-        assert outcome.statistic == pytest.approx(expected, rel=1e-9)
+        assert outcome.statistic == pytest.approx(
+            plain_numpy_statistic(x, y, landmarks, outcome.bandwidth), rel=1e-9)
 
     def test_exact_level_small_sample(self):
         # Null simulation: empirical rejection rate within 3 sigma of alpha.

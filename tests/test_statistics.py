@@ -12,6 +12,8 @@ from helpers import (
     exact_mmd,
     feature_mmd,
     features,
+    nystrom_map,
+    sampled_nystrom,
     scalar_kernel,
     sorted_uniform_subsets,
 )
@@ -65,8 +67,7 @@ def pooled_map(x, y, ell, seed=0, bandwidth=1.0):
     """Uniform-landmark map on the pooled data, for test convenience."""
     pooled = PooledSample.from_samples(x, y)
     kernel = GaussianKernel(bandwidth)
-    landmarks = sample_landmarks(pooled.points, ell, seed, kernel)
-    return pooled, build_nystrom(landmarks.points, kernel)
+    return pooled, sampled_nystrom(pooled.points, ell, seed, kernel)
 
 
 class TestExactMmd:
@@ -118,7 +119,7 @@ class TestFeatureMmd:
         y = rng.standard_normal((15, 3)) + 0.4
         kernel = GaussianKernel(1.0)
         pooled = PooledSample.from_samples(x, y)
-        fmap = build_nystrom(pooled.points, kernel)
+        fmap = nystrom_map(pooled.points, kernel)
         assert feature_mmd(x, y, fmap) == pytest.approx(
             exact_mmd(x, y, kernel), abs=1e-8)
 
@@ -128,7 +129,7 @@ class TestFeatureMmd:
         y = rng.standard_normal((4, 2))
         z = np.array([[0.3, -0.7]])
         kernel = GaussianKernel(1.0)
-        fmap = build_nystrom(z, kernel)
+        fmap = nystrom_map(z, kernel)
         expected = abs(np.mean([scalar_kernel(z[0], p, 1.0) for p in x])
                        - np.mean([scalar_kernel(z[0], p, 1.0) for p in y]))
         assert feature_mmd(x, y, fmap) == pytest.approx(expected, abs=1e-12)
@@ -142,7 +143,7 @@ class TestFeatureMmd:
             pooled = PooledSample.from_samples(x, y)
             landmarks = sample_landmarks(pooled.points, int(rng.integers(1, 12)),
                                          trial, kernel)
-            fmap = build_nystrom(landmarks.points, kernel)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
             assert feature_mmd(x, y, fmap) <= exact_mmd(x, y, kernel) + 1e-8
 
     def test_approximation_improves_with_landmarks(self):
@@ -157,7 +158,7 @@ class TestFeatureMmd:
             errors = []
             for seed in range(50):
                 landmarks = sample_landmarks(pooled.points, ell, seed, kernel)
-                fmap = build_nystrom(landmarks.points, kernel)
+                fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
                 errors.append(abs(exact - feature_mmd(x, y, fmap)))
             mean_errors.append(np.mean(errors))
         assert all(a >= b for a, b in zip(mean_errors, mean_errors[1:]))
@@ -200,10 +201,8 @@ class TestPermutedStatistics:
                               n_x=n // 2, n_y=n - n // 2)
         kernel = GaussianKernel(1.2)
         stopped = 0
-        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, 1, kernel).points,
-                                   kernel),
-                     build_nystrom(sample_landmarks(pooled.points, 6, 1, kernel).points,
-                                   kernel),
+        for fmap in (sampled_nystrom(pooled.points, 24, 1, kernel),
+                     sampled_nystrom(pooled.points, 6, 1, kernel),
                      build_rff(3, 24, kernel, seed=2)):
             for seed in range(8):
                 complete = permuted_statistics(pooled, fmap, 49, seed)
@@ -228,8 +227,7 @@ class TestPermutedStatistics:
         pooled = PooledSample.from_samples(points[:12], points[12:])
         kernel = GaussianKernel(1.0)
         exceeded = 0
-        for fmap in (build_nystrom(sample_landmarks(pooled.points, 4, 0, kernel).points,
-                                   kernel),
+        for fmap in (sampled_nystrom(pooled.points, 4, 0, kernel),
                      build_rff(2, 4, kernel, seed=0)):
             for seed in range(20):
                 stats = permuted_statistics(pooled, fmap, 19, seed, accept_at=1)
@@ -292,7 +290,7 @@ class TestPermutedStatistics:
             kernel = GaussianKernel(1.0)
             landmarks = sample_landmarks(pooled.points, 4,
                                          int(rng.integers(2**63)), kernel)
-            fmap = build_nystrom(landmarks.points, kernel)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
@@ -308,8 +306,7 @@ class TestPermutedStatistics:
         pooled = PooledSample(points=rng.standard_normal((20_000, 3)),
                               n_x=10_000, n_y=10_000)
         kernel = GaussianKernel(median_heuristic(pooled.points))
-        fmap = build_nystrom(sample_landmarks(pooled.points, 100, 0, kernel).points,
-                             kernel)
+        fmap = sampled_nystrom(pooled.points, 100, 0, kernel)
         stats = permuted_statistics(pooled, fmap, 49, seed=0)
         labels = (permutation_weights(pooled, 49, seed=0) > 0).astype(np.longdouble)
         basis = np.vstack([fmap.basis(pooled.points[start:start + LABEL_BLOCK_ROWS])
@@ -554,7 +551,7 @@ class TestLabelStream:
 
     def test_memory_does_not_grow_with_n(self):
         rng = np.random.default_rng(13)
-        fmap = build_nystrom(rng.standard_normal((16, 3)), GaussianKernel(1.0))
+        fmap = nystrom_map(rng.standard_normal((16, 3)), GaussianKernel(1.0))
         peaks = []
         for n in (8_000, 32_000):
             pooled = PooledSample(points=rng.standard_normal((n, 3)),
@@ -580,8 +577,7 @@ class TestLabelStream:
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
         kernel = GaussianKernel(1.2)
-        for fmap in (build_nystrom(sample_landmarks(pooled.points, 24, 1, kernel).points,
-                                   kernel),
+        for fmap in (sampled_nystrom(pooled.points, 24, 1, kernel),
                      build_rff(3, 24, kernel, seed=2)):
             labels = (permutation_weights(pooled, 49, seed=3) > 0).astype(float)
             labels[0] = np.arange(n) < pooled.n_x
