@@ -56,11 +56,13 @@ def certified_inverse_factor(matrix: np.ndarray, floor: float,
     1 / ||L^-1||_F^2 is a lower bound on the smallest eigenvalue of K; the
     factor is returned when that bound exceeds ``floor`` (> 0), and then
     L^-T L^-1 = K^-1.  The pivots decide most refusals before the inverse
-    is formed: each L_kk^2 bounds the smallest eigenvalue from above, and
-    the diagonal of L^-1 is 1 / L_kk, so 1 / sum_k L_kk^-2 bounds the
-    lower bound from above.  None is returned when either is at or below
-    ``floor``, and for a matrix the Cholesky factorization refuses (not
-    numerically positive definite).  Only the lower triangle of K is
+    is formed: the diagonal of L^-1 is 1 / L_kk, so 1 / sum_k L_kk^-2
+    bounds the lower bound from above, and None is returned when it is at
+    or below ``floor``.  A sum of positive terms is at least each term, so
+    this also refuses (up to the rounding of a reciprocal) every pivot
+    L_kk^2 at or below ``floor``, an upper bound on the smallest eigenvalue.
+    None is also returned for a matrix the Cholesky factorization refuses
+    (not numerically positive definite).  Only the lower triangle of K is
     factored; the checks of psd_eigh apply to the whole matrix.
 
     Returns:
@@ -73,7 +75,7 @@ def certified_inverse_factor(matrix: np.ndarray, floor: float,
     except np.linalg.LinAlgError:
         return None
     pivots = factor.diagonal() ** 2
-    if pivots.min() <= floor or 1.0 / np.sum(1.0 / pivots) <= floor:
+    if 1.0 / np.sum(1.0 / pivots) <= floor:
         return None
     inverse = np.linalg.inv(factor)
     if 1.0 / np.einsum("ij,ij->", inverse, inverse) <= floor:

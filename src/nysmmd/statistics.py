@@ -7,11 +7,12 @@ rows labeled x and T the sum over all rows.  Features are linear in a basis
 of width r (kernel columns against the r kept landmarks for Nystrom, the
 features themselves for random Fourier features, r = ell), so S and T are
 summed in basis coordinates and the map's linear factor is applied once, to
-the (P + 1) x r result.  T comes from the same GEMM as S: each label matrix
-carries one all-ones row below its labelings, so the product's last column
-is the block's basis total.  The product is formed as
-basis' labels' into an r x (P + 2) accumulator, whose cost stays flat in r
-where labels @ basis runs into the BLAS's edge tiles.
+the (P + 1) x r result.  T comes from the same GEMM as S: a block's label
+matrix and the r x (P + 2) sums share one layout, in which row and column 0
+hold T (the label row is all ones) and row and column 1 + p hold labeling p
+(0 the observed one, p >= 1 permutation p).  The product is formed as
+basis' labels', whose cost stays flat in r where labels @ basis runs into
+the BLAS's edge tiles.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
@@ -27,11 +28,11 @@ the first ceil(P / 5) permutations and then the rest, and every pass forms
 and maps them apart, so a decision-only pass that stops after the first
 (accumulate_weighted_features) returns a bitwise prefix of the complete
 one; a larger sample draws all P in one batch per block, and always runs
-in full.  Storage is O((P + 2) * (r + B)) for the accumulators, the labels
-with their ones row, the basis and the uint16 key scratch of one block's
-larger batch, held in buffers that every block and batch reuses, plus the
-P x (n / B) block counts; the n-wide signed weight matrix is formed only by
-permutation_weights, for exact mode, which drops the ones row.
+in full.  Storage is O((P + 2) * (r + B)) for the accumulators, the label
+matrix, the basis and the uint16 key scratch, held in buffers that every
+block and batch reuses, plus the P x (n / B) block counts; the n-wide signed
+weight matrix is formed only by permutation_weights, for exact mode, which
+drops the ones row.
 """
 
 from __future__ import annotations
@@ -142,24 +143,24 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
 
 
 def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
-    """Yield (start, begin, labels) for each batch of each LABEL_BLOCK_ROWS-row block.
+    """Yield (start, top, rows) for each batch of each LABEL_BLOCK_ROWS-row block.
 
-    labels is a float64 matrix with labels[j, i] = 1 when pooled row
-    start + i is labeled x under labeling begin + j and 0 otherwise, for a
-    run of labelings: labeling 0 is the observed one (the first n_x rows),
-    labeling p permutation p.  Its last row is all ones, so a product with
-    the block's basis also yields the basis total; it is no labeling.  The
-    matrix is a view of one buffer, sized for the larger batch, that the
-    next yield overwrites.
+    A block's float64 label matrix is laid out as in the module docstring:
+    row 0 is all ones, and row 1 + p holds 1 on the block's pooled rows
+    start, start + 1, ... that labeling p labels x and 0 on the others.
+    rows is the run of that matrix, from row ``top``, that a batch fills.
+    The matrix is a view of one buffer of P + 2 rows that the next block
+    overwrites.
 
     A block draws its permutations in batches, each from its own generator
     keyed by (block, batch), so a permutation's labels do not depend on
-    whether a later batch is drawn, and yields each batch as drawn, the
-    first with the observed labeling.  A pooled sample of one block draws
-    the first ceil(P / 5) permutations, then the rest; a larger one draws
-    all P in one batch per block.  A multivariate hypergeometric draw from
-    a generator of its own splits each permutation's n_x x labels among the
-    blocks; one block takes them all without a draw.
+    whether a later batch is drawn, and yields each batch as drawn; only
+    the first starts at row 0, with the ones row and the observed
+    labeling.  A pooled sample of one block draws the first ceil(P / 5)
+    permutations, then the rest; a larger one draws all P in one batch per
+    block.  A multivariate hypergeometric draw from a generator of its own
+    splits each permutation's n_x x labels among the blocks; one block
+    takes them all without a draw.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
@@ -172,22 +173,19 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
     first = -(-n_permutations // 5)
     bounds = ([0, first, n_permutations] if len(sizes) == 1 and first < n_permutations
               else [0, n_permutations])
-    widest = max(high - low for low, high in zip(bounds, bounds[1:]))
-    buffer = np.empty((widest + 2) * sizes[0])
-    scratch = np.empty(2 * widest * sizes[0], dtype=np.uint16)
+    buffer = np.empty((n_permutations + 2) * sizes[0])
+    scratch = np.empty(2 * n_permutations * sizes[0], dtype=np.uint16)
     for block, (start, size) in enumerate(zip(starts, sizes)):
+        rows = buffer[:(n_permutations + 2) * size].reshape(-1, size)
+        rows[0] = 1.0
+        rows[1] = np.arange(start, start + size) < pooled.n_x
         for batch, (low, high) in enumerate(zip(bounds, bounds[1:])):
-            # labelings begin .. high, then the ones row
-            begin = low + 1 if batch else 0
-            labels = buffer[:(high - begin + 2) * size].reshape(-1, size)
-            if begin == 0:
-                labels[0] = np.arange(start, start + size) < pooled.n_x
-            labels[-1] = 1.0
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(block, batch)))
-            _uniform_subsets(counts[low:high, block], rng,
-                             labels[1 + low - begin:-1], scratch)
-            yield start, begin, labels
+            _uniform_subsets(counts[low:high, block], rng, rows[2 + low:2 + high],
+                             scratch)
+            top = 2 + low if batch else 0
+            yield start, top, rows[top:2 + high]
 
 
 def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
@@ -197,11 +195,11 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
 
     Row p of the (P + 1, feature width) result is mean_x phi - mean_y phi
     under labeling p.  One pass over the label blocks, evaluating each
-    block's basis once; one GEMM per yielded label matrix, basis' against
-    the labels and their ones row, gives the labeled sums and, in its last
-    column, the block's total T.  The sums are basis-wide, (dimension,
-    P + 1), and are mapped to features after the pass; a one-block pass
-    maps its first batch, of ceil(P / 5) permutations, on its own.
+    block's basis once; one GEMM per yielded batch, basis' against its label
+    rows, adds to the same columns of the (dimension, P + 2) sums, which
+    hold T and then the labeled sums (see the module docstring).  The sums
+    are mapped to features after the pass; a one-block pass maps its first
+    batch, of ceil(P / 5) permutations, on its own.
 
     With ``accept_at`` = m, a one-block pass stops after that batch when at
     least m of its statistics (row norms) strictly exceed row 0's and the
@@ -209,38 +207,34 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
     batch's rows only, bit for bit the first rows of the pass without
     accept_at.
     """
-    sums = np.zeros((feature_map.dimension, n_permutations + 1))
-    total = np.zeros(feature_map.dimension)
+    sums = np.zeros((feature_map.dimension, n_permutations + 2))
     # buffers reused by every block
     basis_buffer = np.empty((min(LABEL_BLOCK_ROWS, pooled.n), feature_map.dimension))
-    products = np.empty((feature_map.dimension, n_permutations + 2))
+    products = np.empty_like(sums)
 
-    def mapped(labelings: slice) -> np.ndarray:
-        coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, labelings]
-                       - total[:, None] / pooled.n_y)
+    def mapped(columns: slice) -> np.ndarray:
+        coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, columns]
+                       - sums[:, :1] / pooled.n_y)
         return feature_map.from_basis(coordinates.T)
 
     first = None
-    for start, begin, labels in _label_blocks(pooled, n_permutations, seed):
-        size = labels.shape[1]
-        if begin == 0:  # a block's first labels; a later batch reuses its basis
+    for start, top, rows in _label_blocks(pooled, n_permutations, seed):
+        size = rows.shape[1]
+        if top == 0:  # a block's first batch; a later one reuses its basis
             basis = feature_map.basis(pooled.points[start:start + size],
                                       out=basis_buffer[:size])
-        count = labels.shape[0] - 1
-        product = np.matmul(basis.T, labels.T, out=products[:, :count + 1])
-        sums[:, begin:begin + count] += product[:, :-1]
-        if begin == 0:
-            total += product[:, -1]
-        if begin + count <= n_permutations:  # the first of a block's two batches
-            first = mapped(slice(0, count))
+        end = top + rows.shape[0]
+        sums[:, top:end] += np.matmul(basis.T, rows.T, out=products[:, top:end])
+        if end < sums.shape[1]:  # the first of a block's two batches
+            first = mapped(slice(1, end))
             statistics = np.linalg.norm(first, axis=1)
             if (accept_at is not None
                     and np.count_nonzero(statistics[1:] > statistics[0]) >= accept_at
                     and statistics.max() > DEGENERATE_TIE_TOLERANCE):
                 return first
     if first is None:
-        return mapped(slice(None))
-    return np.concatenate([first, mapped(slice(first.shape[0], None))])
+        return mapped(slice(1, None))
+    return np.concatenate([first, mapped(slice(1 + first.shape[0], None))])
 
 
 def permutation_weights(pooled: PooledSample, n_permutations: int,
@@ -249,14 +243,15 @@ def permutation_weights(pooled: PooledSample, n_permutations: int,
 
     Row p holds 1/n_x on the rows labeled x and -1/n_y on the others, for
     the observed labeling (p = 0) and the same P permuted labelings that
-    permuted_statistics draws for this seed.  It is O((P + 1) * n) storage;
-    the feature-map statistics never form it.
+    permuted_statistics draws for this seed.  The rows are filled in the
+    label matrices' layout, ones row first, which is dropped.  It is
+    O((P + 2) * n) storage; the feature-map statistics never form it.
     """
-    weights = np.empty((n_permutations + 1, pooled.n))
-    for start, begin, labels in _label_blocks(pooled, n_permutations, seed):
-        weights[begin:begin + labels.shape[0] - 1, start:start + labels.shape[1]] = (
-            np.where(labels[:-1] > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y))
-    return weights
+    weights = np.empty((n_permutations + 2, pooled.n))
+    for start, top, rows in _label_blocks(pooled, n_permutations, seed):
+        weights[top:top + rows.shape[0], start:start + rows.shape[1]] = (
+            np.where(rows > 0, 1.0 / pooled.n_x, -1.0 / pooled.n_y))
+    return weights[1:]
 
 
 def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,

@@ -515,23 +515,51 @@ class TestLabelStream:
 
     @pytest.mark.parametrize("n", [7, 1024, 1025])
     def test_pass_yields_each_batch_as_drawn(self, n):
-        # A one-block pass yields its first batch of ceil(19 / 5) = 4
-        # permutations, with the observed labeling, then the other 15; a
-        # larger pass yields each block once, with all 20 labelings.  Each
-        # matrix ends in the ones row, and its labelings are the rows that
-        # permutation_weights writes for them.
+        # A one-block pass yields rows 0 .. 5 of its label matrix (the ones
+        # row, the observed labeling and the first ceil(19 / 5) = 4
+        # permutations), then rows 6 .. 20 (the other 15); a larger pass
+        # yields each block's 21 rows once.  Row 1 + p is the row that
+        # permutation_weights writes for labeling p.
         pooled = PooledSample(points=np.zeros((n, 1)), n_x=3, n_y=n - 3)
         expected = permutation_weights(pooled, 19, seed=2) > 0
-        yields = [(start, begin, labels.copy())
-                  for start, begin, labels in _label_blocks(pooled, 19, seed=2)]
-        shapes = ([(0, 0, (6, n)), (0, 5, (16, n))] if n <= LABEL_BLOCK_ROWS
+        yields = [(start, top, rows.copy())
+                  for start, top, rows in _label_blocks(pooled, 19, seed=2)]
+        shapes = ([(0, 0, (6, n)), (0, 6, (15, n))] if n <= LABEL_BLOCK_ROWS
                   else [(0, 0, (21, 1024)), (1024, 0, (21, 1))])
-        assert [(start, begin, labels.shape) for start, begin, labels in yields] == shapes
-        for start, begin, labels in yields:
-            np.testing.assert_array_equal(labels[-1], 1.0)
+        assert [(start, top, rows.shape) for start, top, rows in yields] == shapes
+        for start, top, rows in yields:
+            if top == 0:
+                np.testing.assert_array_equal(rows[0], 1.0)
+                rows, top = rows[1:], 1
             np.testing.assert_array_equal(
-                labels[:-1] > 0, expected[begin:begin + labels.shape[0] - 1,
-                                          start:start + labels.shape[1]])
+                rows > 0, expected[top - 1:top - 1 + rows.shape[0],
+                                   start:start + rows.shape[1]])
+
+    @pytest.mark.parametrize("n, accept_at, widths", [
+        (1000, None, [42, 159]), (1000, 1, [42]), (2049, None, [201, 201, 201])],
+        ids=["one-block", "stopped", "three-blocks"])
+    def test_pass_multiplies_each_label_row_once(self, n, accept_at, widths,
+                                                 monkeypatch):
+        # At P = 199 each block's matrix has P + 2 = 201 rows: the ones
+        # row, the observed labeling and 199 permutations.  A one-block
+        # pass multiplies rows 0 .. 41, then, unless it stops, rows
+        # 42 .. 200; a larger pass multiplies every block's 201 rows once.
+        rng = np.random.default_rng(n)
+        pooled = PooledSample(points=rng.standard_normal((n, 3)),
+                              n_x=n // 2, n_y=n - n // 2)
+        fmap = sampled_nystrom(pooled.points, 24, 1, GaussianKernel(1.2))
+        matmul = np.matmul
+        labeled = []
+
+        def recording(left, right, *args, **kwargs):
+            if left.shape[0] == fmap.dimension:  # not a kernel block's GEMM
+                labeled.append(right.shape[1])
+            return matmul(left, right, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        stats = permuted_statistics(pooled, fmap, 199, seed=1, accept_at=accept_at)
+        assert stats.size == (41 if accept_at else 200)
+        assert labeled == widths
 
     # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
@@ -567,37 +595,33 @@ class TestLabelStream:
     @pytest.mark.parametrize("n", [1023, 1025, 2048, 3001])
     def test_reused_buffers_match_fresh_blocks(self, n):
         # Reference: the same pass with fresh arrays for every block, the
-        # permuted labels read back from permutation_weights and the block
-        # total taken from an all-ones column of the same product
-        # basis' labels'.  One block forms and maps its two batches apart,
-        # labelings 0 .. ceil(49 / 5) = 10 and 11 .. 49, each with a ones
-        # row.  A partial last block or batch must not see stale rows of
-        # the shared label or basis buffers, its ones row included.
+        # permuted labels read back from permutation_weights below an
+        # all-ones row, whose column of the same product basis' labels' is
+        # the block total.  One block forms and maps its two batches apart:
+        # the ones row with labelings 0 .. ceil(49 / 5) = 10, then 11 .. 49
+        # without a ones row.  A partial last block or batch must not see
+        # stale rows of the shared label or basis buffers.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
         kernel = GaussianKernel(1.2)
         for fmap in (sampled_nystrom(pooled.points, 24, 1, kernel),
                      build_rff(3, 24, kernel, seed=2)):
-            labels = (permutation_weights(pooled, 49, seed=3) > 0).astype(float)
-            labels[0] = np.arange(n) < pooled.n_x
-            batches = ([slice(0, 11), slice(11, 50)] if n <= LABEL_BLOCK_ROWS
-                       else [slice(0, 50)])
-            sums = np.zeros((fmap.dimension, 50))
-            total = np.zeros(fmap.dimension)
+            labels = np.vstack([
+                np.ones(n), permutation_weights(pooled, 49, seed=3) > 0])
+            labels[1] = np.arange(n) < pooled.n_x
+            batches = ([slice(0, 12), slice(12, 51)] if n <= LABEL_BLOCK_ROWS
+                       else [slice(0, 51)])
+            sums = np.zeros((fmap.dimension, 51))
             for start in range(0, n, LABEL_BLOCK_ROWS):
                 block = slice(start, start + LABEL_BLOCK_ROWS)
                 basis = fmap.basis(pooled.points[block])
                 for batch in batches:
-                    labels_batch = labels[batch, block]
-                    product = basis.T @ np.vstack([labels_batch,
-                                                   np.ones(labels_batch.shape[1])]).T
-                    sums[:, batch] += product[:, :-1]
-                    if batch.start == 0:
-                        total += product[:, -1]
+                    sums[:, batch] += basis.T @ labels[batch, block].T
             expected = np.linalg.norm(np.vstack([
-                fmap.from_basis(((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, batch]
-                                 - total[:, None] / pooled.n_y).T)
+                fmap.from_basis(((1.0 / pooled.n_x + 1.0 / pooled.n_y)
+                                 * sums[:, max(batch.start, 1):batch.stop]
+                                 - sums[:, :1] / pooled.n_y).T)
                 for batch in batches]), axis=1)
             np.testing.assert_array_equal(
                 permuted_statistics(pooled, fmap, 49, seed=3), expected)
