@@ -122,8 +122,9 @@ class TestConfig:
 
     keep_statistics=False asks for the decision only: the outcome keeps no
     replicate vector, and a feature-map test may stop its permutations
-    once its decision is fixed.  The values it computes are bit for bit
-    the first values of the keep_statistics=True test (see run_test).
+    once its decision is fixed, at a look after ceil(P / 5) or ceil(P / 2)
+    of them.  The values it computes are bit for bit the first values of
+    the keep_statistics=True test (see run_test).
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -163,7 +164,8 @@ class TestOutcome:
         rejection_probability: The tie-branch rejection probability when
             randomized, else None.
         permutations_run: The permuted replicates that were computed: the
-            config's P, or fewer when a decision-only test stopped early.
+            config's P, or ceil(P / 5) or ceil(P / 2) when a decision-only
+            test stopped at its first or second look.
         statistics: The permutations_run + 1 statistic values (entry 0
             observed), or None when not retained.
         bandwidth: Kernel bandwidth the test ran with.
@@ -290,14 +292,15 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
 
     A decision-only config (keep_statistics=False) on a feature map
     curtails the pass, as in the sequential Monte Carlo test of Besag and
-    Clifford (1991): a pooled sample of one label block stops after its
-    first ceil(P / 5) permutations when at least accept_count(alpha, P) of
-    them strictly exceed the observed statistic and not all values are
-    degenerate round-off.  Its values are bit for bit the first values of
-    the keep_statistics=True pass, so that pass would accept too and the
-    level stays exact; permutations_run says how many ran.  A test that
-    does not stop gives the outcome of keep_statistics=True bit for bit,
-    without the replicate vector.
+    Clifford (1991): a pooled sample of one label block looks after its
+    first ceil(P / 5) and its first ceil(P / 2) permutations, and stops at
+    the first look at which at least accept_count(alpha, P) of the
+    permutations so far strictly exceed the observed statistic and not all
+    values are degenerate round-off.  Its values are bit for bit the first
+    values of the keep_statistics=True pass, so that pass would accept too
+    and the level stays exact; permutations_run says how many ran.  A test
+    that does not stop gives the outcome of keep_statistics=True bit for
+    bit, without the replicate vector.
     """
     pooled = PooledSample.from_samples(x, y)
     root = np.random.SeedSequence(config.seed)

@@ -23,16 +23,17 @@ the rows whose uint16 keys fall below a cut key, which one partition of the
 batch's keys finds for every permutation at once, without a sort.  A tie at
 a cut (about B / 2^17 per permutation, so most blocks have one) redraws the
 keys of that permutation's row alone.  Together these are uniform splits of
-the pooled rows.  A pooled sample that fits one block draws two batches,
-the first ceil(P / 5) permutations and then the rest, and every pass forms
-and maps them apart, so a decision-only pass that stops after the first
-(accumulate_weighted_features) returns a bitwise prefix of the complete
-one; a larger sample draws all P in one batch per block, and always runs
-in full.  Storage is O((P + 2) * (r + B)) for the accumulators, the label
-matrix, the basis and the uint16 key scratch, held in buffers that every
-block and batch reuses, plus the P x (n / B) block counts; the n-wide signed
-weight matrix is formed only by permutation_weights, for exact mode, which
-drops the ones row.
+the pooled rows.  A pooled sample that fits one block draws three batches,
+the first ceil(P / 5) permutations, then up to ceil(P / 2), then the rest
+(fewer at small P, where these coincide), and every pass forms and maps
+them apart, so a decision-only pass that stops at the look after its first
+or second batch (accumulate_weighted_features) returns a bitwise prefix of
+the complete one; a larger sample draws all P in one batch per block, and
+always runs in full.  Storage is O((P + 2) * (r + B)) for the accumulators,
+the label matrix, the basis and the uint16 key scratch, held in buffers
+that every block and batch reuses, plus the P x (n / B) block counts; the
+n-wide signed weight matrix is formed only by permutation_weights, for
+exact mode, which drops the ones row.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import FeatureMap
 from .kernels import as_points
@@ -121,23 +121,21 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
         out[:] = full[:, None]
         return
     low, top = int(counts.min()), int(counts.max())
-    # row p's pads: the window of top - low zeros then as many 0xFFFF keys
-    # that starts at counts[p] - low
-    ramp = np.repeat(np.array([0, 2**16 - 1], dtype=np.uint16), top - low)
-    pads = sliding_window_view(ramp, top - low)[counts - low]
     keys = _keys(rng, counts.size, size)
-    padded = scratch[:counts.size * (size + top - low)].reshape(counts.size, -1)
-    padded[:, :size] = keys
-    padded[:, size:] = pads
     rows = np.arange(counts.size)
     cuts = np.empty(counts.size, dtype=np.uint16)
     while rows.size:
+        padded = scratch[:rows.size * (size + top - low)].reshape(rows.size, -1)
+        padded[:, :size] = keys if rows.size == counts.size else keys[rows]
+        if top > low:  # row p's pads: top - counts[p] zeros, then 0xFFFF keys
+            pads = padded[:, size:]
+            np.greater_equal(np.arange(top - low), top - counts[rows, None], out=pads)
+            pads *= 2**16 - 1
         padded.partition(top, axis=1)
         cuts[rows] = padded[:, top]
         rows = rows[inner[rows] & (padded[:, :top].max(axis=1) == cuts[rows])]
         if rows.size:
             keys[rows] = _keys(rng, rows.size, size)
-            padded = np.concatenate([keys[rows], pads[rows]], axis=1)
     np.less(keys, cuts[:, None], out=out)
     out[full] = 1
 
@@ -157,10 +155,11 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
     whether a later batch is drawn, and yields each batch as drawn; only
     the first starts at row 0, with the ones row and the observed
     labeling.  A pooled sample of one block draws the first ceil(P / 5)
-    permutations, then the rest; a larger one draws all P in one batch per
-    block.  A multivariate hypergeometric draw from a generator of its own
-    splits each permutation's n_x x labels among the blocks; one block
-    takes them all without a draw.
+    permutations, then up to ceil(P / 2), then the rest, skipping a batch
+    that would be empty; a larger one draws all P in one batch per block.
+    A multivariate hypergeometric draw from a generator of its own splits
+    each permutation's n_x x labels among the blocks; one block takes them
+    all without a draw.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
@@ -170,9 +169,9 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
         counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
         counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
                                                         size=n_permutations)
-    first = -(-n_permutations // 5)
-    bounds = ([0, first, n_permutations] if len(sizes) == 1 and first < n_permutations
-              else [0, n_permutations])
+    looks = ({-(-n_permutations // 5), -(-n_permutations // 2)} - {n_permutations}
+             if len(sizes) == 1 else set())
+    bounds = [0, *sorted(looks), n_permutations]
     buffer = np.empty((n_permutations + 2) * sizes[0])
     scratch = np.empty(2 * n_permutations * sizes[0], dtype=np.uint16)
     for block, (start, size) in enumerate(zip(starts, sizes)):
@@ -198,14 +197,15 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
     block's basis once; one GEMM per yielded batch, basis' against its label
     rows, adds to the same columns of the (dimension, P + 2) sums, which
     hold T and then the labeled sums (see the module docstring).  The sums
-    are mapped to features after the pass; a one-block pass maps its first
-    batch, of ceil(P / 5) permutations, on its own.
+    are mapped to features after the pass; a one-block pass maps each batch
+    on its own, and looks after every batch but its last: after ceil(P / 5)
+    and after ceil(P / 2) permutations.
 
-    With ``accept_at`` = m, a one-block pass stops after that batch when at
-    least m of its statistics (row norms) strictly exceed row 0's and the
-    largest exceeds DEGENERATE_TIE_TOLERANCE.  The result then holds the
-    batch's rows only, bit for bit the first rows of the pass without
-    accept_at.
+    With ``accept_at`` = m, a one-block pass stops at a look when at least
+    m of the permuted statistics (row norms) so far strictly exceed row 0's
+    and the largest value so far exceeds DEGENERATE_TIE_TOLERANCE.  The
+    result then holds the rows so far, bit for bit the first rows of the
+    pass without accept_at.
     """
     sums = np.zeros((feature_map.dimension, n_permutations + 2))
     # buffers reused by every block
@@ -217,7 +217,7 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
                        - sums[:, :1] / pooled.n_y)
         return feature_map.from_basis(coordinates.T)
 
-    first = None
+    pieces, done = [], 1  # a one-block pass's mapped batches, and their end
     for start, top, rows in _label_blocks(pooled, n_permutations, seed):
         size = rows.shape[1]
         if top == 0:  # a block's first batch; a later one reuses its basis
@@ -225,16 +225,16 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
                                       out=basis_buffer[:size])
         end = top + rows.shape[0]
         sums[:, top:end] += np.matmul(basis.T, rows.T, out=products[:, top:end])
-        if end < sums.shape[1]:  # the first of a block's two batches
-            first = mapped(slice(1, end))
-            statistics = np.linalg.norm(first, axis=1)
-            if (accept_at is not None
-                    and np.count_nonzero(statistics[1:] > statistics[0]) >= accept_at
-                    and statistics.max() > DEGENERATE_TIE_TOLERANCE):
-                return first
-    if first is None:
-        return mapped(slice(1, None))
-    return np.concatenate([first, mapped(slice(1 + first.shape[0], None))])
+        if end < sums.shape[1]:  # a one-block pass's batch before its last: a look
+            pieces.append(mapped(slice(done, end)))
+            done = end
+            if accept_at is not None:
+                ran = np.concatenate(pieces)
+                statistics = np.linalg.norm(ran, axis=1)
+                if (np.count_nonzero(statistics[1:] > statistics[0]) >= accept_at
+                        and statistics.max() > DEGENERATE_TIE_TOLERANCE):
+                    return ran
+    return np.concatenate([*pieces, mapped(slice(done, None))])
 
 
 def permutation_weights(pooled: PooledSample, n_permutations: int,
@@ -262,9 +262,9 @@ def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
     Entry 0 is the projected MMD of the observed labeling; entries 1..P use
     independent uniform splits of the pooled rows; P = 0 gives entry 0
     alone.  Deterministic for a fixed seed.  With ``accept_at``, a
-    one-block pass may stop after its first batch and return, bit for bit,
-    the first entries of the vector returned without accept_at (see
-    accumulate_weighted_features).
+    one-block pass may stop after ceil(P / 5) or ceil(P / 2) permutations
+    and return, bit for bit, the first entries of the vector returned
+    without accept_at (see accumulate_weighted_features).
     """
     accumulated = accumulate_weighted_features(pooled, feature_map,
                                                n_permutations, seed, accept_at)

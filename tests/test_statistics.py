@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -26,7 +27,7 @@ from nysmmd import (
     permuted_statistics,
     sample_landmarks,
 )
-from nysmmd import statistics
+from nysmmd import linalg, statistics
 from nysmmd.statistics import (
     LABEL_BLOCK_ROWS,
     _label_blocks,
@@ -190,32 +191,42 @@ class TestPermutedStatistics:
         np.testing.assert_array_equal(weights[0], np.repeat([1 / 30, -1 / 25], [30, 25]))
 
     @pytest.mark.parametrize("n", [22, 60, 1000, 1023, 1024, 1025])
-    def test_stopped_vector_is_a_prefix_of_the_complete_pass(self, n):
-        # A pass given accept_at stops after its first batch of ceil(49 / 5)
-        # = 10 permutations exactly when at least accept_at of them exceed
-        # entry 0, and only on one label block.  Its values are bit for bit
-        # the first values of the pass without accept_at, as are those of a
-        # pass that cannot stop (accept_at = 11).
+    def test_stopped_vector_is_a_prefix_of_the_complete_pass(self, n, monkeypatch):
+        # A pass given accept_at looks after ceil(49 / 5) = 10 and
+        # ceil(49 / 2) = 25 permutations, only on one label block, and stops
+        # at the first look at which at least accept_at of the permutations
+        # so far exceed entry 0.  Its values are bit for bit the first values
+        # of the pass without accept_at, as are those of a pass that cannot
+        # stop (accept_at = 26).  The maps take the certified Cholesky
+        # factor, the eigen cutoff (at a wide bandwidth) and RFF.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
         kernel = GaussianKernel(1.2)
-        stopped = 0
-        for fmap in (sampled_nystrom(pooled.points, 24, 1, kernel),
-                     sampled_nystrom(pooled.points, 6, 1, kernel),
-                     build_rff(3, 24, kernel, seed=2)):
+        eigen = []
+        eigh = linalg.psd_eigh
+        monkeypatch.setattr(linalg, "psd_eigh", lambda matrix, name="matrix": (
+            eigen.append(name) or eigh(matrix, name)))
+        maps = [sampled_nystrom(pooled.points, 24, 1, kernel)]
+        assert not eigen
+        maps.append(sampled_nystrom(pooled.points, 24, 1, GaussianKernel(20.0)))
+        assert eigen
+        maps.append(build_rff(3, 24, kernel, seed=2))
+        looks = [11, 26] if n <= LABEL_BLOCK_ROWS else []
+        stopped = collections.Counter()
+        for fmap in maps:
             for seed in range(8):
                 complete = permuted_statistics(pooled, fmap, 49, seed)
                 np.testing.assert_array_equal(
-                    permuted_statistics(pooled, fmap, 49, seed, accept_at=11), complete)
-                exceeding = np.count_nonzero(complete[1:11] > complete[0])
-                for accept_at in (1, 3, 6):
+                    permuted_statistics(pooled, fmap, 49, seed, accept_at=26), complete)
+                for accept_at in (1, 3, 6, 11):
                     stats = permuted_statistics(pooled, fmap, 49, seed, accept_at)
-                    stops = n <= LABEL_BLOCK_ROWS and exceeding >= accept_at
-                    assert stats.size == (11 if stops else 50)
-                    np.testing.assert_array_equal(stats, complete[:stats.size])
-                    stopped += stops
-        assert stopped > 0 or n > LABEL_BLOCK_ROWS
+                    size = next((look for look in looks if np.count_nonzero(
+                        complete[1:look] > complete[0]) >= accept_at), 50)
+                    assert stats.size == size
+                    np.testing.assert_array_equal(stats, complete[:size])
+                    stopped[size] += 1
+        assert all(stopped[look] > 0 for look in looks)
 
     def test_degenerate_values_never_stop_the_pass(self):
         # Points equal up to 1e-14: every value is round-off below
@@ -491,17 +502,18 @@ class TestLabelStream:
         # Reference: one multivariate hypergeometric draw of the block
         # counts for all P; then each block draws its batches from
         # generators keyed by (block, batch).  One block draws the first
-        # ceil(P / 5) permutations, then the rest; more blocks draw all P at
-        # once.
+        # ceil(P / 5) permutations, then up to ceil(P / 2), then the rest,
+        # skipping empty batches; more blocks draw all P at once.
         seed, n_x = 5, n // 2 + 1
         pooled = PooledSample(points=np.zeros((n, 1)), n_x=n_x, n_y=n - n_x)
         starts = range(0, n, LABEL_BLOCK_ROWS)
         sizes = [min(LABEL_BLOCK_ROWS, n - start) for start in starts]
         counts = np.random.default_rng(np.random.SeedSequence(seed)) \
             .multivariate_hypergeometric(sizes, n_x, size=n_permutations)
-        first = math.ceil(n_permutations / 5)
-        bounds = ([0, first, n_permutations] if n <= LABEL_BLOCK_ROWS
-                  and first < n_permutations else [0, n_permutations])
+        looks = [math.ceil(n_permutations / 5), math.ceil(n_permutations / 2)]
+        bounds = [0, n_permutations]
+        if n <= LABEL_BLOCK_ROWS:
+            bounds[1:1] = sorted({look for look in looks if look < n_permutations})
         expected = np.zeros((n_permutations, n))
         for block, (start, size) in enumerate(zip(starts, sizes)):
             for batch, (low, high) in enumerate(zip(bounds, bounds[1:])):
@@ -517,15 +529,16 @@ class TestLabelStream:
     def test_pass_yields_each_batch_as_drawn(self, n):
         # A one-block pass yields rows 0 .. 5 of its label matrix (the ones
         # row, the observed labeling and the first ceil(19 / 5) = 4
-        # permutations), then rows 6 .. 20 (the other 15); a larger pass
-        # yields each block's 21 rows once.  Row 1 + p is the row that
-        # permutation_weights writes for labeling p.
+        # permutations), then rows 6 .. 11 (up to ceil(19 / 2) = 10), then
+        # rows 12 .. 20 (the other 9); a larger pass yields each block's 21
+        # rows once.  Row 1 + p is the row that permutation_weights writes
+        # for labeling p.
         pooled = PooledSample(points=np.zeros((n, 1)), n_x=3, n_y=n - 3)
         expected = permutation_weights(pooled, 19, seed=2) > 0
         yields = [(start, top, rows.copy())
                   for start, top, rows in _label_blocks(pooled, 19, seed=2)]
-        shapes = ([(0, 0, (6, n)), (0, 6, (15, n))] if n <= LABEL_BLOCK_ROWS
-                  else [(0, 0, (21, 1024)), (1024, 0, (21, 1))])
+        shapes = ([(0, 0, (6, n)), (0, 6, (6, n)), (0, 12, (9, n))]
+                  if n <= LABEL_BLOCK_ROWS else [(0, 0, (21, 1024)), (1024, 0, (21, 1))])
         assert [(start, top, rows.shape) for start, top, rows in yields] == shapes
         for start, top, rows in yields:
             if top == 0:
@@ -535,19 +548,48 @@ class TestLabelStream:
                 rows > 0, expected[top - 1:top - 1 + rows.shape[0],
                                    start:start + rows.shape[1]])
 
-    @pytest.mark.parametrize("n, accept_at, widths", [
-        (1000, None, [42, 159]), (1000, 1, [42]), (2049, None, [201, 201, 201])],
-        ids=["one-block", "stopped", "three-blocks"])
-    def test_pass_multiplies_each_label_row_once(self, n, accept_at, widths,
-                                                 monkeypatch):
+    @pytest.mark.parametrize("n_permutations, heights", [
+        (0, [2]), (1, [3]), (2, [3, 1]), (3, [3, 1, 1]), (4, [3, 1, 2]),
+        (5, [3, 2, 2]), (6, [4, 1, 3])])
+    def test_small_permutation_counts_draw_no_empty_batch(self, n_permutations,
+                                                          heights):
+        # The looks at ceil(P / 5) and ceil(P / 2) coincide with each other,
+        # with 0 or with P at small P; a one-block pass then draws fewer
+        # batches, none of them empty, and every labeling exactly once.  The
+        # first batch also holds the ones row and the observed labeling.
+        pooled = PooledSample(points=np.zeros((7, 1)), n_x=3, n_y=4)
+        expected = permutation_weights(pooled, n_permutations, seed=6) > 0
+        yields = [(top, rows.copy())
+                  for _, top, rows in _label_blocks(pooled, n_permutations, seed=6)]
+        assert [rows.shape[0] for _, rows in yields] == heights
+        assert [top for top, _ in yields] == [0, *itertools.accumulate(heights)][:-1]
+        np.testing.assert_array_equal(yields[0][1][0], 1.0)
+        labels = np.vstack([rows for _, rows in yields])[1:] > 0
+        np.testing.assert_array_equal(labels, expected)
+        assert (labels.sum(axis=1) == 3).all()
+
+    @pytest.mark.parametrize("n, look, widths", [
+        (1000, None, [42, 60, 99]), (1000, 1, [42]), (1000, 2, [42, 60]),
+        (2049, None, [201, 201, 201])],
+        ids=["one-block", "stopped-first", "stopped-second", "three-blocks"])
+    def test_pass_multiplies_each_label_row_once(self, n, look, widths, monkeypatch):
         # At P = 199 each block's matrix has P + 2 = 201 rows: the ones
         # row, the observed labeling and 199 permutations.  A one-block
-        # pass multiplies rows 0 .. 41, then, unless it stops, rows
-        # 42 .. 200; a larger pass multiplies every block's 201 rows once.
+        # pass multiplies rows 0 .. 41, then, unless it stops at the first
+        # look, rows 42 .. 101 (up to ceil(199 / 2) = 100), then, unless it
+        # stops at the second, rows 102 .. 200; a larger pass multiplies
+        # every block's 201 rows once.  accept_at is chosen from the
+        # complete pass to stop at the given look.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
         fmap = sampled_nystrom(pooled.points, 24, 1, GaussianKernel(1.2))
+        complete = permuted_statistics(pooled, fmap, 199, seed=1)
+        exceeding = [np.count_nonzero(complete[1:end] > complete[0])
+                     for end in (41, 101)]
+        if look:
+            assert exceeding[0] >= 1 and exceeding[1] > exceeding[0]
+        accept_at = {None: None, 1: 1, 2: exceeding[0] + 1}[look]
         matmul = np.matmul
         labeled = []
 
@@ -558,13 +600,13 @@ class TestLabelStream:
 
         monkeypatch.setattr(np, "matmul", recording)
         stats = permuted_statistics(pooled, fmap, 199, seed=1, accept_at=accept_at)
-        assert stats.size == (41 if accept_at else 200)
+        assert stats.size == {None: 200, 1: 41, 2: 101}[look]
         assert labeled == widths
 
     # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
         (1000, 500, 199, 0,
-         "54f2b6c1128845a3815db31a1c69d69d26013ebd19c547bdca9872a454fda313"),
+         "808b958f1259d0d9d9701188c294e811e1a83487b6e2d50f8610d53ca936ace8"),
         (3001, 1500, 49, 3,
          "8a73e5098b4f89fa02c7b4514e778cd8bd9a87a79ebc04fd0116fbf07ff6d9f7"),
         (2049, 2048, 19, 1,
@@ -597,10 +639,11 @@ class TestLabelStream:
         # Reference: the same pass with fresh arrays for every block, the
         # permuted labels read back from permutation_weights below an
         # all-ones row, whose column of the same product basis' labels' is
-        # the block total.  One block forms and maps its two batches apart:
-        # the ones row with labelings 0 .. ceil(49 / 5) = 10, then 11 .. 49
-        # without a ones row.  A partial last block or batch must not see
-        # stale rows of the shared label or basis buffers.
+        # the block total.  One block forms and maps its three batches
+        # apart: the ones row with labelings 0 .. ceil(49 / 5) = 10, then
+        # 11 .. ceil(49 / 2) = 25 and 26 .. 49 without a ones row.  A partial
+        # last block or batch must not see stale rows of the shared label or
+        # basis buffers.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
@@ -610,8 +653,8 @@ class TestLabelStream:
             labels = np.vstack([
                 np.ones(n), permutation_weights(pooled, 49, seed=3) > 0])
             labels[1] = np.arange(n) < pooled.n_x
-            batches = ([slice(0, 12), slice(12, 51)] if n <= LABEL_BLOCK_ROWS
-                       else [slice(0, 51)])
+            batches = ([slice(0, 12), slice(12, 27), slice(27, 51)]
+                       if n <= LABEL_BLOCK_ROWS else [slice(0, 51)])
             sums = np.zeros((fmap.dimension, 51))
             for start in range(0, n, LABEL_BLOCK_ROWS):
                 block = slice(start, start + LABEL_BLOCK_ROWS)
