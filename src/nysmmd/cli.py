@@ -61,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=METHODS)
     test.add_argument("--landmarks", type=int, default=None,
                       help="feature count: landmark draws ell, of which the "
-                           "r of full numerical rank are kept, or RFF features; "
-                           "defaults to ceil(sqrt(n))")
+                           "r whose kernel matrix is certified invertible are "
+                           "kept, or RFF features; defaults to ceil(sqrt(n))")
     test.add_argument("--bandwidth", type=float, default=argparse.SUPPRESS,
                       help="fixed kernel bandwidth (default: median heuristic)")
     test.add_argument("--seed", type=int, default=argparse.SUPPRESS)

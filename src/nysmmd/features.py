@@ -5,7 +5,9 @@ Gaussian kernel.  Each map factors as a basis evaluation of width
 ``dimension`` (the r kept landmarks for Nystrom, the ell features for random
 Fourier features) followed by a fixed linear map,
 features(X) = from_basis(basis(X)), so a statistic linear in the features
-can sum basis rows first and apply the linear map once.
+can sum basis rows first and apply the linear map once.  The Nystrom linear
+map is T = L^-T for the Cholesky factor L of the landmark kernel matrix,
+which sample_landmarks certifies and inverts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Protocol
 
 import numpy as np
 
-from . import linalg
 from .kernels import GaussianKernel, as_points
 
 
@@ -43,16 +44,14 @@ class NystromMap:
     """Projection of the kernel feature space onto the span of landmark points.
 
     The map is x -> T' k_Z(x), where k_Z(x) stacks the kernel evaluations
-    against the landmarks and T T' = K_ZZ^+, the pseudo-inverse that keeps
-    the eigenpairs of the landmark kernel matrix above ``rank_tolerance``
-    times the largest.  build_nystrom computes T in one of two ways with
-    that one definition: T = L^-T for the Cholesky factor L of K_ZZ when a
-    bound certifies that no eigenvalue is cut (then K_ZZ^+ = K_ZZ^-1), and
-    otherwise the thin eigen factor T = V_q e_q^-1/2 of the q kept pairs.
-    Inner products of mapped points reproduce the kernel restricted to the
-    landmark span; in particular ||phi(x)||^2 <= k(x, x) = 1 for every x.
-    ``dimension`` is the landmark count r: the r <= ell draws that
-    sample_landmarks keeps.
+    against the r landmarks and T = L^-T for the Cholesky factor L of their
+    kernel matrix K_ZZ = L L', so T T' = K_ZZ^-1.  sample_landmarks keeps
+    only draws whose K_ZZ has every eigenvalue certified above
+    ``rank_tolerance`` times r, its trace, so the inverse is the
+    pseudo-inverse and no direction of the span is cut.  Inner products of
+    mapped points reproduce the kernel restricted to the landmark span; in
+    particular ||phi(x)||^2 <= k(x, x) = 1 for every x.  ``dimension`` is
+    the landmark count r.
     """
 
     landmarks: np.ndarray
@@ -110,38 +109,25 @@ class RffMap:
         return coordinates
 
 
-def build_nystrom(landmarks, kernel: GaussianKernel, gram) -> NystromMap:
-    """Factor the landmark kernel matrix once and return the projection map.
+def build_nystrom(landmarks, kernel: GaussianKernel, inverse_factor) -> NystromMap:
+    """The projection map with transform T = L^-T over the r given landmarks.
 
-    ``landmarks`` holds the r landmark points, one per row, and ``gram``
-    their r x r kernel matrix K_ZZ, as sample_landmarks returns both; the
-    map's dimension is r.  The eigen cutoff is tau = NystromMap.rank_tolerance
-    (1e-10) times the largest eigenvalue, which the trace r bounds.  When
-    linalg.certified_inverse_factor bounds the smallest eigenvalue above
-    tau * r, no eigenpair would be cut and T = L^-T for the Cholesky factor
-    L.  Otherwise (the factorization refuses, or its pivots or the bound
-    fail) K_ZZ is eigendecomposed and the pairs at or below tau times the
-    largest eigenvalue are dropped, so duplicated landmarks give a narrower
-    factor, not non-finite output.  The largest eigenvalue is at least 1, so
-    one pair is always kept.  Both factors satisfy T T' = K_ZZ^+; a map
-    built either way differs from the other by round-off only.
+    ``inverse_factor`` is L^-1 for the Cholesky factor L of the landmarks'
+    kernel matrix, certified as sample_landmarks returns it beside them
+    (linalg.certified_inverse_factor at the floor
+    NystromMap.rank_tolerance * r); the map's dimension is r.  None, which
+    that call returns for an uncertified matrix, raises ValueError: the map
+    has no fallback for a kernel matrix near singular.
     """
     landmarks = as_points(landmarks, "landmarks")
-    gram = np.asarray(gram, dtype=np.float64)
+    if inverse_factor is None:
+        raise ValueError("the landmark kernel matrix is not certified far from "
+                         "singular; sample_landmarks prunes its draws until it is")
     size = landmarks.shape[0]
-    if gram.shape != (size, size):
-        raise ValueError(f"gram has shape {gram.shape}, expected ({size}, {size}) "
-                         "for the landmarks")
-    # the trace bounds the largest eigenvalue; it is r for a unit diagonal
-    inverse = linalg.certified_inverse_factor(
-        gram, NystromMap.rank_tolerance * np.trace(gram), "landmark gram")
-    if inverse is not None:
-        transform = inverse.T
-    else:
-        eigenvalues, eigenvectors = linalg.psd_eigh(gram, "landmark gram")
-        kept = eigenvalues > NystromMap.rank_tolerance * eigenvalues[-1]
-        transform = eigenvectors[:, kept] / np.sqrt(eigenvalues[kept])
-    return NystromMap(landmarks=landmarks, kernel=kernel, transform=transform)
+    if inverse_factor.shape != (size, size):
+        raise ValueError(f"inverse_factor has shape {inverse_factor.shape}, "
+                         f"expected ({size}, {size}) for the landmarks")
+    return NystromMap(landmarks=landmarks, kernel=kernel, transform=inverse_factor.T)
 
 
 def check_feature_count(n_features: int) -> None:

@@ -6,9 +6,10 @@ concentrates the landmark budget on directions that matter for the kernel
 mean embeddings; uniform sampling is the baseline.  Both samplers draw with
 replacement from the pooled data, which keeps the sampling probabilities
 equivariant under relabeling of the rows.  sample_landmarks then keeps only
-the draws that add a direction above the Nystrom map's rank cutoff, so the
-map and the streamed pass are r wide for r <= ell, and returns their kernel
-matrix beside them, which build_nystrom factors without forming it again.
+the draws that add a direction above a tolerance, raised until the kept
+kernel matrix is certified far from singular, so the map and the streamed
+pass are r wide for r <= ell; it returns the inverse Cholesky factor of
+that matrix beside them, which build_nystrom wraps as the map's transform.
 
 approx_krls computes them by BLESS: it walks the ridge down in factor-2
 steps, scoring about q1 / ridge uniformly drawn candidate rows at each step
@@ -27,7 +28,7 @@ import numpy as np
 
 from .features import NystromMap
 from .kernels import GaussianKernel, as_points
-from .linalg import psd_eigh
+from .linalg import certified_inverse_factor, psd_eigh
 
 # BLESS constants of approx_krls: q1, candidates drawn per unit of 1 / ridge,
 # and c, the dictionary size as a multiple of the effective dimension.
@@ -42,12 +43,12 @@ class LandmarkSet:
     """Landmark points drawn with replacement from a dataset's rows.
 
     ``points`` has shape (r, d): the r <= ell draws that sample_landmarks
-    keeps, in draw order.  ``gram`` is their (r, r) kernel matrix, with a
-    unit diagonal, for build_nystrom to factor.
+    keeps, in draw order.  ``inverse_factor`` is L^-1 for the Cholesky
+    factor L of their (r, r) kernel matrix, which sample_landmarks certified.
     """
 
     points: np.ndarray
-    gram: np.ndarray
+    inverse_factor: np.ndarray
 
 
 def default_regularization(n: int) -> float:
@@ -198,25 +199,28 @@ def _draw_rows(points: np.ndarray, ell: int, seed: int,
 
 def sample_landmarks(points, ell: int, seed: int, kernel: GaussianKernel,
                      scores: np.ndarray | None = None) -> LandmarkSet:
-    """Draw ell rows i.i.d. with replacement and keep the r of full numerical rank.
+    """Draw ell rows i.i.d. with replacement and keep r whose kernel matrix is certified.
 
     Sampling probabilities are proportional to ``scores`` (one per row, as
     exact_krls and approx_krls return them) when given and uniform
-    otherwise.  Draw k is kept when its squared kernel residual against the
-    earlier draws, L_kk^2 - tau / 100 for the Cholesky factor L of
-    K_ZZ + (tau / 100) I, exceeds tau = NystromMap.rank_tolerance * ell:
-    the eigen cutoff's scale, since K_ZZ has trace ell (approximate linear
-    dependence; Engel, Mannor & Meir, IEEE TSP 2004).  Repeats and
-    near-duplicates are dropped.  The kept set and its kernel matrix are
-    deterministic functions of the drawn values in draw order, so
-    relabeling the rows of the dataset (and its scores) permutes the
-    landmark law identically, which is what makes the permutation test
-    exact when landmarks come from the pooled data.
+    otherwise.  Draw k is kept when its squared kernel residual against all
+    earlier draws, L_kk^2 - delta for the Cholesky factor L of
+    K_ZZ + delta I, exceeds tau (approximate linear dependence; Engel,
+    Mannor & Meir, IEEE TSP 2004).  tau starts at
+    NystromMap.rank_tolerance * ell, the rank cutoff's scale since K_ZZ has
+    trace ell, with delta = tau / 100, and is raised tenfold while
+    linalg.certified_inverse_factor refuses the kept rows' kernel matrix at
+    the floor NystromMap.rank_tolerance * r.  Draw 0 is always kept, so the
+    search ends, at worst at the 1 x 1 matrix [1].  Repeats and
+    near-duplicates are dropped.  The kept set is a deterministic function
+    of the drawn values in draw order, so relabeling the rows of the
+    dataset (and its scores) permutes the landmark law identically, which
+    is what makes the permutation test exact when landmarks come from the
+    pooled data.
 
     Returns:
-        The r <= ell kept rows, in draw order; the first is always kept.
-        Beside them, their kernel matrix: the kept rows and columns of
-        K_ZZ, which equals kernel.gram of the kept rows up to round-off.
+        The r <= ell kept rows, in draw order, and L^-1 for the Cholesky
+        factor L of their kernel matrix, the kept rows and columns of K_ZZ.
 
     Raises:
         ValueError: If ell < 1, or if the scores are not n finite
@@ -228,7 +232,12 @@ def sample_landmarks(points, ell: int, seed: int, kernel: GaussianKernel,
     gram = kernel.gram(drawn, drawn)
     gram.flat[::ell + 1] += jitter
     residuals = np.linalg.cholesky(gram).diagonal() ** 2 - jitter
-    kept = residuals > tolerance
-    gram = gram[kept][:, kept]
-    np.fill_diagonal(gram, 1.0)  # the kernel's unit diagonal, without the jitter
-    return LandmarkSet(points=drawn[kept], gram=gram)
+    residuals[0] = np.inf  # draw 0 is always kept, so the search below ends
+    while True:
+        kept = residuals > tolerance
+        kept_gram = gram[kept][:, kept]
+        np.fill_diagonal(kept_gram, 1.0)  # the kernel's unit diagonal, without the jitter
+        inverse = certified_inverse_factor(kept_gram, NystromMap.rank_tolerance * kept.sum())
+        if inverse is not None:
+            return LandmarkSet(points=drawn[kept], inverse_factor=inverse)
+        tolerance *= 10.0

@@ -1,14 +1,14 @@
-"""Factorizations of the symmetric PSD matrices of leverage scores and feature maps.
+"""Factorizations of the symmetric PSD matrices of leverage scores and landmarks.
 
 Two numerical kernels, with the same checks on their input.  psd_eigh is a
 symmetric eigendecomposition with negative round-off eigenvalues clamped at
-zero; ridge solves, traces and the thin factor of the Moore-Penrose
-pseudo-inverse are read off its eigenpairs, so rank deficiency is handled
-the same way everywhere.  certified_inverse_factor is the cheaper factor of
-a matrix that is provably far from singular: the inverse of its Cholesky
-factor, returned only when a bound computed from that inverse puts the
-smallest eigenvalue above a given floor, so that the pseudo-inverse is the
-inverse.
+zero; the leverage scores read ridge solves and traces off its eigenpairs.
+certified_inverse_factor factors a landmark kernel matrix that is provably
+far from singular: the inverse of its Cholesky factor, returned only when a
+bound computed from that inverse puts the smallest eigenvalue above a given
+floor, so that the pseudo-inverse is the inverse.  sample_landmarks prunes
+its draws until that bound holds, and the Nystrom map is built on that
+factor alone.
 """
 
 from __future__ import annotations

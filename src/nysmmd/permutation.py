@@ -35,13 +35,14 @@ from .statistics import (
 class NystromMethod:
     """Projected-MMD statistic with landmarks sampled from the pooled data.
 
-    Leverage scores use the ridge level 16 * log(4 / 0.05) / n, and the
-    landmark pseudo-inverse factor the spectral cutoff of build_nystrom,
-    which factors the kernel matrix that sample_landmarks already formed.
+    Leverage scores use the ridge level 16 * log(4 / 0.05) / n.  The map's
+    transform is T = L^-T for the Cholesky factor L of the kept landmarks'
+    kernel matrix, which sample_landmarks certifies and inverts.
 
     Attributes:
         n_landmarks: Draw count ell; sample_landmarks keeps the r <= ell
-            draws of full numerical rank, and r is the basis width of the map.
+            draws whose residual exceeds a tolerance, raised until their
+            kernel matrix is certified, and r is the basis width of the map.
         sampler: "uniform", "akrls", or "exact_krls".
     """
 
@@ -56,7 +57,7 @@ class NystromMethod:
 
     def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,
                     scores_seed: int, draw_seed: int) -> NystromMap:
-        """Draw landmarks from the pooled data, prune them to their rank and factorize them."""
+        """Draw landmarks from the pooled data, prune them until certified and map them."""
         regularization = default_regularization(pooled.n)
         if self.sampler == "uniform":
             scores = None
@@ -67,7 +68,7 @@ class NystromMethod:
             scores = approx_krls(pooled.points, kernel, regularization, scores_seed)
         landmarks = sample_landmarks(pooled.points, self.n_landmarks, draw_seed,
                                      kernel, scores=scores)
-        return build_nystrom(landmarks.points, kernel, landmarks.gram)
+        return build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
 
 
 @dataclass(frozen=True)

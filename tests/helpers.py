@@ -15,6 +15,7 @@ from nysmmd import (
     build_nystrom,
     sample_landmarks,
 )
+from nysmmd.linalg import certified_inverse_factor
 from nysmmd.statistics import accumulate_weighted_features
 
 
@@ -85,15 +86,22 @@ def features(feature_map: FeatureMap, points) -> np.ndarray:
 
 
 def nystrom_map(landmarks, kernel: GaussianKernel) -> NystromMap:
-    """build_nystrom over given landmarks, with kernel.gram as their kernel matrix."""
+    """build_nystrom over given landmarks, factored by the sampler's certified call.
+
+    The factor is certified_inverse_factor of kernel.gram at the floor
+    NystromMap.rank_tolerance * r, as sample_landmarks computes it; for
+    landmarks that call refuses, build_nystrom raises ValueError.
+    """
     landmarks = as_points(landmarks, "landmarks")
-    return build_nystrom(landmarks, kernel, kernel.gram(landmarks, landmarks))
+    inverse = certified_inverse_factor(kernel.gram(landmarks, landmarks),
+                                       NystromMap.rank_tolerance * len(landmarks))
+    return build_nystrom(landmarks, kernel, inverse)
 
 
 def sampled_nystrom(points, ell: int, seed: int, kernel: GaussianKernel) -> NystromMap:
     """The map run_test builds from uniformly sampled landmarks: sample_landmarks, then build_nystrom."""
     landmarks = sample_landmarks(points, ell, seed, kernel)
-    return build_nystrom(landmarks.points, kernel, landmarks.gram)
+    return build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
 
 
 def read_results_csv(text: str) -> list[dict]:

@@ -14,12 +14,12 @@ from nysmmd import (
     sample_correlated_gaussians,
     sample_landmarks,
 )
-from nysmmd import linalg
+from nysmmd import leverage, linalg
 from nysmmd.linalg import psd_eigh
 
 
 def recorded_eigh(monkeypatch) -> list:
-    """Sizes of the matrices build_nystrom eigendecomposes from now on."""
+    """Sizes of the matrices eigendecomposed through linalg or leverage from now on."""
     sizes = []
 
     def recording_eigh(matrix, name="matrix"):
@@ -27,6 +27,7 @@ def recorded_eigh(monkeypatch) -> list:
         return psd_eigh(matrix, name)
 
     monkeypatch.setattr(linalg, "psd_eigh", recording_eigh)
+    monkeypatch.setattr(leverage, "psd_eigh", recording_eigh)
     return sizes
 
 
@@ -44,18 +45,18 @@ class TestBuildNystrom:
         np.testing.assert_allclose(feats @ feats.T,
                                    kernel.gram(landmarks, landmarks), atol=1e-8)
 
-    def test_duplicated_landmark_rank_deficiency(self):
-        rng = np.random.default_rng(1)
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-6])
+    def test_uncertified_landmarks_raise(self, offset):
+        # A duplicated or near-duplicate landmark leaves its kernel matrix
+        # (numerically) singular: the certified call refuses it, and the map
+        # raises instead of cutting directions.
+        rng = np.random.default_rng(11)
         base = rng.standard_normal((6, 2))
-        duplicated = np.vstack([base, base[2], base[2]])
-        kernel = GaussianKernel(0.8)
-        fmap = nystrom_map(duplicated, kernel)
-        assert fmap.transform.shape == (8, 6)
-        assert np.isfinite(fmap.transform).all()
-        feats = features(fmap, duplicated)
-        assert np.isfinite(feats).all()
-        np.testing.assert_allclose(feats @ feats.T,
-                                   kernel.gram(duplicated, duplicated), atol=1e-8)
+        landmarks = np.vstack([base, base[2] + offset])
+        with pytest.raises(ValueError, match="not certified"):
+            nystrom_map(landmarks, GaussianKernel(0.8))
+        with pytest.raises(ValueError, match="not certified"):
+            build_nystrom(landmarks, GaussianKernel(0.8), None)
 
     def test_transform_is_thin_factor_of_pseudo_inverse(self):
         rng = np.random.default_rng(2)
@@ -72,7 +73,7 @@ class TestBuildNystrom:
 
     def test_gram_of_other_landmarks_rejected(self):
         landmarks = np.zeros((3, 2)) + np.arange(3)[:, None]
-        with pytest.raises(ValueError, match="gram has shape"):
+        with pytest.raises(ValueError, match="inverse_factor has shape"):
             build_nystrom(landmarks, GaussianKernel(1.0), np.eye(2))
 
     def test_full_coverage_reproduces_exact_gram(self):
@@ -86,15 +87,23 @@ class TestBuildNystrom:
 
 
 class TestCertifiedFactor:
-    """build_nystrom's two factorizations of the one map T T' = K_ZZ^+."""
+    """The one map T = L^-T against the eigen cutoff it replaces."""
 
     def test_level_cell_maps_match_the_eigen_cutoff(self, monkeypatch):
         # The n = 500 + 500, ell = 32 level-study cell.  Its landmark sets
         # are far from the cutoff (smallest eigenvalue 3e-9 to 7e-6 of the
-        # largest over these seeds, against 1e-10), so build_nystrom takes
-        # T = L^-T without an eigendecomposition, and its statistics match those of the thin
-        # eigen factor to 1e-10 relative, with the same decisions.
+        # largest over these seeds, against 1e-10), so the eigen cutoff
+        # keeps every pair; the statistics of T = L^-T, formed without an
+        # eigendecomposition, match those of the thin eigen factor of the
+        # matrix the sampler factored last, with the same decisions.
         sizes = recorded_eigh(monkeypatch)
+        factored = []
+
+        def recording_factor(matrix, floor, name="matrix"):
+            factored.append(matrix)
+            return linalg.certified_inverse_factor(matrix, floor, name)
+
+        monkeypatch.setattr(leverage, "certified_inverse_factor", recording_factor)
         decisions = []
         for seed in range(200):
             x = sample_correlated_gaussians(500, 3, 0.5, seed=2 * seed)
@@ -102,8 +111,8 @@ class TestCertifiedFactor:
             pooled = PooledSample.from_samples(x, y)
             kernel = GaussianKernel(median_heuristic(pooled.points, seed=seed))
             landmarks = sample_landmarks(pooled.points, 32, seed, kernel)
-            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
-            eigenvalues, eigenvectors = psd_eigh(landmarks.gram)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
+            eigenvalues, eigenvectors = psd_eigh(factored[-1])
             assert eigenvalues[0] > NystromMap.rank_tolerance * eigenvalues[-1]
             eigen_map = NystromMap(landmarks=fmap.landmarks, kernel=kernel,
                                    transform=eigenvectors / np.sqrt(eigenvalues))
@@ -115,24 +124,6 @@ class TestCertifiedFactor:
             decisions.append(decision)
         assert sizes == []
         assert 0 < sum(decisions) < 40  # about 10 of 200 at level 0.05
-
-    @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-6])
-    def test_duplicated_or_near_duplicate_landmarks_take_the_eigen_path(
-            self, monkeypatch, offset):
-        # The copy's kernel residual is 0 or about offset^2, far below the
-        # cutoff: the pair is cut and the map stays finite and reproduces K.
-        rng = np.random.default_rng(11)
-        base = rng.standard_normal((6, 2))
-        landmarks = np.vstack([base, base[2] + offset])
-        kernel = GaussianKernel(0.8)
-        sizes = recorded_eigh(monkeypatch)
-        fmap = nystrom_map(landmarks, kernel)
-        assert sizes == [7]
-        assert fmap.transform.shape == (7, 6)
-        feats = features(fmap, landmarks)
-        assert np.isfinite(feats).all()
-        np.testing.assert_allclose(feats @ feats.T, kernel.gram(landmarks, landmarks),
-                                   atol=1e-8)
 
 
 class TestNystromApply:
@@ -227,7 +218,7 @@ class TestSampledLandmarkIntegration:
         pooled = rng.standard_normal((100, 3))
         kernel = GaussianKernel(1.0)
         landmarks = sample_landmarks(pooled, ell=12, seed=0, kernel=kernel)
-        fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
+        fmap = build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
         feats = features(fmap, pooled)
         assert feats.shape == (100, fmap.transform.shape[1])
         assert (np.einsum("ij,ij->i", feats, feats) <= 1.0 + 1e-10).all()

@@ -18,10 +18,11 @@ from nysmmd import (
     exact_krls,
     median_heuristic,
     permuted_statistics,
+    sample_correlated_gaussians,
     sample_landmarks,
 )
 import nysmmd
-from nysmmd import leverage
+from nysmmd import NystromMap, leverage
 from nysmmd.linalg import certified_inverse_factor, psd_eigh
 
 
@@ -379,7 +380,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             landmarks = sample_landmarks(pooled.points, 4,
                                          int(rng.integers(2**63)), kernel,
                                          scores=scores)
-            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
@@ -441,19 +442,62 @@ class TestSampleLandmarks:
 
     def test_returned_gram_is_the_kernel_matrix_of_the_kept_rows(self):
         # 30 draws from 8 rows repeat rows, which the pruning drops; the
-        # returned matrix is the kept part of the one it factored, with the
-        # unit diagonal in place of the jitter
+        # returned factor is L^-1 for the Cholesky factor L of the kept rows'
+        # kernel matrix
         rng = np.random.default_rng(14)
         points = rng.standard_normal((8, 2))
         kernel = GaussianKernel(1.3)
         landmarks = sample_landmarks(points, ell=30, seed=2, kernel=kernel)
         kept = landmarks.points.shape[0]
         assert kept <= 8
-        assert landmarks.gram.shape == (kept, kept)
-        np.testing.assert_array_equal(np.diagonal(landmarks.gram), 1.0)
-        np.testing.assert_allclose(landmarks.gram,
+        assert landmarks.inverse_factor.shape == (kept, kept)
+        factor = np.linalg.inv(landmarks.inverse_factor)
+        np.testing.assert_allclose(np.tril(factor), factor, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(factor @ factor.T,
                                    kernel.gram(landmarks.points, landmarks.points),
-                                   rtol=0.0, atol=1e-14)
+                                   rtol=0.0, atol=1e-13)
+
+    @staticmethod
+    def _level_cell():
+        x = sample_correlated_gaussians(500, 3, 0.5, seed=0)
+        y = sample_correlated_gaussians(500, 3, 0.5, seed=1)
+        points = PooledSample.from_samples(x, y).points
+        return points, 32, GaussianKernel(median_heuristic(points, seed=0))
+
+    @staticmethod
+    def _large_draw():
+        points = np.random.default_rng(16).standard_normal((5_000, 3))
+        return points, 300, GaussianKernel(median_heuristic(points, seed=0))
+
+    @staticmethod
+    def _wide_bandwidth():
+        points = np.random.default_rng(1000).standard_normal((1000, 3))
+        return points, 24, GaussianKernel(20.0)
+
+    @staticmethod
+    def _duplicated_rows():
+        points = np.repeat(np.random.default_rng(17).standard_normal((5, 2)), 4, axis=0)
+        return points, 30, GaussianKernel(1.0)
+
+    @staticmethod
+    def _all_equal():
+        return np.full((10, 2), 0.5), 6, GaussianKernel(1.0)
+
+    @pytest.mark.parametrize("case", ["_level_cell", "_large_draw", "_wide_bandwidth",
+                                      "_duplicated_rows", "_all_equal"])
+    def test_every_returned_set_is_certified(self, case):
+        # Whatever the draw, the kernel matrix of the kept rows passes the
+        # certification the map relies on, at the floor rank_tolerance * r,
+        # and no two kept rows are equal: repeats are pruned, and all-equal
+        # points keep draw 0 alone.
+        points, ell, kernel = getattr(self, case)()
+        for seed in range(3):
+            kept = sample_landmarks(points, ell, seed, kernel).points
+            r = kept.shape[0]
+            assert r >= 1
+            assert certified_inverse_factor(
+                kernel.gram(kept, kept), NystromMap.rank_tolerance * r) is not None
+            assert np.unique(kept, axis=0).shape[0] == r
 
     def test_invalid_ell(self):
         with pytest.raises(ValueError, match="ell"):
@@ -462,35 +506,47 @@ class TestSampleLandmarks:
     def test_kept_draws_match_residual_oracle(self):
         # Each draw is kept when its squared kernel residual against all
         # earlier draws, 1 - k' K^+ k by least squares on kernel values from
-        # explicit differences, exceeds 1e-10 * ell.  The rows hold a pair
-        # 2e-3 apart (residual ~4e-6, kept) and a pair 1e-7 apart (residual
-        # ~1e-14, dropped); every residual lies at least a factor 100 from
-        # the tolerance, so the comparison does not hinge on round-off.
-        points = np.array([[0.0], [1.0], [1.0 + 2e-3], [2.5], [2.5 + 1e-7], [4.0]])
+        # explicit differences, exceeds the tolerance: first 1e-10 * ell,
+        # raised tenfold while certified_inverse_factor refuses the kept
+        # rows' kernel matrix at 1e-10 * r.  The rows hold a pair 2e-3 apart
+        # (residual ~4e-6, kept), a pair 1e-7 apart (residual ~1e-14,
+        # dropped) and four rows 0.03 apart, whose last residual, about
+        # 3e-9, is kept at first but leaves a set that fails certification.
+        # Every residual lies at least a factor 2 from each tolerance tried,
+        # so the comparison does not hinge on round-off.
+        points = np.array([[0.0], [1.0], [1.0 + 2e-3], [2.5], [2.5 + 1e-7], [4.0],
+                           [6.0], [6.03], [6.06], [6.09]])
         ell = 12
-        tolerance = 1e-10 * ell
 
         def k(a, b):
             return np.exp(-np.subtract.outer(a, b) ** 2 / 2.0)
 
-        kept_pair = 0
+        kept_pair = raised = 0
         for seed in range(20):
             drawn = leverage._draw_rows(points, ell, seed, None)[:, 0]
-            residuals = np.ones(ell)
+            residuals = np.full(ell, np.inf)  # draw 0 is always kept
             for j in range(1, ell):
                 column = k(drawn[:j], drawn[j])
                 coefficients = np.linalg.lstsq(k(drawn[:j], drawn[:j]), column,
                                                rcond=None)[0]
                 residuals[j] = 1.0 - column @ coefficients
-            assert np.all((np.abs(residuals) > 100 * tolerance)
-                          | (np.abs(residuals) < tolerance / 100))
+            tolerance = 1e-10 * ell
+            while True:
+                assert np.all((np.abs(residuals) > 2 * tolerance)
+                              | (np.abs(residuals) < tolerance / 2))
+                expected = drawn[residuals > tolerance]
+                if certified_inverse_factor(k(expected, expected),
+                                            1e-10 * expected.size) is not None:
+                    break
+                tolerance *= 10
+                raised += 1
             landmarks = sample_landmarks(points, ell, seed, GaussianKernel(1.0))
-            np.testing.assert_array_equal(landmarks.points[:, 0],
-                                          drawn[residuals > tolerance])
+            np.testing.assert_array_equal(landmarks.points[:, 0], expected)
             kept = set(landmarks.points[:, 0].tolist())
             assert not {2.5, 2.5 + 1e-7} <= kept
             kept_pair += {1.0, 1.0 + 2e-3} <= kept
         assert kept_pair > 0
+        assert raised > 0
 
     def test_relabeling_equivariance_in_distribution(self):
         # Chi-square test: sampling landmarks from a relabeled dataset draws
@@ -502,6 +558,18 @@ class TestSampleLandmarks:
         # The last row is 1e-7 from the third, so one of the two is pruned:
         # whichever is drawn first is kept.
         points = np.array([[0.0], [1.0], [2.0], [2.0 + 1e-7]])
+        assert self._relabeling_pvalue(points) > 1e-3
+
+    def test_relabeling_equivariance_after_a_retry(self):
+        # The last row is 1.7e-5 from the third: their residual, about
+        # 2.9e-10, exceeds the first tolerance 2e-10, but the pair's kernel
+        # matrix is refused at the floor 2e-10, so a draw of both keeps only
+        # the first after the tolerance is raised.
+        points = np.array([[0.0], [1.0], [2.0], [2.0 + 1.7e-5]])
+        kernel = GaussianKernel(1.0)
+        pair = kernel.gram(points[2:], points[2:])
+        assert 1.0 - pair[0, 1] ** 2 > 2e-10
+        assert certified_inverse_factor(pair, 2e-10) is None
         assert self._relabeling_pvalue(points) > 1e-3
 
     @staticmethod

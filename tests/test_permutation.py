@@ -393,8 +393,8 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
 
     def test_level_cell_test_needs_no_eigendecomposition(self, monkeypatch):
         # On the n = 500 + 500, ell = 32 level-study cell the landmark Gram
-        # matrix is certified far from singular: build_nystrom factors the
-        # one sample_landmarks formed by Cholesky.  A test forms two kernel
+        # matrix is certified far from singular at the first tolerance, and
+        # sample_landmarks inverts its Cholesky factor.  A test forms two kernel
         # matrices, the landmarks' and the basis of its one label block, and
         # its statistic is the plain numpy one over the eigen cutoff.
         eigh_sizes, gram_shapes, returned = [], [], []

@@ -27,7 +27,7 @@ from nysmmd import (
     permuted_statistics,
     sample_landmarks,
 )
-from nysmmd import linalg, statistics
+from nysmmd import statistics
 from nysmmd.statistics import (
     LABEL_BLOCK_ROWS,
     _label_blocks,
@@ -144,7 +144,7 @@ class TestFeatureMmd:
             pooled = PooledSample.from_samples(x, y)
             landmarks = sample_landmarks(pooled.points, int(rng.integers(1, 12)),
                                          trial, kernel)
-            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
             assert feature_mmd(x, y, fmap) <= exact_mmd(x, y, kernel) + 1e-8
 
     def test_approximation_improves_with_landmarks(self):
@@ -159,7 +159,7 @@ class TestFeatureMmd:
             errors = []
             for seed in range(50):
                 landmarks = sample_landmarks(pooled.points, ell, seed, kernel)
-                fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
+                fmap = build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
                 errors.append(abs(exact - feature_mmd(x, y, fmap)))
             mean_errors.append(np.mean(errors))
         assert all(a >= b for a, b in zip(mean_errors, mean_errors[1:]))
@@ -191,27 +191,21 @@ class TestPermutedStatistics:
         np.testing.assert_array_equal(weights[0], np.repeat([1 / 30, -1 / 25], [30, 25]))
 
     @pytest.mark.parametrize("n", [22, 60, 1000, 1023, 1024, 1025])
-    def test_stopped_vector_is_a_prefix_of_the_complete_pass(self, n, monkeypatch):
+    def test_stopped_vector_is_a_prefix_of_the_complete_pass(self, n):
         # A pass given accept_at looks after ceil(49 / 5) = 10 and
         # ceil(49 / 2) = 25 permutations, only on one label block, and stops
         # at the first look at which at least accept_at of the permutations
         # so far exceed entry 0.  Its values are bit for bit the first values
         # of the pass without accept_at, as are those of a pass that cannot
-        # stop (accept_at = 26).  The maps take the certified Cholesky
-        # factor, the eigen cutoff (at a wide bandwidth) and RFF.
+        # stop (accept_at = 26).  The maps are Nystrom maps at the bandwidth
+        # 1.2 and at 20, where the sampler raises its tolerance, and RFF.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
         kernel = GaussianKernel(1.2)
-        eigen = []
-        eigh = linalg.psd_eigh
-        monkeypatch.setattr(linalg, "psd_eigh", lambda matrix, name="matrix": (
-            eigen.append(name) or eigh(matrix, name)))
-        maps = [sampled_nystrom(pooled.points, 24, 1, kernel)]
-        assert not eigen
-        maps.append(sampled_nystrom(pooled.points, 24, 1, GaussianKernel(20.0)))
-        assert eigen
-        maps.append(build_rff(3, 24, kernel, seed=2))
+        maps = [sampled_nystrom(pooled.points, 24, 1, kernel),
+                sampled_nystrom(pooled.points, 24, 1, GaussianKernel(20.0)),
+                build_rff(3, 24, kernel, seed=2)]
         looks = [11, 26] if n <= LABEL_BLOCK_ROWS else []
         stopped = collections.Counter()
         for fmap in maps:
@@ -301,7 +295,7 @@ class TestPermutedStatistics:
             kernel = GaussianKernel(1.0)
             landmarks = sample_landmarks(pooled.points, 4,
                                          int(rng.integers(2**63)), kernel)
-            fmap = build_nystrom(landmarks.points, kernel, landmarks.gram)
+            fmap = build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
             stats = permuted_statistics(pooled, fmap, n_perms,
                                         seed=int(rng.integers(2**63)))
             counts[int((stats < stats[0]).sum())] += 1
