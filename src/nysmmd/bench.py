@@ -21,6 +21,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import product
 from statistics import NormalDist
 
 import numpy as np
@@ -85,7 +86,14 @@ class RateEstimate:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Grid description for a level or power study; `from_dict` reads its JSON form."""
+    """Grid description for a level or power study; `from_dict` reads its JSON form.
+
+    Building the spec checks every value once and derives, besides the
+    shared `config`, ``method_specs``: one (method index, method name,
+    feature count, method spec) tuple per method cell in grid order, with
+    feature count 0 for "exact" and one entry per landmark count for every
+    other method.  `estimate_rate` runs these specs as they are.
+    """
 
     scenario: dict
     methods: tuple[str, ...]
@@ -97,6 +105,7 @@ class ExperimentSpec:
     seed: int = 0
     output: str | None = None
     config: TestConfig = field(init=False, repr=False)  # a repetition swaps its seed
+    method_specs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -115,9 +124,10 @@ class ExperimentSpec:
         # a value that would fail (or warn in) each cell it reaches does so here once
         object.__setattr__(self, "config", TestConfig(
             self.alpha, self.permutations, self.seed, keep_statistics=False))
-        for name in self.methods:
-            for ell in self.landmarks:
-                METHODS[name](ell)
+        object.__setattr__(self, "method_specs", tuple(
+            (index, name, ell, METHODS[name](ell))
+            for index, name in enumerate(self.methods)
+            for ell in ((0,) if name == "exact" else self.landmarks)))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
@@ -200,7 +210,12 @@ def _load_pools(raw: dict, *keys: str) -> list[np.ndarray]:
 
 
 class _Scenario:
-    """Resolved scenario: loads CSV pools once, draws (x, y) pairs on demand."""
+    """Resolved scenario: loads CSV pools once, draws (x, y) pairs on demand.
+
+    Each kind has a grid of alternative parameters and one null parameter:
+    rho2 and rho1 for correlated Gaussians (y is drawn at the parameter, x at
+    rho1), mix_fraction and 0.0 for a mixture, and a single 0.0 for csv.
+    """
 
     def __init__(self, raw: dict):
         _check_values("scenario", raw, _SCENARIO_VALUES)
@@ -211,69 +226,56 @@ class _Scenario:
         if unread:
             raise ValueError(f"{self.kind} scenario does not read keys {unread}; "
                              f"it takes {['kind', *_SCENARIO_KEYS[self.kind]]}")
+        self.alternatives, self.null_param = (0.0,), 0.0
         if self.kind == "correlated-gaussian":
             self.dim = int(raw.get("dim", 3))
-            self.rho1 = float(raw.get("rho1", 0.5))
+            self.rho1 = self.null_param = float(raw.get("rho1", 0.5))
             rho2 = raw.get("rho2", self.rho1)
-            self.rho2_grid = tuple(float(v) for v in np.atleast_1d(rho2))
-            for rho in (self.rho1, *self.rho2_grid):  # fail here, not in every cell
+            self.alternatives = tuple(float(v) for v in np.atleast_1d(rho2))
+            for rho in (self.rho1, *self.alternatives):  # fail here, not in every cell
                 equicorrelation_matrix(self.dim, rho)
         elif self.kind == "csv":
-            self.x_pool, self.y_pool = _load_pools(raw, "x", "y")
+            self.pools = _load_pools(raw, "x", "y")
         else:
             fraction = raw.get("mix_fraction", 0.2)
-            self.mix_grid = tuple(float(v) for v in np.atleast_1d(fraction))
-            for value in self.mix_grid:
+            self.alternatives = tuple(float(v) for v in np.atleast_1d(fraction))
+            for value in self.alternatives:
                 check_mix_fraction(value)
-            self.background, self.signal = _load_pools(raw, "background", "signal")
+            self.pools = _load_pools(raw, "background", "signal")
 
     def params(self, regime: str) -> tuple[float, ...]:
-        """Grid of scenario parameter values (a single 0.0 when not applicable)."""
-        if self.kind == "correlated-gaussian":
-            return self.rho2_grid if regime == "alternative" else (self.rho1,)
-        if self.kind == "mixture":
-            return self.mix_grid if regime == "alternative" else (0.0,)
-        return (0.0,)
+        """Grid of scenario parameter values for the regime."""
+        return self.alternatives if regime == "alternative" else (self.null_param,)
 
     def draw_pair(self, regime: str, n: int, param: float, rng: np.random.Generator):
-        if self.kind == "correlated-gaussian":
-            seed_x = int(rng.integers(2**63))
-            seed_y = int(rng.integers(2**63))
-            rho_y = param if regime == "alternative" else self.rho1
-            x = sample_correlated_gaussians(n, self.dim, self.rho1, seed_x)
-            y = sample_correlated_gaussians(n, self.dim, rho_y, seed_y)
-            return x, y
-        if self.kind == "csv":
-            if regime == "alternative":
-                x = self._subsample(self.x_pool, n, rng)
-                y = self._subsample(self.y_pool, n, rng)
-            else:
-                x, y = self._disjoint_halves(self.x_pool, n, rng)
-            return x, y
-        if regime == "alternative":
-            order = rng.permutation(self.background.shape[0])
-            if n > order.size:
-                raise ValueError(f"background pool too small for n={n}")
-            x = self.background[order[:n]]
-            remaining = self.background[order[n:]]
-            y = sample_mixture(remaining, self.signal, param, n,
-                               seed=int(rng.integers(2**63)))
-            return x, y
-        return self._disjoint_halves(self.background, n, rng)
-
-    @staticmethod
-    def _subsample(pool, n, rng):
+        if self.kind == "correlated-gaussian":  # x at rho1, y at the cell's param
+            return tuple(sample_correlated_gaussians(n, self.dim, rho,
+                                                     int(rng.integers(2**63)))
+                         for rho in (self.rho1, param))
+        if self.kind == "csv" and regime == "alternative":
+            for pool in self.pools:
+                if n > pool.shape[0]:
+                    raise ValueError(f"pool of {pool.shape[0]} rows too small for n={n}")
+            return tuple(pool[rng.choice(pool.shape[0], size=n, replace=False)]
+                         for pool in self.pools)
+        pool = self.pools[0]  # x's pool, or the mixture's background
+        if regime == "null":
+            if 2 * n > pool.shape[0]:
+                raise ValueError(f"pool of {pool.shape[0]} rows too small for two "
+                                 f"disjoint samples of {n}")
+            return _split(pool, n, rng, stop=2 * n)
         if n > pool.shape[0]:
-            raise ValueError(f"pool of {pool.shape[0]} rows too small for n={n}")
-        return pool[rng.choice(pool.shape[0], size=n, replace=False)]
+            raise ValueError(f"background pool too small for n={n}")
+        x, remaining = _split(pool, n, rng)
+        return x, sample_mixture(remaining, self.pools[1], param, n,
+                                 seed=int(rng.integers(2**63)))
 
-    @staticmethod
-    def _disjoint_halves(pool, n, rng):
-        if 2 * n > pool.shape[0]:
-            raise ValueError(f"pool of {pool.shape[0]} rows too small for two "
-                             f"disjoint samples of {n}")
-        order = rng.permutation(pool.shape[0])
-        return pool[order[:n]], pool[order[n: 2 * n]]
+
+def _split(pool: np.ndarray, n: int, rng: np.random.Generator,
+           stop: int | None = None):
+    """The first n rows of a random order of the pool, and its rows n to stop."""
+    order = rng.permutation(pool.shape[0])
+    return pool[order[:n]], pool[order[n:stop]]
 
 
 def _worker_count(n_threads: int | None) -> int:
@@ -296,8 +298,11 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
         n_threads: Worker threads for repetitions, in one pool for the
             whole grid; defaults to the NYSMMD_THREADS environment variable
             (1 if unset).  Results are identical for a fixed seed
-            regardless of thread count.  Extra threads pay only with
-            OPENBLAS_NUM_THREADS=1 at large n.
+            regardless of thread count.  The package sets no BLAS thread
+            count.  On 2 CPUs, 2 test threads with OPENBLAS_NUM_THREADS=1
+            beat 1 test thread with 1 BLAS thread at 500 and at 5,000
+            points per side, while 2 test threads with BLAS on every CPU
+            were the slowest setting measured.
 
     Raises:
         ValueError: If n_threads or NYSMMD_THREADS is not a positive integer.
@@ -314,53 +319,47 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
     workers = _worker_count(n_threads)
     results: list[RateEstimate] = []
 
-    cells = []
-    for method_index, method_name in enumerate(spec.methods):
-        ells = (0,) if method_name == "exact" else spec.landmarks
-        for ell in ells:
-            for n in spec.sample_sizes:
-                for param_index, param in enumerate(scenario.params(regime)):
-                    cells.append((method_index, method_name, ell, n,
-                                  param_index, param))
-
     # one pool serves every cell (repetitions run in the calling thread when
     # there is a single worker); the spec has already warned of a small alpha
     with warnings.catch_warnings(), (ThreadPoolExecutor(max_workers=workers)
                                      if workers > 1 else nullcontext()) as pool:
         warnings.simplefilter("ignore", SmallAlphaWarning)
         map_repetitions = map if pool is None else pool.map
-        for method_index, method_name, ell, n, param_index, param in cells:
+        grid = product(spec.method_specs, spec.sample_sizes,
+                       enumerate(scenario.params(regime)))
+        for (method_index, method_name, ell, method), n, (param_index, param) in grid:
+
+            def one_repetition(rep: int) -> tuple[bool, float]:
+                cell = [regime_code, n, param_index, rep, method_index, ell]
+                data_seed = np.random.SeedSequence([spec.seed, 11, *cell])
+                test_seed = int(np.random.SeedSequence([spec.seed, 13, *cell])
+                                .generate_state(2, np.uint64)[0])
+                x, y = scenario.draw_pair(regime, n, param,
+                                          np.random.default_rng(data_seed))
+                config = replace(spec.config, seed=test_seed)
+                start = time.perf_counter()
+                outcome = run_test(x, y, config, method)
+                elapsed = time.perf_counter() - start
+                return outcome.reject, elapsed
+
             try:
-                method = METHODS[method_name](ell)
-
-                def one_repetition(rep: int) -> tuple[bool, float]:
-                    cell = [regime_code, n, param_index, rep, method_index, ell]
-                    data_seed = np.random.SeedSequence([spec.seed, 11, *cell])
-                    test_seed = int(np.random.SeedSequence([spec.seed, 13, *cell])
-                                    .generate_state(2, np.uint64)[0])
-                    x, y = scenario.draw_pair(regime, n, param,
-                                              np.random.default_rng(data_seed))
-                    config = replace(spec.config, seed=test_seed)
-                    start = time.perf_counter()
-                    outcome = run_test(x, y, config, method)
-                    elapsed = time.perf_counter() - start
-                    return outcome.reject, elapsed
-
-                outcomes = list(map_repetitions(one_repetition, range(spec.repetitions)))
-                successes = sum(1 for reject, _ in outcomes if reject)
-                mean_runtime = float(np.mean([t for _, t in outcomes]))
-                low, high = wilson_interval(successes, spec.repetitions)
-                results.append(RateEstimate(
-                    method=method_name, ell=ell, n_x=n, n_y=n, param=param,
-                    successes=successes, trials=spec.repetitions,
-                    rate=successes / spec.repetitions,
-                    wilson_low=low, wilson_high=high, mean_runtime_s=mean_runtime))
+                outcomes = list(map_repetitions(one_repetition,
+                                                range(spec.repetitions)))
             except Exception as exc:  # record and continue with the grid
-                results.append(RateEstimate(
-                    method=method_name, ell=ell, n_x=n, n_y=n, param=param,
-                    successes=0, trials=0, rate=math.nan, wilson_low=math.nan,
-                    wilson_high=math.nan, mean_runtime_s=math.nan,
-                    error=f"{type(exc).__name__}: {exc}", error_type=type(exc).__name__))
+                summary = dict(successes=0, trials=0, rate=math.nan,
+                               wilson_low=math.nan, wilson_high=math.nan,
+                               mean_runtime_s=math.nan,
+                               error=f"{type(exc).__name__}: {exc}",
+                               error_type=type(exc).__name__)
+            else:
+                successes = sum(1 for reject, _ in outcomes if reject)
+                low, high = wilson_interval(successes, spec.repetitions)
+                summary = dict(successes=successes, trials=spec.repetitions,
+                               rate=successes / spec.repetitions, wilson_low=low,
+                               wilson_high=high,
+                               mean_runtime_s=float(np.mean([t for _, t in outcomes])))
+            results.append(RateEstimate(method=method_name, ell=ell, n_x=n, n_y=n,
+                                        param=param, **summary))
     return results
 
 

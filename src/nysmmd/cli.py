@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 from . import data as data_mod
@@ -147,17 +148,15 @@ def _cmd_grid(args, regime: str) -> int:
     from . import bench as bench_mod
 
     spec = _grid_spec(args)
-    estimates = bench_mod.estimate_rate(spec, regime)
-    failures = [est for est in estimates if est.error is not None]
-    for est in failures:
-        print(f"cell method={est.method} ell={est.ell} n={est.n_x} "
-              f"param={est.param}: {est.error}", file=sys.stderr)
-    text = bench_mod.results_to_csv(estimates)
-    if spec.output:
-        with open(spec.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # an output path that cannot be opened fails before the grid runs
+    with (open(spec.output, "w", encoding="utf-8") if spec.output
+          else nullcontext(sys.stdout)) as handle:
+        estimates = bench_mod.estimate_rate(spec, regime)
+        failures = [est for est in estimates if est.error is not None]
+        for est in failures:
+            print(f"cell method={est.method} ell={est.ell} n={est.n_x} "
+                  f"param={est.param}: {est.error}", file=sys.stderr)
+        handle.write(bench_mod.results_to_csv(estimates))
     if not failures:
         return 0
     return 1 if len(failures) == len(estimates) else 4

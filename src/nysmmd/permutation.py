@@ -140,6 +140,8 @@ class TestConfig:
         quantile_index(self.alpha, self.n_permutations)  # checks both
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.bandwidth is not None:
+            GaussianKernel(self.bandwidth)  # checks a fixed bandwidth
         if self.alpha * (self.n_permutations + 1) < 1.0:
             warnings.warn(
                 f"alpha={self.alpha} is below 1/(P+1)={1 / (self.n_permutations + 1):.4g}; "

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.stats import norm
 import nysmmd
 from helpers import read_results_csv
 from nysmmd import bench
-from nysmmd.permutation import SmallAlphaWarning, TestConfig
+from nysmmd.permutation import METHODS, SmallAlphaWarning, TestConfig
 from nysmmd import (
     ExperimentSpec,
     estimate_rate,
@@ -352,6 +353,84 @@ class TestEstimateRate:
         first = results_to_csv(estimate_rate(spec, "null"))
         second = results_to_csv(estimate_rate(spec, "null"))
         assert strip_runtime(first) == strip_runtime(second)
+
+
+_HALVES = "ValueError: pool of 60 rows too small for two disjoint samples of "
+_NO_BACKGROUND = ["ValueError: background pool too small for n=200"] * 2
+_MIXTURE = "ValueError: mixture needs {} background rows, pool has 15"
+# (scenario kind, regime): the parameter grid, and each method's cells in
+# (n, param) grid order as successes out of 4 repetitions or the cell's error
+_PINNED_GRIDS = {
+    ("correlated-gaussian", "null"): ((0.2,), {
+        "exact": [0, 0, 1], "nystrom-uniform": [2, 0, 1],
+        "nystrom-akrls": [1, 3, 0], "nystrom-exact-krls": [0, 0, 0],
+        "rff": [0, 0, 1]}),
+    ("correlated-gaussian", "alternative"): ((0.2, 0.9), {
+        "exact": [2, 0, 1, 2, 1, 4], "nystrom-uniform": [1, 2, 1, 2, 2, 4],
+        "nystrom-akrls": [0, 1, 1, 1, 1, 4],
+        "nystrom-exact-krls": [2, 2, 1, 3, 0, 4], "rff": [1, 0, 0, 2, 2, 2]}),
+    ("csv", "null"): ((0.0,), {
+        name: [successes, _HALVES + "45", _HALVES + "200"]
+        for name, successes in (("exact", 2), ("nystrom-uniform", 0),
+                                ("nystrom-akrls", 1), ("nystrom-exact-krls", 0),
+                                ("rff", 1))}),
+    ("csv", "alternative"): ((0.0,), {
+        name: [*successes, "ValueError: pool of 60 rows too small for n=200"]
+        for name, successes in (("exact", (1, 4)), ("nystrom-uniform", (2, 4)),
+                                ("nystrom-akrls", (2, 4)),
+                                ("nystrom-exact-krls", (2, 4)), ("rff", (4, 3)))}),
+    ("mixture", "null"): ((0.0,), {
+        name: [successes, _HALVES + "45", _HALVES + "200"]
+        for name, successes in (("exact", 0), ("nystrom-uniform", 1),
+                                ("nystrom-akrls", 0), ("nystrom-exact-krls", 1),
+                                ("rff", 2))}),
+    ("mixture", "alternative"): ((0.3, 0.8), {
+        "exact": [3, 4, _MIXTURE.format(36), 4, *_NO_BACKGROUND],
+        "nystrom-uniform": [2, 4, _MIXTURE.format(34), 4, *_NO_BACKGROUND],
+        "nystrom-akrls": [1, 4, _MIXTURE.format(37), 4, *_NO_BACKGROUND],
+        "nystrom-exact-krls": [3, 4, _MIXTURE.format(33), 4, *_NO_BACKGROUND],
+        "rff": [2, 2, _MIXTURE.format(28),
+                "ValueError: mixture needs 42 signal rows, pool has 40",
+                *_NO_BACKGROUND]}),
+}
+
+
+class TestPinnedGrid:
+    def test_every_scenario_and_method_gives_the_pinned_cells(self, tmp_path):
+        # integers and error strings only, which BLAS rounding cannot move
+        rng = np.random.default_rng(27)
+        pools = {"x": rng.standard_normal((60, 2)),
+                 "y": rng.standard_normal((50, 2)) + 0.5,
+                 "background": rng.standard_normal((60, 2)),
+                 "signal": rng.standard_normal((40, 2)) + 2.0}
+        for name, points in pools.items():
+            write_csv(points, tmp_path / f"{name}.csv")
+        scenarios = {
+            "correlated-gaussian": {"dim": 2, "rho1": 0.2, "rho2": [0.2, 0.9]},
+            "csv": {"x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")},
+            "mixture": {"background": str(tmp_path / "background.csv"),
+                        "signal": str(tmp_path / "signal.csv"),
+                        "mix_fraction": [0.3, 0.8]},
+        }
+        sizes = (12, 45, 200)  # 200 outgrows every pool, 45 some
+        for kind, keys in scenarios.items():
+            spec = ExperimentSpec(
+                scenario={"kind": kind, **keys}, methods=tuple(METHODS),
+                landmarks=(4,), sample_sizes=sizes, alpha=0.2, permutations=9,
+                repetitions=4, seed=7)
+            for regime in ("null", "alternative"):
+                params, pinned = _PINNED_GRIDS[kind, regime]
+                expected = [
+                    (name, 0 if name == "exact" else 4, n, param,
+                     *((0, 0, cell) if isinstance(cell, str) else (cell, 4, None)))
+                    for name, cells in pinned.items()
+                    for (n, param), cell in zip(product(sizes, params), cells,
+                                                strict=True)]
+                for n_threads in (1, 2):
+                    got = [(r.method, r.ell, r.n_x, r.param, r.successes, r.trials,
+                            r.error)
+                           for r in estimate_rate(spec, regime, n_threads=n_threads)]
+                    assert got == expected, (kind, regime, n_threads)
 
 
 class TestMixtureScenario:

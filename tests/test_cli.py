@@ -180,6 +180,14 @@ class TestTestCommand:
         assert out == ""
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    def test_bad_bandwidth_is_runtime_error(self, csv_pair, capsys):
+        x_path, y_path = csv_pair
+        code, out, err = run_cli(capsys, "test", "--x", str(x_path), "--y",
+                                 str(y_path), "--bandwidth", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: bandwidth must be a positive real, got -1.0\n"
+
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "test", "--x")  # missing value
         assert code == 2
@@ -371,6 +379,34 @@ class TestGridCommands:
         code, _, _ = run_cli(capsys, "level", "--spec", str(spec_path))
         assert code == 1
 
+    def test_unopenable_output_fails_before_the_grid(self, tmp_path, monkeypatch,
+                                                     capsys):
+        def refuse(spec, regime):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(bench, "estimate_rate", refuse)
+        out_path = tmp_path / "absent" / "out.csv"
+        for command in ("level", "power"):
+            code, out, err = run_cli(capsys, command, "--output", str(out_path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and str(out_path) in err
+
+    def test_output_holds_the_header_when_every_cell_fails(self, tmp_path, capsys):
+        pool_path, out_path = tmp_path / "pool.csv", tmp_path / "out.csv"
+        write_csv(np.arange(20.0).reshape(10, 2), pool_path)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "scenario": {"kind": "csv", "x": str(pool_path), "y": str(pool_path)},
+            "methods": ["nystrom-uniform"], "landmarks": [2], "sample_sizes": [50],
+            "permutations": 19, "repetitions": 2, "output": str(out_path)}))
+        code, out, err = run_cli(capsys, "level", "--spec", str(spec_path))
+        assert code == 1
+        assert out == ""
+        assert "ValueError: pool of 10 rows too small" in err
+        assert out_path.read_bytes() == (b"method,ell,n_x,n_y,param,rate,wilson_low,"
+                                         b"wilson_high,mean_runtime_s,reps\r\n")
+
     def test_power_with_flags_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "power.csv"
         code, _, _ = run_cli(capsys, "power", "--rho1", "0.0", "--rho2", "0.6",
@@ -412,7 +448,8 @@ class TestGridFlags:
         spec = self.captured_spec(monkeypatch, capsys, command)
         scenario = bench._Scenario(spec.scenario)
         assert scenario.kind == "correlated-gaussian"
-        assert (scenario.dim, scenario.rho1, scenario.rho2_grid) == (3, 0.5, (0.63,))
+        assert (scenario.dim, scenario.rho1, scenario.params("alternative")) == (
+            3, 0.5, (0.63,))
         assert spec.methods == ("nystrom-uniform",)
         assert spec.landmarks == (32,)
         assert spec.sample_sizes == (500,)

@@ -494,6 +494,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TestConfig(n_permutations=0)
 
+    @pytest.mark.parametrize("bandwidth", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_fixed_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError,
+                           match=f"^bandwidth must be a positive real, got {bandwidth}$"):
+            TestConfig(bandwidth=bandwidth)
+
     def test_method_validation(self):
         with pytest.raises(ValueError):
             NystromMethod(n_landmarks=0)
