@@ -4,9 +4,9 @@ An :class:`ExperimentSpec` describes a grid of (method, feature count,
 sample size, scenario parameter) cells.  Each cell runs a number of
 independent seeded repetitions with fresh data and fresh landmarks, counts
 rejections, and reports a Wilson score interval plus the mean wall-clock
-time of a full test.  Cell seeds are derived from the master seed and the
-cell coordinates alone, so results do not depend on execution order or the
-number of worker threads.
+time of a full test.  Repetition seeds are derived from the master seed and
+the repetition's coordinates alone, so results do not depend on execution
+order or the number of worker threads.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class ExperimentSpec:
     """Grid description for a level or power study; `from_dict` reads its JSON form.
 
     Building the spec checks every value once and derives, besides the
-    shared `config`, ``method_specs``: one (method index, method name,
-    feature count, method spec) tuple per method cell in grid order, with
+    shared `config`, ``method_specs``: one (method name, feature count,
+    method spec) tuple per method cell in grid order, with
     feature count 0 for "exact" and one entry per landmark count for every
     other method.  `estimate_rate` runs these specs as they are.
     """
@@ -125,8 +125,8 @@ class ExperimentSpec:
         object.__setattr__(self, "config", TestConfig(
             self.alpha, self.permutations, self.seed, keep_statistics=False))
         object.__setattr__(self, "method_specs", tuple(
-            (index, name, ell, METHODS[name](ell))
-            for index, name in enumerate(self.methods)
+            (name, ell, METHODS[name](ell))
+            for name in self.methods
             for ell in ((0,) if name == "exact" else self.landmarks)))
 
     @classmethod
@@ -248,9 +248,8 @@ class _Scenario:
         return self.alternatives if regime == "alternative" else (self.null_param,)
 
     def draw_pair(self, regime: str, n: int, param: float, rng: np.random.Generator):
-        if self.kind == "correlated-gaussian":  # x at rho1, y at the cell's param
-            return tuple(sample_correlated_gaussians(n, self.dim, rho,
-                                                     int(rng.integers(2**63)))
+        if self.kind == "correlated-gaussian":  # x at rho1, then y at the cell's param
+            return tuple(sample_correlated_gaussians(n, self.dim, rho, rng)
                          for rho in (self.rho1, param))
         if self.kind == "csv" and regime == "alternative":
             for pool in self.pools:
@@ -267,8 +266,7 @@ class _Scenario:
         if n > pool.shape[0]:
             raise ValueError(f"background pool too small for n={n}")
         x, remaining = _split(pool, n, rng)
-        return x, sample_mixture(remaining, self.pools[1], param, n,
-                                 seed=int(rng.integers(2**63)))
+        return x, sample_mixture(remaining, self.pools[1], param, n, seed=rng)
 
 
 def _split(pool: np.ndarray, n: int, rng: np.random.Generator,
@@ -290,6 +288,14 @@ def _worker_count(n_threads: int | None) -> int:
 def estimate_rate(spec: ExperimentSpec, regime: str, *,
                   n_threads: int | None = None) -> list[RateEstimate]:
     """Run every grid cell of the spec and estimate its rejection rate.
+
+    Repetition rep of the cells at sample size n and the param_index-th
+    scenario parameter takes its data and test seeds as the two words of
+    SeedSequence([spec.seed, regime code (0 null, 1 alternative), n,
+    param_index, rep]), and draws x then y from one Generator on the first.  The method and feature count are not
+    among those coordinates, so every method and ell of a grid meets the
+    same pairs and the same test seeds (common random numbers), and methods
+    can be compared test by test.
 
     Args:
         spec: The experiment grid.
@@ -327,15 +333,13 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
         map_repetitions = map if pool is None else pool.map
         grid = product(spec.method_specs, spec.sample_sizes,
                        enumerate(scenario.params(regime)))
-        for (method_index, method_name, ell, method), n, (param_index, param) in grid:
+        for (method_name, ell, method), n, (param_index, param) in grid:
 
             def one_repetition(rep: int) -> tuple[bool, float]:
-                cell = [regime_code, n, param_index, rep, method_index, ell]
-                data_seed = np.random.SeedSequence([spec.seed, 11, *cell])
-                test_seed = int(np.random.SeedSequence([spec.seed, 13, *cell])
-                                .generate_state(2, np.uint64)[0])
-                x, y = scenario.draw_pair(regime, n, param,
-                                          np.random.default_rng(data_seed))
+                cell = [spec.seed, regime_code, n, param_index, rep]
+                data_seed, test_seed = map(int, np.random.SeedSequence(cell)
+                                           .generate_state(2, np.uint64))
+                x, y = scenario.draw_pair(regime, n, param, np.random.default_rng(data_seed))
                 config = replace(spec.config, seed=test_seed)
                 start = time.perf_counter()
                 outcome = run_test(x, y, config, method)

@@ -148,14 +148,17 @@ def _cmd_grid(args, regime: str) -> int:
     from . import bench as bench_mod
 
     spec = _grid_spec(args)
-    # an output path that cannot be opened fails before the grid runs
-    with (open(spec.output, "w", encoding="utf-8") if spec.output
+    # an output path that cannot be opened fails before the grid runs, and an
+    # existing file is emptied only once the grid has run
+    with (open(spec.output, "a", encoding="utf-8") if spec.output
           else nullcontext(sys.stdout)) as handle:
         estimates = bench_mod.estimate_rate(spec, regime)
         failures = [est for est in estimates if est.error is not None]
         for est in failures:
             print(f"cell method={est.method} ell={est.ell} n={est.n_x} "
                   f"param={est.param}: {est.error}", file=sys.stderr)
+        if spec.output:
+            handle.truncate(0)  # opened to append, so the write lands at 0
         handle.write(bench_mod.results_to_csv(estimates))
     if not failures:
         return 0

@@ -2,15 +2,17 @@
 
 The CSV format is deliberately plain: comma-separated numeric cells, UTF-8
 (a leading byte-order mark, as spreadsheet exports write, is accepted),
-decimal point, one observation per row, optional single header row.  All
-generators are pure functions of their arguments and seed; the same seed
-reproduces the same dataset bit for bit.
+decimal point, one observation per row, optional single header row.  A
+generator's seed is an integer or a numpy Generator: the same integer
+reproduces the same dataset bit for bit, while a Generator is advanced by
+the draw, so successive calls on it give independent datasets.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,22 +114,33 @@ def equicorrelation_matrix(dim: int, rho: float) -> np.ndarray:
     return (1.0 - rho) * np.eye(dim) + rho * np.ones((dim, dim))
 
 
-def sample_correlated_gaussians(n: int, dim: int, rho: float, seed: int) -> np.ndarray:
+@lru_cache
+def _covariance_root(dim: int, rho: float) -> np.ndarray:
+    """Read-only square root of the equicorrelation matrix, built once per (dim, rho).
+
+    It is formed from the matrix's closed-form eigenpairs (eigenvalue
+    1 + (d-1) rho on the all-ones direction, 1 - rho on its complement), so
+    no generic factorization is needed.  A rho outside the PSD range raises
+    on every call, since lru_cache keeps no exception.
+    """
+    equicorrelation_matrix(dim, rho)  # validates the PSD range
+    ones = np.full((dim, dim), 1.0 / dim)
+    root = (np.sqrt(1.0 + (dim - 1) * rho) * ones
+            + np.sqrt(1.0 - rho) * (np.eye(dim) - ones))
+    root.flags.writeable = False
+    return root
+
+
+def sample_correlated_gaussians(n: int, dim: int, rho: float,
+                                seed: int | np.random.Generator) -> np.ndarray:
     """Draw n points from a zero-mean Gaussian with equicorrelated covariance.
 
-    The covariance square root is formed from the closed-form eigenpairs of
-    the equicorrelation matrix (eigenvalue 1 + (d-1) rho on the all-ones
-    direction, 1 - rho on its complement), so no generic factorization is
-    needed.
+    seed is an integer or a Generator, which the draw advances.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    equicorrelation_matrix(dim, rho)  # validates the PSD range
-    ones = np.full((dim, dim), 1.0 / dim)
-    sqrt_cov = (np.sqrt(1.0 + (dim - 1) * rho) * ones
-                + np.sqrt(1.0 - rho) * (np.eye(dim) - ones))
-    draws = np.random.default_rng(seed).standard_normal((n, dim))
-    return draws @ sqrt_cov
+    root = _covariance_root(dim, rho)  # checks dim and rho before any draw
+    return np.random.default_rng(seed).standard_normal((n, dim)) @ root
 
 
 def check_mix_fraction(mix_fraction: float) -> None:
@@ -137,7 +150,7 @@ def check_mix_fraction(mix_fraction: float) -> None:
 
 
 def sample_mixture(background, signal, mix_fraction: float, n: int,
-                   seed: int) -> np.ndarray:
+                   seed: int | np.random.Generator) -> np.ndarray:
     """Draw n rows, each from the signal pool with probability mix_fraction.
 
     Every output row is independently labeled signal (probability

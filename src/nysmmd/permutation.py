@@ -268,10 +268,6 @@ def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:
                        permutations_run=n_permutations, statistics=statistics)
 
 
-def _seed_int(seed_sequence: np.random.SeedSequence) -> int:
-    return int(seed_sequence.generate_state(2, np.uint64)[0])
-
-
 def _exact_statistics(pooled, kernel, config, perm_seed):
     gram = kernel.gram(pooled.points, pooled.points)
     weights = permutation_weights(pooled, config.n_permutations, perm_seed)
@@ -290,8 +286,15 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     unchanged by relabeling and the level stays exact.  Outcomes
     are bit-identical for a fixed config seed and BLAS thread count (OpenBLAS
     rounds differently at other thread counts, and the statistics then agree
-    to round-off); the tie-break variate is drawn from its own stream whether
-    or not a tie occurs, so outcomes are reproducible across code paths.
+    to round-off).  The five words of one
+    SeedSequence(config.seed).generate_state(5, np.uint64) call are the
+    bandwidth, scores, landmark-draw and permutation seeds and the tie word,
+    in that order; the tie-break variate is (word >> 11) * 2^-53, what
+    Generator.uniform() computes from a PCG64 word, taken whether or not a
+    tie occurs, so outcomes are reproducible across code paths.  Distinct
+    words give independent streams fixed by the seed, which is all the exact
+    level needs of them (Hemerik and Goeman, "Exact testing with random
+    permutations", TEST 2018).
 
     A decision-only config (keep_statistics=False) on a feature map
     curtails the pass, as in the sequential Monte Carlo test of Besag and
@@ -306,22 +309,20 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     bit, without the replicate vector.
     """
     pooled = PooledSample.from_samples(x, y)
-    root = np.random.SeedSequence(config.seed)
-    bandwidth_ss, scores_ss, draw_ss, perm_ss, tie_ss = root.spawn(5)
-    tie_break = float(np.random.default_rng(tie_ss).uniform())
+    *seeds, tie_word = np.random.SeedSequence(config.seed).generate_state(5, np.uint64)
+    bandwidth_seed, scores_seed, draw_seed, perm_seed = map(int, seeds)
+    tie_break = int(tie_word >> 11) * 2.0**-53  # Generator.uniform() of the word
 
     if config.bandwidth is not None:
         bandwidth = float(config.bandwidth)
     else:
-        bandwidth = median_heuristic(pooled.points, seed=_seed_int(bandwidth_ss))
+        bandwidth = median_heuristic(pooled.points, seed=bandwidth_seed)
     kernel = GaussianKernel(bandwidth)
-    perm_seed = _seed_int(perm_ss)
 
     if isinstance(method, ExactMethod):
         statistics = _exact_statistics(pooled, kernel, config, perm_seed)
     else:
-        feature_map = method.feature_map(pooled, kernel, _seed_int(scores_ss),
-                                         _seed_int(draw_ss))
+        feature_map = method.feature_map(pooled, kernel, scores_seed, draw_seed)
         accept_at = (None if config.keep_statistics
                      else accept_count(config.alpha, config.n_permutations))
         statistics = permuted_statistics(pooled, feature_map,

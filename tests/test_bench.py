@@ -313,6 +313,32 @@ class TestEstimateRate:
         estimate_rate(spec, "null", n_threads=1)
         assert len(created) == 1
 
+    def test_methods_and_ells_meet_common_random_numbers(self, monkeypatch):
+        calls, original = [], bench.run_test
+
+        def record(x, y, config, method):
+            calls.append((x, y, config.seed))
+            return original(x, y, config, method)
+
+        monkeypatch.setattr(bench, "run_test", record)
+        spec = tiny_null_spec(scenario={"kind": "correlated-gaussian", "dim": 2,
+                                        "rho1": 0.2, "rho2": [0.2, 0.9]},
+                              methods=("exact", "nystrom-uniform", "rff"),
+                              landmarks=(4, 6), sample_sizes=(12, 20),
+                              permutations=9, repetitions=3)
+        rows = estimate_rate(spec, "alternative", n_threads=1)
+        assert len(rows) == 5 * 2 * 2  # method cells × sample sizes × params
+        # one thread runs each method cell's (n, param, rep) repetitions in
+        # the same order
+        per_cell = 2 * 2 * 3
+        first = calls[:per_cell]
+        assert len({seed for _, _, seed in first}) == per_cell
+        for start in range(per_cell, len(calls), per_cell):
+            for (x, y, seed), (x0, y0, seed0) in zip(calls[start:start + per_cell],
+                                                     first, strict=True):
+                assert seed == seed0
+                assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
     def test_failing_cell_recorded_not_raised(self, tmp_path):
         pool = np.zeros((10, 2)) + np.arange(10)[:, None]
         x_path = tmp_path / "x.csv"
@@ -362,36 +388,22 @@ _MIXTURE = "ValueError: mixture needs {} background rows, pool has 15"
 # (n, param) grid order as successes out of 4 repetitions or the cell's error
 _PINNED_GRIDS = {
     ("correlated-gaussian", "null"): ((0.2,), {
-        "exact": [0, 0, 1], "nystrom-uniform": [2, 0, 1],
-        "nystrom-akrls": [1, 3, 0], "nystrom-exact-krls": [0, 0, 0],
-        "rff": [0, 0, 1]}),
+        name: [0, 1, 0] for name in METHODS}),
     ("correlated-gaussian", "alternative"): ((0.2, 0.9), {
-        "exact": [2, 0, 1, 2, 1, 4], "nystrom-uniform": [1, 2, 1, 2, 2, 4],
-        "nystrom-akrls": [0, 1, 1, 1, 1, 4],
-        "nystrom-exact-krls": [2, 2, 1, 3, 0, 4], "rff": [1, 0, 0, 2, 2, 2]}),
+        "exact": [0, 0, 0, 3, 1, 4], "nystrom-uniform": [0, 0, 0, 2, 1, 2],
+        "nystrom-akrls": [0, 0, 0, 2, 1, 3],
+        "nystrom-exact-krls": [0, 0, 0, 1, 2, 4], "rff": [0, 1, 0, 2, 1, 3]}),
     ("csv", "null"): ((0.0,), {
-        name: [successes, _HALVES + "45", _HALVES + "200"]
-        for name, successes in (("exact", 2), ("nystrom-uniform", 0),
-                                ("nystrom-akrls", 1), ("nystrom-exact-krls", 0),
-                                ("rff", 1))}),
+        name: [2, _HALVES + "45", _HALVES + "200"] for name in METHODS}),
     ("csv", "alternative"): ((0.0,), {
         name: [*successes, "ValueError: pool of 60 rows too small for n=200"]
-        for name, successes in (("exact", (1, 4)), ("nystrom-uniform", (2, 4)),
-                                ("nystrom-akrls", (2, 4)),
-                                ("nystrom-exact-krls", (2, 4)), ("rff", (4, 3)))}),
+        for name, successes in (("exact", (1, 3)), ("nystrom-uniform", (2, 3)),
+                                ("nystrom-akrls", (0, 3)),
+                                ("nystrom-exact-krls", (1, 4)), ("rff", (0, 3)))}),
     ("mixture", "null"): ((0.0,), {
-        name: [successes, _HALVES + "45", _HALVES + "200"]
-        for name, successes in (("exact", 0), ("nystrom-uniform", 1),
-                                ("nystrom-akrls", 0), ("nystrom-exact-krls", 1),
-                                ("rff", 2))}),
+        name: [0, _HALVES + "45", _HALVES + "200"] for name in METHODS}),
     ("mixture", "alternative"): ((0.3, 0.8), {
-        "exact": [3, 4, _MIXTURE.format(36), 4, *_NO_BACKGROUND],
-        "nystrom-uniform": [2, 4, _MIXTURE.format(34), 4, *_NO_BACKGROUND],
-        "nystrom-akrls": [1, 4, _MIXTURE.format(37), 4, *_NO_BACKGROUND],
-        "nystrom-exact-krls": [3, 4, _MIXTURE.format(33), 4, *_NO_BACKGROUND],
-        "rff": [2, 2, _MIXTURE.format(28),
-                "ValueError: mixture needs 42 signal rows, pool has 40",
-                *_NO_BACKGROUND]}),
+        name: [1, 4, _MIXTURE.format(30), 4, *_NO_BACKGROUND] for name in METHODS}),
 }
 
 

@@ -392,6 +392,23 @@ class TestGridCommands:
             assert out == ""
             assert err.startswith("error: ") and str(out_path) in err
 
+    def test_refused_scenario_leaves_an_existing_output_as_it_was(self, tmp_path,
+                                                                  capsys):
+        out_path, spec_path = tmp_path / "out.csv", tmp_path / "spec.json"
+        previous = b"method,ell\r\nnystrom-uniform,32\r\n"
+        out_path.write_bytes(previous)
+        spec_path.write_text(json.dumps({
+            "scenario": {"kind": "csv", "x": str(tmp_path / "absent.csv"),
+                         "y": str(tmp_path / "absent.csv")},
+            "methods": ["nystrom-uniform"], "landmarks": [2], "sample_sizes": [5],
+            "permutations": 19, "repetitions": 2, "output": str(out_path)}))
+        for command in ("level", "power"):
+            code, out, err = run_cli(capsys, command, "--spec", str(spec_path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and "absent.csv" in err
+            assert out_path.read_bytes() == previous
+
     def test_output_holds_the_header_when_every_cell_fails(self, tmp_path, capsys):
         pool_path, out_path = tmp_path / "pool.csv", tmp_path / "out.csv"
         write_csv(np.arange(20.0).reshape(10, 2), pool_path)

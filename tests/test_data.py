@@ -9,7 +9,7 @@ from nysmmd import (
     sample_mixture,
     write_csv,
 )
-from nysmmd.data import _load_csv_cells, equicorrelation_matrix
+from nysmmd.data import _covariance_root, _load_csv_cells, equicorrelation_matrix
 
 
 class TestLoadCsv:
@@ -154,6 +154,34 @@ class TestCorrelatedGaussians:
         np.testing.assert_array_equal(first, second)
         third = sample_correlated_gaussians(500, 3, 0.4, seed=10)
         assert not np.array_equal(first, third)
+
+    def test_covariance_root_is_built_once_and_read_only(self):
+        dim, rho = 4, 0.3
+        ones = np.full((dim, dim), 1.0 / dim)
+        closed_form = (np.sqrt(1.0 + (dim - 1) * rho) * ones
+                       + np.sqrt(1.0 - rho) * (np.eye(dim) - ones))
+        root = _covariance_root(dim, rho)
+        assert _covariance_root(dim, rho) is root
+        assert root.tobytes() == closed_form.tobytes()
+        assert not root.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            root[0, 0] = 2.0
+        for _ in range(2):
+            draws = sample_correlated_gaussians(50, dim, rho, seed=5)
+            expected = np.random.default_rng(5).standard_normal((50, dim)) @ closed_form
+            assert draws.tobytes() == expected.tobytes()
+            # the cache keeps no exception: a bad rho raises on every call
+            with pytest.raises(ValueError, match="positive-definite"):
+                sample_correlated_gaussians(10, dim, -0.5, seed=0)
+
+    def test_generator_seed_is_advanced(self):
+        rng = np.random.default_rng(4)
+        first = sample_correlated_gaussians(50, 3, 0.4, rng)
+        second = sample_correlated_gaussians(50, 3, 0.4, rng)
+        replay = np.random.default_rng(4)
+        for draws in (first, second):
+            expected = replay.standard_normal((50, 3)) @ _covariance_root(3, 0.4)
+            np.testing.assert_array_equal(draws, expected)
 
     def test_covariance_goodness_across_seeds(self):
         n = 10_000
