@@ -290,12 +290,12 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
     """Run every grid cell of the spec and estimate its rejection rate.
 
     Repetition rep of the cells at sample size n and the param_index-th
-    scenario parameter takes its data and test seeds as the two words of
-    SeedSequence([spec.seed, regime code (0 null, 1 alternative), n,
-    param_index, rep]), and draws x then y from one Generator on the first.  The method and feature count are not
-    among those coordinates, so every method and ell of a grid meets the
-    same pairs and the same test seeds (common random numbers), and methods
-    can be compared test by test.
+    scenario parameter opens one np.random.default_rng([spec.seed, regime
+    code (0 null, 1 alternative), n, param_index, rep]) and draws from it
+    the test seed, int(rng.integers(2**63)), then x, then y.  The method and
+    feature count are not among those coordinates, so every method and ell
+    of a grid meets the same pairs and the same test seeds (common random
+    numbers), and methods can be compared test by test.
 
     Args:
         spec: The experiment grid.
@@ -336,11 +336,9 @@ def estimate_rate(spec: ExperimentSpec, regime: str, *,
         for (method_name, ell, method), n, (param_index, param) in grid:
 
             def one_repetition(rep: int) -> tuple[bool, float]:
-                cell = [spec.seed, regime_code, n, param_index, rep]
-                data_seed, test_seed = map(int, np.random.SeedSequence(cell)
-                                           .generate_state(2, np.uint64))
-                x, y = scenario.draw_pair(regime, n, param, np.random.default_rng(data_seed))
-                config = replace(spec.config, seed=test_seed)
+                rng = np.random.default_rng([spec.seed, regime_code, n, param_index, rep])
+                config = replace(spec.config, seed=int(rng.integers(2**63)))
+                x, y = scenario.draw_pair(regime, n, param, rng)
                 start = time.perf_counter()
                 outcome = run_test(x, y, config, method)
                 elapsed = time.perf_counter() - start

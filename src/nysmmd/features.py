@@ -136,7 +136,8 @@ def check_feature_count(n_features: int) -> None:
         raise ValueError(f"n_features must be even and >= 2, got {n_features}")
 
 
-def build_rff(dim: int, n_features: int, kernel: GaussianKernel, seed: int) -> RffMap:
+def build_rff(dim: int, n_features: int, kernel: GaussianKernel,
+              seed: int | np.random.Generator) -> RffMap:
     """Draw Gaussian frequencies for an ``n_features``-dimensional map.
 
     Args:
@@ -144,7 +145,8 @@ def build_rff(dim: int, n_features: int, kernel: GaussianKernel, seed: int) -> R
         n_features: Total feature count ell; must be even (cos/sin pairs).
         kernel: Gaussian kernel whose spectral measure N(0, I / h^2) the
             frequencies are drawn from.
-        seed: Frequencies are reproduced bit-exactly for a fixed seed.
+        seed: An int or a Generator, which the draw advances; frequencies
+            are reproduced bit-exactly for a fixed seed.
     """
     check_feature_count(n_features)
     if dim < 1:

@@ -94,11 +94,12 @@ class GaussianKernel:
         return k
 
 
-def median_heuristic(points, seed: int = 0) -> float:
+def median_heuristic(points, seed: int | np.random.Generator = 0) -> float:
     """Median Euclidean distance over N = 2^14 + 1 random pairs of rows.
 
     Each pair is an i.i.d. draw of two distinct rows: i uniform on [0, n)
-    and j = (i + U{1, ..., n - 1}) mod n, deterministic for a fixed seed.
+    and j = (i + U{1, ..., n - 1}) mod n, deterministic for a fixed seed
+    (an int, or a Generator, which the draw advances).
     N is odd, so the result is one of the drawn distances (no midpoint is
     averaged), and it equals scipy's pdist distance of that pair bit for
     bit.  Time and storage are O(N * d) at any n.  The pair law

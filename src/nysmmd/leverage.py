@@ -114,7 +114,7 @@ def _dictionary_scores(points, candidates, dictionary, weights, kernel, ridge_ab
 
 
 def approx_krls(points, kernel: GaussianKernel, regularization: float,
-                seed: int) -> np.ndarray:
+                seed: int | np.random.Generator) -> np.ndarray:
     """Approximate kernel ridge leverage scores by BLESS.
 
     BLESS (Rudi, Calandriello, Carratino & Rosasco, NeurIPS 2018) walks the
@@ -137,7 +137,8 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
         points: Dataset of shape (n, d).
         kernel: Kernel used to form (sub)matrices on demand.
         regularization: Target ridge parameter lambda.
-        seed: Seed for the sampling randomness.
+        seed: Seed for the sampling randomness: an int, or a Generator,
+            which the draws advance.
 
     Returns:
         The n scores: zero outside the last candidate set, and inside it
@@ -170,7 +171,7 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
     return result
 
 
-def _draw_rows(points: np.ndarray, ell: int, seed: int,
+def _draw_rows(points: np.ndarray, ell: int, seed: int | np.random.Generator,
                scores: np.ndarray | None) -> np.ndarray:
     """ell rows of ``points`` drawn i.i.d. with replacement, in draw order.
 
@@ -197,7 +198,8 @@ def _draw_rows(points: np.ndarray, ell: int, seed: int,
     return points[indices]
 
 
-def sample_landmarks(points, ell: int, seed: int, kernel: GaussianKernel,
+def sample_landmarks(points, ell: int, seed: int | np.random.Generator,
+                     kernel: GaussianKernel,
                      scores: np.ndarray | None = None) -> LandmarkSet:
     """Draw ell rows i.i.d. with replacement and keep r whose kernel matrix is certified.
 

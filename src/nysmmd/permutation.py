@@ -3,8 +3,40 @@
 The observed statistic is compared against the empirical quantile of its
 permuted replicates.  When it lands exactly on the threshold order
 statistic, the test rejects with a calibrated probability, which makes the
-rejection probability under the null exactly alpha (for landmark sampling
-schemes that are equivariant under relabeling of the pooled data).
+rejection probability under the null exactly alpha (Hemerik and Goeman,
+"Exact testing with random permutations", TEST 2018).  That argument rests
+on these premises, each listed beside the tests that check it:
+
+- The pair law: the bandwidth's random pairs are uniform over the pairs of
+  distinct rows, whatever the rows' labels or values (test_kernels:
+  test_pairs_are_uniform_over_distinct_rows,
+  test_two_points_single_distance).
+- Landmark equivariance: relabeling the pooled rows relabels the law of
+  the kept landmarks (test_leverage: the test_relabeling_equivariance_*
+  tests of TestApproxKrls and TestSampleLandmarks).
+- Uniform splits: each permuted labeling is a uniform split of the pooled
+  rows, independent of the others (test_statistics:
+  test_splits_are_uniform, test_per_row_redraws_keep_subsets_uniform,
+  test_null_rank_is_uniform).
+- Data-independent draw counts: every stage draws from the test's one
+  generator a number of words fixed by n_x, n_y, the dimension, ell, P
+  and earlier words, so the labels are a fixed stretch of the stream,
+  independent of the data (test_permutation:
+  test_labels_are_a_fixed_stretch_of_the_stream).
+- The curtailed prefix: a decision-only pass that stops early computes
+  bit for bit the first values of the full pass (test_statistics:
+  test_stopped_vector_is_a_prefix_of_the_complete_pass; test_permutation:
+  test_decision_only_matches_the_full_pass,
+  test_decision_only_is_bitwise_on_a_large_label_block).
+- Tie randomization: an observed statistic equal to the threshold rejects
+  with the probability that tops the rate up to alpha (test_permutation:
+  test_all_equal_rejects_with_probability_alpha,
+  test_identical_multisets_reject_only_through_tie_branch).
+- Degenerate snapping: when every value is round-off below
+  DEGENERATE_TIE_TOLERANCE, the values are snapped to exact zeros, which
+  are exchangeable (test_permutation:
+  test_all_equal_points_rejection_rate_stays_at_alpha; test_statistics:
+  test_degenerate_values_never_stop_the_pass).
 """
 
 from __future__ import annotations
@@ -56,8 +88,12 @@ class NystromMethod:
             raise ValueError(f"unknown sampler {self.sampler!r}")
 
     def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,
-                    scores_seed: int, draw_seed: int) -> NystromMap:
-        """Draw landmarks from the pooled data, prune them until certified and map them."""
+                    rng: np.random.Generator) -> NystromMap:
+        """Draw landmarks from the pooled data, prune them until certified and map them.
+
+        approx-KRLS draws its candidates and keeps from rng first, then the
+        landmark rows are drawn from it.
+        """
         regularization = default_regularization(pooled.n)
         if self.sampler == "uniform":
             scores = None
@@ -65,9 +101,9 @@ class NystromMethod:
             scores = exact_krls(kernel.gram(pooled.points, pooled.points),
                                 regularization)
         else:
-            scores = approx_krls(pooled.points, kernel, regularization, scores_seed)
-        landmarks = sample_landmarks(pooled.points, self.n_landmarks, draw_seed,
-                                     kernel, scores=scores)
+            scores = approx_krls(pooled.points, kernel, regularization, rng)
+        landmarks = sample_landmarks(pooled.points, self.n_landmarks, rng, kernel,
+                                     scores=scores)
         return build_nystrom(landmarks.points, kernel, landmarks.inverse_factor)
 
 
@@ -81,9 +117,9 @@ class RffMethod:
         check_feature_count(self.n_features)
 
     def feature_map(self, pooled: PooledSample, kernel: GaussianKernel,
-                    scores_seed: int, draw_seed: int) -> RffMap:
-        """Draw frequencies for the data dimension; scores_seed is unused."""
-        return build_rff(pooled.points.shape[1], self.n_features, kernel, draw_seed)
+                    rng: np.random.Generator) -> RffMap:
+        """Draw frequencies for the data dimension from rng."""
+        return build_rff(pooled.points.shape[1], self.n_features, kernel, rng)
 
 
 @dataclass(frozen=True)
@@ -268,9 +304,9 @@ def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:
                        permutations_run=n_permutations, statistics=statistics)
 
 
-def _exact_statistics(pooled, kernel, config, perm_seed):
+def _exact_statistics(pooled, kernel, config, rng):
     gram = kernel.gram(pooled.points, pooled.points)
-    weights = permutation_weights(pooled, config.n_permutations, perm_seed)
+    weights = permutation_weights(pooled, config.n_permutations, rng)
     quad = np.einsum("pi,ij,pj->p", weights, gram, weights, optimize=True)
     return np.sqrt(np.maximum(quad, 0.0))
 
@@ -286,15 +322,19 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     unchanged by relabeling and the level stays exact.  Outcomes
     are bit-identical for a fixed config seed and BLAS thread count (OpenBLAS
     rounds differently at other thread counts, and the statistics then agree
-    to round-off).  The five words of one
-    SeedSequence(config.seed).generate_state(5, np.uint64) call are the
-    bandwidth, scores, landmark-draw and permutation seeds and the tie word,
-    in that order; the tie-break variate is (word >> 11) * 2^-53, what
-    Generator.uniform() computes from a PCG64 word, taken whether or not a
-    tie occurs, so outcomes are reproducible across code paths.  Distinct
-    words give independent streams fixed by the seed, which is all the exact
-    level needs of them (Hemerik and Goeman, "Exact testing with random
-    permutations", TEST 2018).
+    to round-off).
+
+    Every random draw comes from one np.random.default_rng(config.seed), in
+    a fixed order: the tie-break variate (rng.random(), taken whether or
+    not a tie occurs), the bandwidth pairs unless the config pins the
+    bandwidth, the method's draws (approx-KRLS candidates and keeps, then
+    the landmark rows; or the RFF frequencies), and last the labels.  Each
+    stage draws a number of words fixed by n_x, n_y, the dimension, ell, P
+    and earlier words, never by data values, so the labels are a fixed
+    stretch of the stream, independent of the data, and uniform splits of
+    the pooled rows, which is all the exact level needs of them (see the
+    module docstring).  The labels come last, so a pass that stops early
+    changes no other draw.
 
     A decision-only config (keep_statistics=False) on a feature map
     curtails the pass, as in the sequential Monte Carlo test of Besag and
@@ -309,24 +349,23 @@ def run_test(x, y, config: TestConfig, method: MethodSpec) -> TestOutcome:
     bit, without the replicate vector.
     """
     pooled = PooledSample.from_samples(x, y)
-    *seeds, tie_word = np.random.SeedSequence(config.seed).generate_state(5, np.uint64)
-    bandwidth_seed, scores_seed, draw_seed, perm_seed = map(int, seeds)
-    tie_break = int(tie_word >> 11) * 2.0**-53  # Generator.uniform() of the word
+    rng = np.random.default_rng(config.seed)
+    tie_break = rng.random()
 
     if config.bandwidth is not None:
         bandwidth = float(config.bandwidth)
     else:
-        bandwidth = median_heuristic(pooled.points, seed=bandwidth_seed)
+        bandwidth = median_heuristic(pooled.points, seed=rng)
     kernel = GaussianKernel(bandwidth)
 
     if isinstance(method, ExactMethod):
-        statistics = _exact_statistics(pooled, kernel, config, perm_seed)
+        statistics = _exact_statistics(pooled, kernel, config, rng)
     else:
-        feature_map = method.feature_map(pooled, kernel, scores_seed, draw_seed)
+        feature_map = method.feature_map(pooled, kernel, rng)
         accept_at = (None if config.keep_statistics
                      else accept_count(config.alpha, config.n_permutations))
         statistics = permuted_statistics(pooled, feature_map,
-                                         config.n_permutations, perm_seed, accept_at)
+                                         config.n_permutations, rng, accept_at)
 
     if statistics.max() <= DEGENERATE_TIE_TOLERANCE:
         statistics = np.zeros_like(statistics)

@@ -15,25 +15,26 @@ basis' labels', whose cost stays flat in r where labels @ basis runs into
 the BLAS's edge tiles.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
-LABEL_BLOCK_ROWS = B rows.  One multivariate hypergeometric draw gives,
-for every permutation, how many x labels fall in each block; each block then
-draws a uniform subset of that size per permutation, in batches of
-permutations, each batch from its own generator keyed by (block, batch):
-the rows whose uint16 keys fall below a cut key, which one partition of the
-batch's keys finds for every permutation at once, without a sort.  A tie at
-a cut (about B / 2^17 per permutation, so most blocks have one) redraws the
-keys of that permutation's row alone.  Together these are uniform splits of
-the pooled rows.  A pooled sample that fits one block draws three batches,
-the first ceil(P / 5) permutations, then up to ceil(P / 2), then the rest
-(fewer at small P, where these coincide), and every pass forms and maps
-them apart, so a decision-only pass that stops at the look after its first
-or second batch (accumulate_weighted_features) returns a bitwise prefix of
-the complete one; a larger sample draws all P in one batch per block, and
-always runs in full.  Storage is O((P + 2) * (r + B)) for the accumulators,
-the label matrix, the basis and the uint16 key scratch, held in buffers
-that every block and batch reuses, plus the P x (n / B) block counts; the
-n-wide signed weight matrix is formed only by permutation_weights, for
-exact mode, which drops the ones row.
+LABEL_BLOCK_ROWS = B rows, all drawn from one generator in a fixed order.
+One multivariate hypergeometric draw gives, for every permutation, how many
+x labels fall in each block; each block then draws a uniform subset of that
+size per permutation, in batches of permutations, block by block and batch
+by batch: the rows whose uint16 keys fall below a cut key, which one
+partition of the batch's keys finds for every permutation at once, without
+a sort.  A tie at a cut (about B / 2^17 per permutation, so most blocks
+have one) redraws the keys of that permutation's row alone.  Together these
+are uniform splits of the pooled rows.  A pooled sample that fits one block
+draws three batches, the first ceil(P / 5) permutations, then up to
+ceil(P / 2), then the rest (fewer at small P, where these coincide), and
+every pass forms and maps them apart, so a decision-only pass that stops at
+the look after its first or second batch (accumulate_weighted_features)
+returns a bitwise prefix of the complete one; a larger sample draws all P
+in one batch per block, and always runs in full.  Storage is
+O((P + 2) * (r + B)) for the accumulators, the label matrix, the basis and
+the uint16 key scratch, held in buffers that every block and batch reuses,
+plus the P x (n / B) block counts; the n-wide signed weight matrix is
+formed only by permutation_weights, for exact mode, which drops the ones
+row.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def _uniform_subsets(counts: np.ndarray, rng: np.random.Generator,
     out[full] = 1
 
 
-def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
+def _label_blocks(pooled: PooledSample, n_permutations: int,
+                  seed: int | np.random.Generator):
     """Yield (start, top, rows) for each batch of each LABEL_BLOCK_ROWS-row block.
 
     A block's float64 label matrix is laid out as in the module docstring:
@@ -150,25 +152,25 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
     The matrix is a view of one buffer of P + 2 rows that the next block
     overwrites.
 
-    A block draws its permutations in batches, each from its own generator
-    keyed by (block, batch), so a permutation's labels do not depend on
-    whether a later batch is drawn, and yields each batch as drawn; only
-    the first starts at row 0, with the ones row and the observed
+    Every draw comes from np.random.default_rng(seed), one generator (an
+    int seed opens it; a Generator is used as it is and advanced): first a
+    multivariate hypergeometric draw that splits each permutation's n_x x
+    labels among the blocks (one block takes them all without a draw), then
+    each block's batches, block by block and batch by batch.  A batch
+    draws after every earlier one, so a permutation's labels do not depend
+    on whether a later batch is drawn.  Each batch is yielded as drawn;
+    only the first starts at row 0, with the ones row and the observed
     labeling.  A pooled sample of one block draws the first ceil(P / 5)
     permutations, then up to ceil(P / 2), then the rest, skipping a batch
     that would be empty; a larger one draws all P in one batch per block.
-    A multivariate hypergeometric draw from a generator of its own splits
-    each permutation's n_x x labels among the blocks; one block takes them
-    all without a draw.
     """
     starts = range(0, pooled.n, LABEL_BLOCK_ROWS)
     sizes = [min(LABEL_BLOCK_ROWS, pooled.n - start) for start in starts]
+    rng = np.random.default_rng(seed)
     if len(sizes) == 1:  # every labeling puts all n_x x labels in the one block
         counts = np.full((n_permutations, 1), pooled.n_x, dtype=np.int64)
     else:
-        counts_rng = np.random.default_rng(np.random.SeedSequence(seed))
-        counts = counts_rng.multivariate_hypergeometric(sizes, pooled.n_x,
-                                                        size=n_permutations)
+        counts = rng.multivariate_hypergeometric(sizes, pooled.n_x, size=n_permutations)
     looks = ({-(-n_permutations // 5), -(-n_permutations // 2)} - {n_permutations}
              if len(sizes) == 1 else set())
     bounds = [0, *sorted(looks), n_permutations]
@@ -178,17 +180,15 @@ def _label_blocks(pooled: PooledSample, n_permutations: int, seed: int):
         rows = buffer[:(n_permutations + 2) * size].reshape(-1, size)
         rows[0] = 1.0
         rows[1] = np.arange(start, start + size) < pooled.n_x
-        for batch, (low, high) in enumerate(zip(bounds, bounds[1:])):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(block, batch)))
+        for low, high in zip(bounds, bounds[1:]):
             _uniform_subsets(counts[low:high, block], rng, rows[2 + low:2 + high],
                              scratch)
-            top = 2 + low if batch else 0
+            top = 2 + low if low else 0
             yield start, top, rows[top:2 + high]
 
 
 def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
-                                 n_permutations: int, seed: int,
+                                 n_permutations: int, seed: int | np.random.Generator,
                                  accept_at: int | None = None) -> np.ndarray:
     """Signed feature mean differences under the observed and P permuted labelings.
 
@@ -238,14 +238,15 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
 
 
 def permutation_weights(pooled: PooledSample, n_permutations: int,
-                        seed: int) -> np.ndarray:
+                        seed: int | np.random.Generator) -> np.ndarray:
     """Signed weight matrix of shape (P + 1, n), for exact mode only.
 
     Row p holds 1/n_x on the rows labeled x and -1/n_y on the others, for
     the observed labeling (p = 0) and the same P permuted labelings that
-    permuted_statistics draws for this seed.  The rows are filled in the
-    label matrices' layout, ones row first, which is dropped.  It is
-    O((P + 2) * n) storage; the feature-map statistics never form it.
+    permuted_statistics draws for this seed or generator state.  The rows
+    are filled in the label matrices' layout, ones row first, which is
+    dropped.  It is O((P + 2) * n) storage; the feature-map statistics never
+    form it.
     """
     weights = np.empty((n_permutations + 2, pooled.n))
     for start, top, rows in _label_blocks(pooled, n_permutations, seed):
@@ -255,16 +256,16 @@ def permutation_weights(pooled: PooledSample, n_permutations: int,
 
 
 def permuted_statistics(pooled: PooledSample, feature_map: FeatureMap,
-                        n_permutations: int, seed: int,
+                        n_permutations: int, seed: int | np.random.Generator,
                         accept_at: int | None = None) -> np.ndarray:
     """The unpermuted statistic followed by P permuted replicates.
 
     Entry 0 is the projected MMD of the observed labeling; entries 1..P use
     independent uniform splits of the pooled rows; P = 0 gives entry 0
-    alone.  Deterministic for a fixed seed.  With ``accept_at``, a
-    one-block pass may stop after ceil(P / 5) or ceil(P / 2) permutations
-    and return, bit for bit, the first entries of the vector returned
-    without accept_at (see accumulate_weighted_features).
+    alone.  Deterministic for a fixed seed or generator state.  With
+    ``accept_at``, a one-block pass may stop after ceil(P / 5) or
+    ceil(P / 2) permutations and return, bit for bit, the first entries of
+    the vector returned without accept_at (see accumulate_weighted_features).
     """
     accumulated = accumulate_weighted_features(pooled, feature_map,
                                                n_permutations, seed, accept_at)

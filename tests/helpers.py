@@ -50,13 +50,16 @@ def sorted_uniform_subsets(counts: np.ndarray, rng, out: np.ndarray,
     The sort-based form of statistics._uniform_subsets: the same uint16 keys,
     four to a random_raw word, and the same redraw rule, in which only the
     rows that keep the wrong number of keys draw fresh ones, in row order
-    and in one random_raw call, until every row keeps counts[p].  So it
-    gives the same labels, and makes the same random_raw calls whenever a
-    row lies strictly between empty and full (it also draws for the rest).
-    ``scratch`` is a flat uint16 buffer of at least out.size entries.
+    and in one random_raw call, until every row keeps counts[p]; no key is
+    drawn when every row is empty or full.  So it gives the same labels and
+    makes the same random_raw calls.  ``scratch`` is a flat uint16 buffer
+    of at least out.size entries.
     """
     rows = np.arange(counts.size)
     size = out.shape[1]
+    if ((counts == 0) | (counts == size)).all():
+        out[:] = (counts == size)[:, None]
+        return
     keys = np.empty(out.shape, dtype=np.uint16)
     ordered = scratch[:out.size].reshape(out.shape)
     redraw = rows

@@ -388,22 +388,27 @@ _MIXTURE = "ValueError: mixture needs {} background rows, pool has 15"
 # (n, param) grid order as successes out of 4 repetitions or the cell's error
 _PINNED_GRIDS = {
     ("correlated-gaussian", "null"): ((0.2,), {
-        name: [0, 1, 0] for name in METHODS}),
+        "exact": [0, 1, 0], "nystrom-uniform": [0, 0, 1], "nystrom-akrls": [1, 0, 0],
+        "nystrom-exact-krls": [0, 1, 1], "rff": [0, 1, 0]}),
     ("correlated-gaussian", "alternative"): ((0.2, 0.9), {
-        "exact": [0, 0, 0, 3, 1, 4], "nystrom-uniform": [0, 0, 0, 2, 1, 2],
-        "nystrom-akrls": [0, 0, 0, 2, 1, 3],
-        "nystrom-exact-krls": [0, 0, 0, 1, 2, 4], "rff": [0, 1, 0, 2, 1, 3]}),
+        "exact": [1, 2, 2, 2, 3, 4], "nystrom-uniform": [1, 1, 2, 2, 2, 2],
+        "nystrom-akrls": [1, 1, 2, 1, 3, 4],
+        "nystrom-exact-krls": [1, 2, 3, 1, 2, 1], "rff": [1, 0, 1, 1, 1, 2]}),
     ("csv", "null"): ((0.0,), {
-        name: [2, _HALVES + "45", _HALVES + "200"] for name in METHODS}),
+        name: [0, _HALVES + "45", _HALVES + "200"] for name in METHODS}),
     ("csv", "alternative"): ((0.0,), {
         name: [*successes, "ValueError: pool of 60 rows too small for n=200"]
-        for name, successes in (("exact", (1, 3)), ("nystrom-uniform", (2, 3)),
+        for name, successes in (("exact", (0, 4)), ("nystrom-uniform", (1, 4)),
                                 ("nystrom-akrls", (0, 3)),
-                                ("nystrom-exact-krls", (1, 4)), ("rff", (0, 3)))}),
+                                ("nystrom-exact-krls", (1, 4)), ("rff", (1, 3)))}),
     ("mixture", "null"): ((0.0,), {
-        name: [0, _HALVES + "45", _HALVES + "200"] for name in METHODS}),
+        name: [int(name == "nystrom-exact-krls"), _HALVES + "45", _HALVES + "200"]
+        for name in METHODS}),
     ("mixture", "alternative"): ((0.3, 0.8), {
-        name: [1, 4, _MIXTURE.format(30), 4, *_NO_BACKGROUND] for name in METHODS}),
+        name: [*successes, _MIXTURE.format(32), 4, *_NO_BACKGROUND]
+        for name, successes in (("exact", (2, 4)), ("nystrom-uniform", (1, 4)),
+                                ("nystrom-akrls", (2, 4)),
+                                ("nystrom-exact-krls", (2, 4)), ("rff", (2, 2)))}),
 }
 
 

@@ -1,6 +1,10 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
+from scipy.stats import chisquare
 
 from helpers import scalar_kernel
 from nysmmd import GaussianKernel, median_heuristic
@@ -149,6 +153,25 @@ class TestMedianHeuristic:
         third = median_heuristic(points, seed=6)
         assert first == second
         assert first != third
+
+    def test_pairs_are_uniform_over_distinct_rows(self, monkeypatch):
+        # The pair law: each of the 2^14 + 1 pairs is uniform over the
+        # unordered pairs of distinct rows, whatever the rows hold.  The rows
+        # 0, 1, 3, 7, 15 give ten distinct squared distances, so the
+        # distances handed to the median's partition name their pairs.
+        values = [0.0, 1.0, 3.0, 7.0, 15.0]
+        drawn, partition = [], np.partition
+
+        def recording(squared, kth):
+            drawn.append(squared.copy())
+            return partition(squared, kth)
+
+        monkeypatch.setattr(np, "partition", recording)
+        for seed in range(3):
+            median_heuristic(np.array(values)[:, None], seed=seed)
+        counts = collections.Counter(np.concatenate(drawn).tolist())
+        assert set(counts) == {(a - b) ** 2 for a, b in itertools.combinations(values, 2)}
+        assert chisquare(list(counts.values())).pvalue > 1e-3
 
     def test_degenerate_data_raises_instead_of_zero(self):
         points = np.zeros((5, 2))

@@ -22,10 +22,11 @@ from nysmmd import (
     TestConfig,
     TestOutcome,
     decide,
+    median_heuristic,
     quantile_index,
     run_test,
 )
-from nysmmd import leverage, linalg, permutation
+from nysmmd import leverage, linalg, permutation, statistics
 from nysmmd.permutation import METHODS, SmallAlphaWarning, accept_count
 from nysmmd.statistics import permutation_weights
 
@@ -273,14 +274,16 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         x = rng.standard_normal((12, 2))
         y = rng.standard_normal((9, 2)) + 0.2
         with pytest.warns(UserWarning, match="cannot reject"):
-            config = TestConfig(n_permutations=12, seed=11, bandwidth=1.3)
+            config = TestConfig(n_permutations=12, seed=11)
         outcome = run_test(x, y, config, ExactMethod())
         pooled = PooledSample.from_samples(x, y)
-        # Recover the permutation weights from the same seed derivation: the
-        # fourth of run_test's five seed words.
-        perm_seed = int(np.random.SeedSequence(config.seed).generate_state(5, np.uint64)[3])
-        weights = permutation_weights(pooled, config.n_permutations, perm_seed)
-        kernel = GaussianKernel(1.3)
+        # Replay run_test's one stream: the tie variate, the bandwidth pairs,
+        # then the labels.
+        rng = np.random.default_rng(config.seed)
+        rng.random()
+        assert median_heuristic(pooled.points, seed=rng) == outcome.bandwidth
+        weights = permutation_weights(pooled, config.n_permutations, rng)
+        kernel = GaussianKernel(outcome.bandwidth)
         for p in range(config.n_permutations + 1):
             positive = weights[p] > 0
             expected = exact_mmd(pooled.points[positive],
@@ -362,7 +365,7 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         # first 41 or 101.  Over these seeds both methods stop at each look
         # and also run all 199 permutations.
         runs = collections.Counter()
-        for seed in range(10, 22):
+        for seed in range(22, 34):
             rng = np.random.default_rng([20, seed])
             x = rng.standard_normal((300, 3))
             y = rng.standard_normal((300, 3))
@@ -456,6 +459,39 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         assert landmarks.shape[0] < ell
         assert outcome.statistic == pytest.approx(
             plain_numpy_statistic(x, y, landmarks, outcome.bandwidth), rel=1e-9)
+
+    @pytest.mark.parametrize("n_x, n_y", [(40, 30), (700, 600)])
+    @pytest.mark.parametrize("name", METHODS)
+    def test_labels_are_a_fixed_stretch_of_the_stream(self, name, n_x, n_y,
+                                                      monkeypatch):
+        # The premise of data-independent draw counts: each stage before
+        # the labels draws a number of words fixed by the sizes, ell and P,
+        # never by data values, so on two datasets of the same sizes one
+        # config seed reaches the label pass (one block, or two) with the
+        # same generator state and draws the same labels.  The datasets'
+        # bandwidths lie far apart, on either side of 1.
+        reached, original = [], statistics._label_blocks
+
+        def recording(pooled, n_permutations, rng):
+            reached.append((rng.bit_generator.state, []))
+            for start, top, rows in original(pooled, n_permutations, rng):
+                reached[-1][1].append((start, top, rows.copy()))
+                yield start, top, rows
+
+        monkeypatch.setattr(statistics, "_label_blocks", recording)
+        rng = np.random.default_rng([41, n_x])
+        datasets = [(rng.standard_normal((n_x, 3)), rng.standard_normal((n_y, 3))),
+                    (0.05 * rng.standard_normal((n_x, 3)),
+                     0.2 + 0.05 * rng.standard_normal((n_y, 3)))]
+        bandwidths = [run_test(x, y, TestConfig(n_permutations=19, seed=12),
+                               METHODS[name](8)).bandwidth for x, y in datasets]
+        assert bandwidths[0] > 1.0 > bandwidths[1]
+        (state, labels), (other_state, other_labels) = reached
+        assert state == other_state
+        assert [(start, top) for start, top, _ in labels] == [
+            (start, top) for start, top, _ in other_labels]
+        for (_, _, rows), (_, _, other_rows) in zip(labels, other_labels):
+            np.testing.assert_array_equal(rows, other_rows)
 
     def test_exact_level_small_sample(self):
         # Null simulation: empirical rejection rate within 3 sigma of alpha.

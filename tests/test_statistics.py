@@ -475,6 +475,8 @@ class TestLabelStream:
 
     @pytest.mark.parametrize("n", [2, 7, 1000, 1023, 1024, 1025, 2049, 3001])
     def test_blocks_match_sorted_cut(self, n, monkeypatch):
+        # The reference pass cuts by sorting, which draws the same keys from
+        # the pass's one generator, so every block's labels must match.
         def blocks(n_x, n_permutations):
             pooled = PooledSample(points=np.zeros((n, 1)), n_x=n_x, n_y=n - n_x)
             return [(start, labels.copy()) for start, _, labels
@@ -493,31 +495,37 @@ class TestLabelStream:
     @pytest.mark.parametrize("n, n_permutations", [
         (7, 0), (7, 1), (7, 4), (60, 19), (1024, 199), (1025, 49), (2049, 19)])
     def test_batches_draw_from_keyed_generators(self, n, n_permutations):
-        # Reference: one multivariate hypergeometric draw of the block
-        # counts for all P; then each block draws its batches from
-        # generators keyed by (block, batch).  One block draws the first
-        # ceil(P / 5) permutations, then up to ceil(P / 2), then the rest,
-        # skipping empty batches; more blocks draw all P at once.
+        # Each (block, batch) is keyed by its place in the pass's one
+        # generator.  Reference: from default_rng(seed), one multivariate
+        # hypergeometric draw of the block counts for all P (none for one
+        # block, which takes all n_x), then each block's batches in order,
+        # batch k drawn by _uniform_subsets after batches < k.  One block
+        # draws the first ceil(P / 5) permutations, then up to ceil(P / 2),
+        # then the rest, skipping empty batches; more blocks draw all P at
+        # once.  A Generator given as the seed is advanced exactly as far.
         seed, n_x = 5, n // 2 + 1
         pooled = PooledSample(points=np.zeros((n, 1)), n_x=n_x, n_y=n - n_x)
         starts = range(0, n, LABEL_BLOCK_ROWS)
         sizes = [min(LABEL_BLOCK_ROWS, n - start) for start in starts]
-        counts = np.random.default_rng(np.random.SeedSequence(seed)) \
-            .multivariate_hypergeometric(sizes, n_x, size=n_permutations)
+        rng = np.random.default_rng(seed)
+        counts = (rng.multivariate_hypergeometric(sizes, n_x, size=n_permutations)
+                  if len(sizes) > 1 else np.full((n_permutations, 1), n_x))
         looks = [math.ceil(n_permutations / 5), math.ceil(n_permutations / 2)]
         bounds = [0, n_permutations]
         if n <= LABEL_BLOCK_ROWS:
             bounds[1:1] = sorted({look for look in looks if look < n_permutations})
         expected = np.zeros((n_permutations, n))
         for block, (start, size) in enumerate(zip(starts, sizes)):
-            for batch, (low, high) in enumerate(zip(bounds, bounds[1:])):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(block, batch)))
+            for low, high in zip(bounds, bounds[1:]):
                 out = expected[low:high, start:start + size]
-                sorted_uniform_subsets(counts[low:high, block], rng, out,
-                                       np.empty(out.size, dtype=np.uint16))
+                _uniform_subsets(counts[low:high, block], rng, out,
+                                 np.empty(2 * out.size, dtype=np.uint16))
         labels = permutation_weights(pooled, n_permutations, seed) > 0
         np.testing.assert_array_equal(labels[1:], expected > 0)
+        passed = np.random.default_rng(seed)
+        labels = permutation_weights(pooled, n_permutations, passed) > 0
+        np.testing.assert_array_equal(labels[1:], expected > 0)
+        assert passed.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [7, 1024, 1025])
     def test_pass_yields_each_batch_as_drawn(self, n):
@@ -600,11 +608,11 @@ class TestLabelStream:
     # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
         (1000, 500, 199, 0,
-         "808b958f1259d0d9d9701188c294e811e1a83487b6e2d50f8610d53ca936ace8"),
+         "6f073d598c91080627c49beb9727b54c7039c21bd3997052aa315b1c97bc75db"),
         (3001, 1500, 49, 3,
-         "8a73e5098b4f89fa02c7b4514e778cd8bd9a87a79ebc04fd0116fbf07ff6d9f7"),
+         "2154ee1d3293d0588247e18a507d9d2cefb3347e76c07975bcf9c99680a82eed"),
         (2049, 2048, 19, 1,
-         "73e008ff6559aa504c5811fed6c89c5178a4e067f2096d8cf7e22d0aadbda304"),
+         "32108e03dc94d00be794da3c29e6a70ba003a741c33d6040daca3cdf834a5b2f"),
     ], ids=["1000-500-199-0", "3001-1500-49-3", "2049-2048-19-1"])
     def test_label_stream_is_pinned(self, n, n_x, n_permutations, seed, digest):
         # Statistics stay bit-identical for a fixed seed: a change to the
