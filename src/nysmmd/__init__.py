@@ -58,8 +58,8 @@ _BENCH_NAMES = frozenset(("ExperimentSpec", "RateEstimate", "estimate_rate",
 
 
 def __getattr__(name):
-    # PEP 562: the grid harness imports concurrent.futures and the standard
-    # statistics module, which a single test never needs
+    # PEP 562: the grid harness imports concurrent.futures, which a single
+    # test never needs
     if name in _BENCH_NAMES:
         from . import bench
         return getattr(bench, name)

@@ -22,18 +22,17 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import product
-from statistics import NormalDist
 
 import numpy as np
 
-from .data import (check_mix_fraction, equicorrelation_matrix, load_csv,
+from .data import (check_mix_fraction, equicorrelation_root, load_csv,
                    sample_correlated_gaussians, sample_mixture)
 from .permutation import METHODS, SmallAlphaWarning, TestConfig, run_test
 
 RESULTS_HEADER = ("method", "ell", "n_x", "n_y", "param", "rate",
                   "wilson_low", "wilson_high", "mean_runtime_s", "reps")
 THREADS_ENV_VAR = "NYSMMD_THREADS"
-WILSON_Z = NormalDist().inv_cdf(0.975)  # two-sided 95% normal quantile
+WILSON_Z = 1.9599639845400536  # statistics.NormalDist().inv_cdf(0.975), two-sided 95%
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -232,8 +231,9 @@ class _Scenario:
             self.rho1 = self.null_param = float(raw.get("rho1", 0.5))
             rho2 = raw.get("rho2", self.rho1)
             self.alternatives = tuple(float(v) for v in np.atleast_1d(rho2))
-            for rho in (self.rho1, *self.alternatives):  # fail here, not in every cell
-                equicorrelation_matrix(self.dim, rho)
+            # fail here, not in every cell; the cached roots serve the draws
+            for rho in (self.rho1, *self.alternatives):
+                equicorrelation_root(self.dim, rho)
         elif self.kind == "csv":
             self.pools = _load_pools(raw, "x", "y")
         else:

@@ -99,11 +99,16 @@ def write_csv(points, path) -> None:
         handle.writelines(",".join(map(repr, row)) + "\r\n" for row in points.tolist())
 
 
-def equicorrelation_matrix(dim: int, rho: float) -> np.ndarray:
-    """Covariance with unit diagonal and constant off-diagonal correlation rho.
+@lru_cache
+def equicorrelation_root(dim: int, rho: float) -> np.ndarray:
+    """Read-only square root of the unit-diagonal covariance with constant correlation rho.
 
-    Positive definite iff -1/(d-1) < rho < 1 (its eigenvalues are
-    1 + (d-1) rho and 1 - rho).
+    The matrix (1 - rho) I + rho 11' has eigenvalue 1 + (d-1) rho on the
+    all-ones direction and 1 - rho on its complement, so it is positive
+    definite iff -1/(d-1) < rho < 1, and its root is formed from those
+    eigenpairs without a generic factorization.  The root is built once per
+    (dim, rho); a dim or rho out of range raises on every call, since
+    lru_cache keeps no exception.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
@@ -111,19 +116,6 @@ def equicorrelation_matrix(dim: int, rho: float) -> np.ndarray:
     if not low < rho < 1.0:
         raise ValueError(f"rho={rho} outside the positive-definite range "
                          f"({low:.4g}, 1) for d={dim}")
-    return (1.0 - rho) * np.eye(dim) + rho * np.ones((dim, dim))
-
-
-@lru_cache
-def _covariance_root(dim: int, rho: float) -> np.ndarray:
-    """Read-only square root of the equicorrelation matrix, built once per (dim, rho).
-
-    It is formed from the matrix's closed-form eigenpairs (eigenvalue
-    1 + (d-1) rho on the all-ones direction, 1 - rho on its complement), so
-    no generic factorization is needed.  A rho outside the PSD range raises
-    on every call, since lru_cache keeps no exception.
-    """
-    equicorrelation_matrix(dim, rho)  # validates the PSD range
     ones = np.full((dim, dim), 1.0 / dim)
     root = (np.sqrt(1.0 + (dim - 1) * rho) * ones
             + np.sqrt(1.0 - rho) * (np.eye(dim) - ones))
@@ -139,7 +131,7 @@ def sample_correlated_gaussians(n: int, dim: int, rho: float,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    root = _covariance_root(dim, rho)  # checks dim and rho before any draw
+    root = equicorrelation_root(dim, rho)  # checks dim and rho before any draw
     return np.random.default_rng(seed).standard_normal((n, dim)) @ root
 
 

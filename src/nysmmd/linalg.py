@@ -48,8 +48,7 @@ def psd_eigh(matrix: np.ndarray, name: str = "matrix"):
     return eigenvalues, eigenvectors
 
 
-def certified_inverse_factor(matrix: np.ndarray, floor: float,
-                             name: str = "matrix") -> np.ndarray | None:
+def certified_inverse_factor(matrix: np.ndarray, floor: float) -> np.ndarray | None:
     """L^-1 for K = L L', when a bound certifies every eigenvalue of K above ``floor``.
 
     With K = L L', ||L^-1||_F^2 = trace(K^-1) >= 1 / lambda_min, so
@@ -69,7 +68,7 @@ def certified_inverse_factor(matrix: np.ndarray, floor: float,
         L^-1, lower triangular up to round-off, or None when the bound
         does not certify the smallest eigenvalue above ``floor``.
     """
-    matrix = _checked_symmetric(matrix, name)
+    matrix = _checked_symmetric(matrix, "matrix")
     try:
         factor = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:

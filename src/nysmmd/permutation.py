@@ -174,8 +174,8 @@ class TestConfig:
 
     def __post_init__(self):
         quantile_index(self.alpha, self.n_permutations)  # checks both
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.bandwidth is not None:
             GaussianKernel(self.bandwidth)  # checks a fixed bandwidth
         if self.alpha * (self.n_permutations + 1) < 1.0:

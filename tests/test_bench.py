@@ -5,6 +5,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ class TestWilsonInterval:
         for trials in (1, 10, 500):
             _, high = wilson_interval(trials, trials)
             assert high == 1.0
+
+    def test_z_is_the_two_sided_95_percent_normal_quantile(self):
+        assert bench.WILSON_Z == NormalDist().inv_cdf(0.975)
 
     def test_matches_direct_formula(self):
         successes, trials = 44, 1000
@@ -185,6 +189,10 @@ class TestExperimentSpec:
                      id="nystrom-landmarks"),
         pytest.param({"methods": ("exact", "rff"), "landmarks": (-1,)},
                      "n_features must be even and >= 2, got 0", id="rff-landmarks"),
+        pytest.param({"repetitions": 0}, "repetitions must be at least 1",
+                     id="repetitions"),
+        pytest.param({"seed": 1.5}, "seed must be a non-negative integer, got 1.5",
+                     id="seed"),
     ])
     def test_value_failing_every_cell_rejected_at_construction(self, overrides,
                                                                message):
@@ -277,6 +285,16 @@ class TestEstimateRate:
         rows = estimate_rate(spec, "alternative")
         powers = [row.rate for row in rows]
         assert powers[0] < powers[1] < powers[2]
+
+    @pytest.mark.parametrize("overrides,regime,message", [
+        ({"scenario": {"kind": "gaussian"}}, "null", "unknown scenario kind 'gaussian'"),
+        ({}, "both", "regime must be 'null' or 'alternative'"),
+    ])
+    def test_unknown_scenario_kind_or_regime_rejected(self, overrides, regime,
+                                                      message):
+        with pytest.raises(ValueError) as error:
+            estimate_rate(tiny_null_spec(**overrides), regime)
+        assert str(error.value) == message
 
     def test_deterministic_across_thread_counts(self):
         spec = tiny_null_spec(repetitions=30)

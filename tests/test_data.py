@@ -9,7 +9,12 @@ from nysmmd import (
     sample_mixture,
     write_csv,
 )
-from nysmmd.data import _covariance_root, _load_csv_cells, equicorrelation_matrix
+from nysmmd.data import _load_csv_cells, equicorrelation_root
+
+
+def equicorrelation(dim, rho):
+    """Unit-diagonal covariance with constant off-diagonal correlation rho."""
+    return (1.0 - rho) * np.eye(dim) + rho * np.ones((dim, dim))
 
 
 class TestLoadCsv:
@@ -135,9 +140,7 @@ class TestCorrelatedGaussians:
         assert np.abs(sample_cov - np.eye(3)).max() <= 0.02
 
     def test_half_correlation_matches_target(self):
-        target = equicorrelation_matrix(3, 0.5)
-        np.testing.assert_array_equal(np.diag(target), np.ones(3))
-        assert target[0, 1] == 0.5
+        target = equicorrelation(3, 0.5)
         draws = sample_correlated_gaussians(100_000, 3, 0.5, seed=2)
         assert np.abs(np.cov(draws.T) - target).max() <= 0.02
 
@@ -146,7 +149,16 @@ class TestCorrelatedGaussians:
         with pytest.raises(ValueError, match="positive-definite"):
             sample_correlated_gaussians(10, 3, -0.6, seed=0)
         with pytest.raises(ValueError, match="positive-definite"):
-            equicorrelation_matrix(3, 1.0)
+            equicorrelation_root(3, 1.0)
+
+    @pytest.mark.parametrize("n,dim,message", [
+        (0, 3, "n must be at least 1"),
+        (10, 0, "dim must be at least 1"),
+    ])
+    def test_sizes_validated(self, n, dim, message):
+        with pytest.raises(ValueError) as error:
+            sample_correlated_gaussians(n, dim, 0.5, seed=0)
+        assert str(error.value) == message
 
     def test_seeded_regeneration_is_bit_identical(self):
         first = sample_correlated_gaussians(500, 3, 0.4, seed=9)
@@ -160,8 +172,8 @@ class TestCorrelatedGaussians:
         ones = np.full((dim, dim), 1.0 / dim)
         closed_form = (np.sqrt(1.0 + (dim - 1) * rho) * ones
                        + np.sqrt(1.0 - rho) * (np.eye(dim) - ones))
-        root = _covariance_root(dim, rho)
-        assert _covariance_root(dim, rho) is root
+        root = equicorrelation_root(dim, rho)
+        assert equicorrelation_root(dim, rho) is root
         assert root.tobytes() == closed_form.tobytes()
         assert not root.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -180,7 +192,7 @@ class TestCorrelatedGaussians:
         second = sample_correlated_gaussians(50, 3, 0.4, rng)
         replay = np.random.default_rng(4)
         for draws in (first, second):
-            expected = replay.standard_normal((50, 3)) @ _covariance_root(3, 0.4)
+            expected = replay.standard_normal((50, 3)) @ equicorrelation_root(3, 0.4)
             np.testing.assert_array_equal(draws, expected)
 
     def test_covariance_goodness_across_seeds(self):
@@ -188,7 +200,7 @@ class TestCorrelatedGaussians:
         bound = 5.0 * np.sqrt(2.0 / n)
         for seed, rho in [(0, 0.5), (1, 0.66), (2, 0.1)]:
             draws = sample_correlated_gaussians(n, 3, rho, seed=seed)
-            error = np.abs(np.cov(draws.T) - equicorrelation_matrix(3, rho)).max()
+            error = np.abs(np.cov(draws.T) - equicorrelation(3, rho)).max()
             assert error <= bound
 
 
@@ -226,6 +238,17 @@ class TestSampleMixture:
         signal = np.ones((5, 1))
         with pytest.raises(ValueError, match="pool has"):
             sample_mixture(background, signal, 0.5, 50, seed=0)
+
+    @pytest.mark.parametrize("signal_width,n,message", [
+        (2, 0, "n must be at least 1"),
+        (3, 10, "background and signal pools must share a dimension"),
+    ])
+    def test_pools_and_size_validated(self, pools, signal_width, n, message):
+        background, _ = pools
+        signal = np.ones((100, signal_width))
+        with pytest.raises(ValueError) as error:
+            sample_mixture(background, signal, 0.5, n, seed=0)
+        assert str(error.value) == message
 
     def test_deterministic_given_seed(self, pools):
         background, signal = pools

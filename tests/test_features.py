@@ -99,9 +99,9 @@ class TestCertifiedFactor:
         sizes = recorded_eigh(monkeypatch)
         factored = []
 
-        def recording_factor(matrix, floor, name="matrix"):
+        def recording_factor(matrix, floor):
             factored.append(matrix)
-            return linalg.certified_inverse_factor(matrix, floor, name)
+            return linalg.certified_inverse_factor(matrix, floor)
 
         monkeypatch.setattr(leverage, "certified_inverse_factor", recording_factor)
         decisions = []
@@ -196,6 +196,14 @@ class TestBuildRff:
     def test_odd_feature_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
             build_rff(3, 33, GaussianKernel(1.0), seed=0)
+
+    def test_dimensions_validated(self):
+        with pytest.raises(ValueError, match="^dim must be at least 1$"):
+            build_rff(0, 8, GaussianKernel(1.0), seed=0)
+        fmap = build_rff(2, 8, GaussianKernel(1.0), seed=0)
+        with pytest.raises(ValueError, match="^dimension mismatch: points have 3 "
+                                             "columns, map expects 2$"):
+            fmap.basis(np.zeros((4, 3)))
 
     def test_unbiasedness_across_many_frequencies(self):
         # With a large feature count a single map is already close to the kernel.

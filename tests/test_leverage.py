@@ -89,8 +89,18 @@ class TestExactKrls:
         with pytest.raises(ValueError, match="non-finite"):
             exact_krls(bad, 0.1)
 
+    @pytest.mark.parametrize("regularization", [0.0, -0.1])
+    def test_rejects_non_positive_regularization(self, regularization):
+        with pytest.raises(ValueError, match="^regularization must be positive$"):
+            exact_krls(np.eye(2), regularization)
+
 
 class TestPsdEigh:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError,
+                           match=r"^matrix must be square, got shape \(2, 3\)$"):
+            psd_eigh(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("scale", [1.0, 4.0])
     def test_symmetry_tolerance_boundary(self, scale):
         # The tolerance is 1e-10 times the largest entry (or 1): an
@@ -203,6 +213,11 @@ class TestApproxKrls:
             if ratio.max() <= 4.0 and ratio.min() >= 0.25:
                 hits += 1
         assert hits >= 38  # >= 95% of seeded runs
+
+    @pytest.mark.parametrize("regularization", [0.0, -0.1])
+    def test_rejects_non_positive_regularization(self, regularization):
+        with pytest.raises(ValueError, match="^regularization must be positive$"):
+            approx_krls(np.zeros((4, 1)), GaussianKernel(1.0), regularization, 0)
 
     def test_deterministic_given_seed(self, gaussian_data):
         points, kernel = gaussian_data
@@ -439,6 +454,12 @@ class TestSampleLandmarks:
                            match="leverage scores must be finite and non-negative"):
             sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, kernel=GaussianKernel(1.0),
                              scores=np.array(scores))
+
+    def test_scores_of_another_length_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^scores have length \(3,\), expected \(4,\)$"):
+            sample_landmarks(np.zeros((4, 1)), ell=2, seed=0, kernel=GaussianKernel(1.0),
+                             scores=np.ones(3))
 
     def test_returned_gram_is_the_kernel_matrix_of_the_kept_rows(self):
         # 30 draws from 8 rows repeat rows, which the pruning drops; the

@@ -182,6 +182,8 @@ class TestDecide:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             decide(np.array([]), 0.05, 0.5)
+        with pytest.raises(ValueError, match="^statistics contain non-finite values$"):
+            decide(np.array([1.0, np.nan, 0.5]), 0.05, 0.5)
 
 
 class TestRunTest:
@@ -197,6 +199,11 @@ class TestRunTest:
         assert first.statistic == second.statistic
         assert first.bandwidth == second.bandwidth
         np.testing.assert_array_equal(first.statistics, second.statistics)
+
+    def test_samples_of_different_widths_rejected(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            run_test(np.zeros((5, 3)), np.zeros((5, 2)), TestConfig(seed=0),
+                     NystromMethod(n_landmarks=4))
 
     def test_close_across_blas_thread_counts(self):
         # OpenBLAS dgemm and eigh round differently with 1 and 2 threads, and
@@ -534,6 +541,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError,
                            match=f"^bandwidth must be a positive real, got {bandwidth}$"):
             TestConfig(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", -1])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError) as error:
+            TestConfig(seed=seed)
+        assert str(error.value) == f"seed must be a non-negative integer, got {seed!r}"
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

@@ -694,3 +694,6 @@ class TestPooledSample:
     def test_rejects_empty_side(self):
         with pytest.raises(ValueError):
             PooledSample(points=np.zeros((3, 1)), n_x=3, n_y=0)
+        with pytest.raises(ValueError, match=r"^pooled matrix has 3 rows, "
+                                             r"expected n_x \+ n_y = 4$"):
+            PooledSample(points=np.zeros((3, 1)), n_x=2, n_y=2)
