@@ -171,10 +171,7 @@ def sample_mixture(background, signal, mix_fraction: float, n: int,
         raise ValueError(f"mixture needs {n_background} background rows, pool has "
                          f"{background.shape[0]}")
     out = np.empty((n, background.shape[1]))
-    if n_signal:
-        picks = rng.choice(signal.shape[0], size=n_signal, replace=False)
-        out[from_signal] = signal[picks]
-    if n_background:
-        picks = rng.choice(background.shape[0], size=n_background, replace=False)
-        out[~from_signal] = background[picks]
+    # an empty draw returns no rows and leaves rng as it was
+    out[from_signal] = signal[rng.choice(len(signal), n_signal, replace=False)]
+    out[~from_signal] = background[rng.choice(len(background), n_background, replace=False)]
     return out

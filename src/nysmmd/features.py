@@ -26,11 +26,10 @@ class FeatureMap(Protocol):
     @property
     def dimension(self) -> int: ...
 
-    def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
+    def basis(self, points, out: np.ndarray) -> np.ndarray:
         """Basis coordinates of a batch of points, shape (m, dimension).
 
-        When ``out`` (float64, that shape) is given it receives the result
-        and is returned.
+        ``out`` (float64, that shape) receives the result and is returned.
         """
         ...
 
@@ -64,9 +63,9 @@ class NystromMap:
         return self.transform.shape[0]
 
     def features(self, points) -> np.ndarray:
-        return self.from_basis(self.basis(points))
+        return self.from_basis(self.kernel.gram(points, self.landmarks))
 
-    def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
+    def basis(self, points, out: np.ndarray) -> np.ndarray:
         """k_Z(x) for each of m points: one (m, d + 2) x (d + 2, r) GEMM and an exp."""
         return self.kernel.gram(points, self.landmarks, out=out)
 
@@ -91,15 +90,13 @@ class RffMap:
     def dimension(self) -> int:
         return 2 * self.frequencies.shape[0]
 
-    def basis(self, points, out: np.ndarray | None = None) -> np.ndarray:
+    def basis(self, points, out: np.ndarray) -> np.ndarray:
         """The features themselves: the map has no separate linear factor."""
         points = as_points(points)
         if points.shape[1] != self.frequencies.shape[1]:
             raise ValueError(f"dimension mismatch: points have {points.shape[1]} "
                              f"columns, map expects {self.frequencies.shape[1]}")
         projections = points @ self.frequencies.T
-        if out is None:
-            out = np.empty((points.shape[0], self.dimension))
         scale = np.sqrt(2.0 / self.dimension)
         out[:, 0::2] = scale * np.cos(projections)
         out[:, 1::2] = scale * np.sin(projections)

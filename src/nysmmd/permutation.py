@@ -174,7 +174,8 @@ class TestConfig:
 
     def __post_init__(self):
         quantile_index(self.alpha, self.n_permutations)  # checks both
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.bandwidth is not None:
             GaussianKernel(self.bandwidth)  # checks a fixed bandwidth
@@ -232,17 +233,16 @@ def quantile_index(alpha: float, n_permutations: int) -> int:
     """Index of the threshold order statistic: ceil((1 - alpha)(P + 1) - 1).
 
     Evaluated in exact integer arithmetic on the binary value of alpha, a / b
-    with b a power of two, so the ceiling never flips on float round-off;
-    the result is clamped to [0, P].
+    with b a power of two, so it never flips on float round-off: for
+    0 < a / b < 1 it equals P - floor(a (P + 1) / b), which lies in [0, P].
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if n_permutations < 1:
         raise ValueError("n_permutations must be at least 1")
     a, b = float(alpha).as_integer_ratio()
-    # (1 - a/b)(P + 1) - 1 = above / b; a numpy integer P could overflow here
-    above = (b - a) * (operator.index(n_permutations) + 1) - b
-    return min(max(-(-above // b), 0), n_permutations)
+    P = operator.index(n_permutations)  # a Python int: a numpy P could overflow
+    return P - a * (P + 1) // b
 
 
 def accept_count(alpha: float, n_permutations: int) -> int:
@@ -264,7 +264,7 @@ def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:
     """Apply the threshold-and-randomize decision rule to replicate values.
 
     Args:
-        statistics: Vector of P + 1 values; entry 0 is the observed
+        statistics: Vector of P + 1 values, P >= 1; entry 0 is the observed
             statistic, the rest are permuted replicates.
         alpha: Target level.
         tie_break_draw: A uniform [0, 1) variate consumed only when the
@@ -273,15 +273,19 @@ def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:
             degenerate cases).
 
     Returns:
-        TestOutcome without bandwidth information.
+        TestOutcome without bandwidth information.  A tie rejects with
+        probability (alpha (P + 1) - m_>) / m_=, for the m_> values above the
+        observed one and the m_= equal to it.  That lies in [0, 1]: the
+        threshold index is P - k for k = floor(alpha (P + 1)), so
+        m_> <= k < m_> + m_=, and alpha (P + 1) rounds into [k, k + 1].
     """
     statistics = np.asarray(statistics, dtype=np.float64)
-    if statistics.ndim != 1 or statistics.size == 0:
-        raise ValueError("statistics must be a nonempty 1-d vector")
+    if statistics.ndim != 1 or statistics.size < 2:
+        raise ValueError("statistics must be a 1-d vector of at least 2 values")
     if not np.isfinite(statistics).all():
         raise ValueError("statistics contain non-finite values")
     n_permutations = statistics.size - 1
-    index = quantile_index(alpha, n_permutations) if n_permutations >= 1 else 0
+    index = quantile_index(alpha, n_permutations)
     threshold = float(np.sort(statistics)[index])
     observed = float(statistics[0])
 
@@ -293,7 +297,6 @@ def decide(statistics, alpha: float, tie_break_draw: float) -> TestOutcome:
         m_greater = int(np.count_nonzero(statistics > threshold))
         m_equal = int(np.count_nonzero(statistics == threshold))
         probability = (alpha * (n_permutations + 1) - m_greater) / m_equal
-        probability = min(max(probability, 0.0), 1.0)
         randomized = True
         reject = tie_break_draw < probability
     else:

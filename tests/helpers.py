@@ -85,7 +85,8 @@ def scalar_kernel(x, y, h) -> float:
 
 def features(feature_map: FeatureMap, points) -> np.ndarray:
     """Feature vectors of a batch of points, shape (m, feature_map.dimension)."""
-    return feature_map.from_basis(feature_map.basis(points))
+    out = np.empty((len(points), feature_map.dimension))
+    return feature_map.from_basis(feature_map.basis(points, out))
 
 
 def nystrom_map(landmarks, kernel: GaussianKernel) -> NystromMap:

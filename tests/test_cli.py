@@ -60,6 +60,26 @@ class TestGen:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "c569999691eadf8f0ff64208263483181eddc5ecdc99906709304ca2a096bb0f")
 
+    @pytest.mark.parametrize("mix_fraction,digest", [
+        # no signal row and no background row: the two empty draws
+        ("0.0", "c21c525d00de97708c9776702162392c6f231a0054c0042b0b239f72fac79db2"),
+        ("0.3", "6627f3d5a3f38fed632401dc34fd5cbed1c9e60069e537036a0dca1b6c87ead0"),
+        ("1.0", "92ed365fe7cd346467459088b21b58cc09f5bfd134b33a25083293fdef59c0ee"),
+    ])
+    def test_mixture_bytes_are_pinned(self, tmp_path, capsys, mix_fraction, digest):
+        background, signal = tmp_path / "background.csv", tmp_path / "signal.csv"
+        for path, n, rho, seed in ((background, "400", "0.5", "5"),
+                                   (signal, "200", "0.9", "6")):
+            assert run_cli(capsys, "gen", "--family", "correlated-gaussian", "--n", n,
+                           "--rho", rho, "--seed", seed, "--output", str(path))[0] == 0
+        out = tmp_path / "mixture.csv"
+        code, _, _ = run_cli(capsys, "gen", "--family", "mixture",
+                             "--background", str(background), "--signal", str(signal),
+                             "--mix-fraction", mix_fraction, "--n", "150",
+                             "--seed", "8", "--output", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_mixture_needs_pools(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen", "--family", "mixture", "--n",
                                "10", "--output", str(tmp_path / "m.csv"))

@@ -203,7 +203,7 @@ class TestBuildRff:
         fmap = build_rff(2, 8, GaussianKernel(1.0), seed=0)
         with pytest.raises(ValueError, match="^dimension mismatch: points have 3 "
                                              "columns, map expects 2$"):
-            fmap.basis(np.zeros((4, 3)))
+            fmap.basis(np.zeros((4, 3)), np.empty((4, 8)))
 
     def test_unbiasedness_across_many_frequencies(self):
         # With a large feature count a single map is already close to the kernel.

@@ -92,6 +92,19 @@ class TestQuantileIndex:
                 n_perms = int(rng.integers(2, 2**13)) * 2 ** int(rng.integers(0, j + 1)) - 1
             assert quantile_index(alpha, n_perms) == self.rational_index(alpha, n_perms)
 
+    def test_is_p_less_the_floor_of_alpha_p_plus_one(self):
+        # Fraction(alpha) is the double's exact rational value
+        alphas = ([k / 64 for k in range(1, 64)]
+                  + [1e-300, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.3, 0.9, 1 - 2**-53])
+        sizes = [*range(1, 40), 99, 199, 999, 10**6, 10**9, 2**53, 2**62]
+        for alpha in alphas:
+            for n_perms in sizes:
+                expected = n_perms - math.floor(Fraction(alpha) * (n_perms + 1))
+                for size in (n_perms, np.int64(n_perms)):
+                    index = quantile_index(alpha, size)
+                    assert type(index) is int
+                    assert index == expected, (alpha, n_perms)
+
     @pytest.mark.parametrize("alpha,n_perms,expected", [
         (0.004, 199, 1), (0.5, 1, 1), (0.25, 7, 2), (0.3, 9, 3),
         # the doubles nearest 0.05 and 0.1 lie above them, so these products
@@ -179,9 +192,32 @@ class TestDecide:
             if outcome.statistic > outcome.threshold:
                 assert outcome.reject
 
+    def test_tie_probability_lies_in_the_unit_interval(self):
+        # Integer statistics tie often; the observed value is set to the
+        # threshold, so every decision takes the randomized branch.
+        rng = np.random.default_rng(20)
+        alphas = [k / 64 for k in range(1, 64)] + [0.001, 0.01, 0.05, 0.1, 0.3,
+                                                   1 - 2**-53]
+        for alpha in alphas:
+            for n_perms in (1, 2, 3, 4, 9, 19, 99, 199):
+                for _ in range(4):
+                    stats = rng.integers(0, 4, size=n_perms + 1).astype(float)
+                    stats[0] = np.sort(stats)[quantile_index(alpha, n_perms)]
+                    outcome = decide(stats, alpha, 0.5)
+                    greater = np.count_nonzero(stats > stats[0])
+                    equal = np.count_nonzero(stats == stats[0])
+                    assert outcome.randomized
+                    assert 0.0 <= outcome.rejection_probability <= 1.0
+                    assert outcome.rejection_probability == pytest.approx(
+                        float((Fraction(alpha) * (n_perms + 1) - greater) / equal),
+                        rel=1e-12, abs=1e-15)
+
     def test_rejects_empty_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^statistics must be a 1-d vector of "
+                                             "at least 2 values$"):
             decide(np.array([]), 0.05, 0.5)
+        with pytest.raises(ValueError, match="at least 2 values"):
+            decide(np.array([1.0]), 0.05, 0.5)
         with pytest.raises(ValueError, match="^statistics contain non-finite values$"):
             decide(np.array([1.0, np.nan, 0.5]), 0.05, 0.5)
 
@@ -500,18 +536,24 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         for (_, _, rows), (_, _, other_rows) in zip(labels, other_labels):
             np.testing.assert_array_equal(rows, other_rows)
 
-    def test_exact_level_small_sample(self):
+    @pytest.mark.parametrize("n_x,n_y,method,sims", [
+        (30, 30, NystromMethod(n_landmarks=8), 5000),
+        (15, 45, NystromMethod(8, "akrls"), 2000),  # unbalanced samples
+        (30, 30, RffMethod(8), 2000),
+        (30, 30, ExactMethod(), 2000),
+    ], ids=["nystrom-uniform", "akrls-unbalanced", "rff", "exact"])
+    def test_exact_level_small_sample(self, n_x, n_y, method, sims):
         # Null simulation: empirical rejection rate within 3 sigma of alpha.
-        alpha, n_perms, sims = 0.1, 19, 5000
+        alpha, n_perms = 0.1, 19
         rejects = 0
         for rep in range(sims):
             rng = np.random.default_rng([31, rep])
-            x = rng.standard_normal((30, 3))
-            y = rng.standard_normal((30, 3))
+            x = rng.standard_normal((n_x, 3))
+            y = rng.standard_normal((n_y, 3))
             outcome = run_test(x, y,
                                TestConfig(alpha=alpha, n_permutations=n_perms,
                                           seed=rep, keep_statistics=False),
-                               NystromMethod(n_landmarks=8))
+                               method)
             rejects += outcome.reject
         rate = rejects / sims
         sigma = np.sqrt(alpha * (1 - alpha) / sims)
@@ -542,7 +584,7 @@ class TestConfigValidation:
                            match=f"^bandwidth must be a positive real, got {bandwidth}$"):
             TestConfig(bandwidth=bandwidth)
 
-    @pytest.mark.parametrize("seed", [1.5, "7", -1])
+    @pytest.mark.parametrize("seed", [1.5, "7", -1, True, False])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError) as error:
             TestConfig(seed=seed)

@@ -314,8 +314,10 @@ class TestPermutedStatistics:
         fmap = sampled_nystrom(pooled.points, 100, 0, kernel)
         stats = permuted_statistics(pooled, fmap, 49, seed=0)
         labels = (permutation_weights(pooled, 49, seed=0) > 0).astype(np.longdouble)
-        basis = np.vstack([fmap.basis(pooled.points[start:start + LABEL_BLOCK_ROWS])
-                           for start in range(0, pooled.n, LABEL_BLOCK_ROWS)])
+        blocks = [pooled.points[start:start + LABEL_BLOCK_ROWS]
+                  for start in range(0, pooled.n, LABEL_BLOCK_ROWS)]
+        basis = np.vstack([fmap.basis(block, np.empty((len(block), fmap.dimension)))
+                           for block in blocks])
         basis = basis.astype(np.longdouble)
         one = np.longdouble(1)
         coordinates = ((one / pooled.n_x + one / pooled.n_y) * (labels @ basis)
@@ -660,7 +662,8 @@ class TestLabelStream:
             sums = np.zeros((fmap.dimension, 51))
             for start in range(0, n, LABEL_BLOCK_ROWS):
                 block = slice(start, start + LABEL_BLOCK_ROWS)
-                basis = fmap.basis(pooled.points[block])
+                points = pooled.points[block]
+                basis = fmap.basis(points, np.empty((len(points), fmap.dimension)))
                 for batch in batches:
                     sums[:, batch] += basis.T @ labels[batch, block].T
             expected = np.linalg.norm(np.vstack([
