@@ -12,8 +12,12 @@ pass are r wide for r <= ell; it returns the inverse Cholesky factor of
 that matrix beside them, which build_nystrom wraps as the map's transform.
 
 approx_krls computes them by BLESS: it walks the ridge down in factor-2
-steps, scoring about q1 / ridge uniformly drawn candidate rows at each step
-against a small weighted dictionary drawn from the step before.  That costs
+steps, drawing about q1 / ridge candidate rows uniformly at each step and
+scoring them against a small weighted dictionary drawn from the step before.
+A step above lambda draws its keep uniforms first and scores only the
+candidates whose uniform lies below a bound on every keep probability, about
+c / q1 of them, so it keeps the rows that scoring every candidate would keep.
+The last step scores all of its candidates and dominates the cost:
 O((q1 / lambda) * |D|^2) time and O(B * |D| + n * d) storage for a dictionary
 of |D| rows, with candidates scored B = 1024 at a time; the scores equal the
 unblocked formula up to round-off, not bitwise.
@@ -91,7 +95,7 @@ def _dictionary_scores(points, candidates, dictionary, weights, kernel, ridge_ab
     # each block of candidates costs one kernel block and one GEMM.
     quad = np.zeros(candidates.size)
     width = dictionary.shape[0]
-    if width:
+    if width and candidates.size:
         # the |D| x |D| product is an argument only, so it is freed before the blocks
         eigenvalues, factor = psd_eigh(
             weights[:, None] * kernel.gram(dictionary, dictionary) * weights,
@@ -122,16 +126,25 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
     H = max(1, ceil(log2(1 / lambda))).  Step h draws R_h = min(n,
     ceil(q1 / lambda_h)) candidate rows uniformly without replacement and
     scores them against the weighted dictionary D drawn from the candidates
-    of step h - 1; an empty dictionary scores 1 / (lambda_h * n).  Each
-    dictionary costs one eigendecomposition of about c times the effective
-    dimension rows, at most H - 1 in all.  Time is O((q1 / lambda) * |D|^2)
-    and storage O(B * |D| + n * d): candidates are scored in blocks of
-    B = 1024 rows, which changes only the rounding.  Deterministic for a
-    fixed seed and BLAS thread count.
+    of step h - 1; an empty dictionary scores 1 / (lambda_h * n).  A step
+    with lambda_h > lambda keeps candidate i when U_i < p_i for its keep
+    probability p_i = min(1, s_i * c * n / R_h) and R_h uniforms U drawn
+    before scoring.  The score s_i is at most min(1, 1 / (lambda_h * n)), so
+    p_i <= b_h = min(1, min(1, 1 / (lambda_h * n)) * c * n / R_h) in floating
+    point too, and the step scores only the candidates with U_i < b_h: it
+    keeps the rows that scoring all R_h of them would keep, up to round-off
+    in the scores.  With R_h = ceil(q1 / lambda_h) < n, b_h = c / q1, so a
+    step above lambda scores about R_h * c / q1 candidates and the last,
+    which scores all R_H, dominates the cost.  Each dictionary costs one
+    eigendecomposition of about c times the effective dimension rows, at
+    most H - 1 in all.  Time is O((q1 / lambda) * |D|^2) and storage
+    O(B * |D| + n * d): candidates are scored in blocks of B = 1024 rows,
+    which changes only the rounding.  Deterministic for a fixed seed and
+    BLAS thread count.
 
-    The candidate sets depend only on n and the seed, and every other draw
-    only on data values, so relabeling the rows relabels the scores in
-    distribution.
+    The candidate sets, the uniforms and so the scored subsets depend only
+    on n and the seed, and every other draw only on data values, so
+    relabeling the rows relabels the scores in distribution.
 
     Args:
         points: Dataset of shape (n, d).
@@ -156,16 +169,24 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
     for ridge in ridges:
         size = min(n, math.ceil(_CANDIDATES_PER_INVERSE_RIDGE / ridge))
         candidates = rng.choice(n, size=size, replace=False)
-        scores = _dictionary_scores(points, candidates, dictionary, weights,
-                                    kernel, ridge * n)
-        if ridge > regularization:
-            # Keep candidate i with probability p_i = min(1, c * d_eff * s_i /
-            # sum(s)), where d_eff = (n / R) * sum(s) estimates the effective
-            # dimension; a kept row stands for 1 / (p_i * R / n) rows.
-            probabilities = np.minimum(1.0, scores * (_DICTIONARY_OVERSAMPLING * n / size))
-            keep = rng.random(size) < probabilities
-            dictionary = points[candidates[keep]]
-            weights = 1.0 / np.sqrt(probabilities[keep] * (size / n))
+        if ridge == regularization:
+            break
+        # Keep candidate i when U_i < p_i = min(1, c * d_eff * s_i / sum(s)),
+        # where d_eff = (n / R) * sum(s) estimates the effective dimension; a
+        # kept row stands for 1 / (p_i * R / n) rows.  Since s_i <= min(1,
+        # 1 / (ridge * n)) and rounding is monotone, p_i never exceeds the
+        # bound below in floating point: only candidates under it are scored.
+        scale = _DICTIONARY_OVERSAMPLING * n / size
+        uniforms = rng.random(size)
+        thinned = uniforms < min(1.0, min(1.0, 1.0 / (ridge * n)) * scale)
+        candidates, uniforms = candidates[thinned], uniforms[thinned]
+        probabilities = np.minimum(1.0, scale * _dictionary_scores(
+            points, candidates, dictionary, weights, kernel, ridge * n))
+        keep = uniforms < probabilities
+        dictionary = points[candidates[keep]]
+        weights = 1.0 / np.sqrt(probabilities[keep] * (size / n))
+    scores = _dictionary_scores(points, candidates, dictionary, weights, kernel,
+                                regularization * n)
     result = np.zeros(n)
     result[candidates] = scores
     return result

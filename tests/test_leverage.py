@@ -282,11 +282,40 @@ class TestApproxKrls:
             ratios.append(estimate / effective_dimension)
         assert 0.95 <= np.mean(ratios) <= 1.35
 
+    @staticmethod
+    def _record_scoring(monkeypatch):
+        # (candidates scored, dictionary) of each _dictionary_scores call
+        calls = []
+        score = leverage._dictionary_scores
+
+        def recording_scores(points, candidates, dictionary, *rest):
+            calls.append((candidates.size, dictionary))
+            return score(points, candidates, dictionary, *rest)
+
+        monkeypatch.setattr(leverage, "_dictionary_scores", recording_scores)
+        return calls
+
     def test_relabeling_equivariance_in_distribution(self, monkeypatch):
         # Chi-square test: landmarks drawn by their approximate scores from a
         # relabeled dataset are the same point multisets with the same
         # frequencies.  With q1 = 1 and lambda = 1/4 the two ridge steps draw
         # 2 and 4 of the 6 rows, and the second scores against a dictionary.
+        # The first step's bound b_1 = min(1, c) is 1: it scores both
+        # candidates.
+        calls = self._record_scoring(monkeypatch)
+        assert self._relabeling_pvalue(monkeypatch) > 1e-3
+        assert sum(size for size, _ in calls) == 2 * 4000 * (2 + 4)
+
+    def test_relabeling_equivariance_when_thinned(self, monkeypatch):
+        # With c = 1/2 the first step scores only the candidates whose
+        # uniform lies below b_1 = 1/2.
+        monkeypatch.setattr(leverage, "_DICTIONARY_OVERSAMPLING", 0.5)
+        calls = self._record_scoring(monkeypatch)
+        assert self._relabeling_pvalue(monkeypatch) > 1e-3
+        assert sum(size for size, _ in calls) < 2 * 4000 * (2 + 4)
+
+    @staticmethod
+    def _relabeling_pvalue(monkeypatch):
         monkeypatch.setattr(leverage, "_CANDIDATES_PER_INVERSE_RIDGE", 1)
         n, ell, trials = 6, 2, 4000
         points = 0.7 * np.arange(n, dtype=float).reshape(-1, 1)
@@ -308,8 +337,77 @@ class TestApproxKrls:
         keys = sorted(set(first) | set(second))
         table = np.array([[first.get(k, 0) for k in keys],
                           [second.get(k, 0) for k in keys]])
-        _, p_value, _, _ = chi2_contingency(table)
-        assert p_value > 1e-3
+        return chi2_contingency(table)[1]
+
+    @pytest.mark.parametrize("n", [1_000, 3_001, 20_000])
+    def test_thinning_keeps_the_dictionary_of_scoring_every_candidate(
+            self, monkeypatch, n):
+        # Reference: BLESS that scores every candidate of a step above lambda
+        # and keeps those with U_i < p_i, drawing from the same generator.
+        # approx_krls scores only the candidates with U_i < b_h, which must
+        # leave every step's dictionary row for row the same.
+        rng = np.random.default_rng(n)
+        points = rng.standard_normal((n, 3))
+        kernel = GaussianKernel(median_heuristic(points))
+        lam = default_regularization(n)
+        q1 = leverage._CANDIDATES_PER_INVERSE_RIDGE
+        c = leverage._DICTIONARY_OVERSAMPLING
+        score = leverage._dictionary_scores
+        calls = self._record_scoring(monkeypatch)
+        ridges = [0.5]
+        while ridges[-1] / 2 > lam:
+            ridges.append(ridges[-1] / 2)
+        for seed in range(3):
+            calls.clear()
+            result = approx_krls(points, kernel, lam, seed)
+            assert len(calls) == len(ridges) + 1
+
+            draws = np.random.default_rng(seed)
+            dictionary, weights = points[:0], np.empty(0)
+            for step, ridge in enumerate(ridges):
+                size = min(n, math.ceil(q1 / ridge))
+                candidates = draws.choice(n, size=size, replace=False)
+                scores = score(points, candidates, dictionary, weights, kernel,
+                               ridge * n)
+                probabilities = np.minimum(1.0, scores * (c * n / size))
+                bound = min(1.0, min(1.0, 1.0 / (ridge * n)) * (c * n / size))
+                assert (probabilities <= bound).all()
+                uniforms = draws.random(size)
+                scored = calls[step][0]
+                assert scored == np.count_nonzero(uniforms < bound)
+                if n == 20_000:
+                    assert scored < 0.3 * size
+                keep = uniforms < probabilities
+                dictionary = points[candidates[keep]]
+                weights = 1.0 / np.sqrt(probabilities[keep] * (size / n))
+                np.testing.assert_array_equal(calls[step + 1][1], dictionary)
+            size = min(n, math.ceil(q1 / lam))
+            candidates = draws.choice(n, size=size, replace=False)
+            assert calls[-1][0] == size
+            expected = np.zeros(n)
+            expected[candidates] = score(points, candidates, dictionary, weights,
+                                         kernel, lam * n)
+            assert np.array_equal(result != 0, expected != 0)
+            np.testing.assert_allclose(result, expected, rtol=1e-12, atol=0)
+
+    def test_steps_that_score_no_candidate_keep_an_empty_dictionary(
+            self, monkeypatch):
+        # With c = 1e-6 no step above lambda scores a candidate, so every
+        # last-step candidate scores against an empty dictionary.
+        monkeypatch.setattr(leverage, "_DICTIONARY_OVERSAMPLING", 1e-6)
+        calls = self._record_scoring(monkeypatch)
+        n = 1000
+        rng = np.random.default_rng(5)
+        points = rng.standard_normal((n, 3))
+        kernel = GaussianKernel(median_heuristic(points))
+        lam = default_regularization(n)
+        scores = approx_krls(points, kernel, lam, seed=0)
+        q1 = leverage._CANDIDATES_PER_INVERSE_RIDGE
+        nonzero = scores[scores != 0]
+        assert nonzero.size == min(n, math.ceil(q1 / lam))
+        np.testing.assert_array_equal(nonzero, min(1.0, 1.0 / (lam * n)))
+        assert all(size == 0 and not len(dictionary)
+                   for size, dictionary in calls[:-1])
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 3001])
     def test_row_blocks_do_not_change_scores(self, monkeypatch, n):
@@ -376,6 +474,16 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         # The 8 candidates of the last ridge step span three 3-row blocks.
         monkeypatch.setattr(leverage, "_SCORE_BLOCK_ROWS", 3)
         assert self._recursive_null_rank_pvalue(monkeypatch) > 1e-3
+
+    def test_recursive_path_null_rank_is_uniform_when_thinned(self, monkeypatch):
+        # With c = 1/2 the two steps above lambda score only the candidates
+        # whose uniform lies below b_h = 1/2, and some second steps score none
+        # against a nonempty dictionary.
+        monkeypatch.setattr(leverage, "_DICTIONARY_OVERSAMPLING", 0.5)
+        calls = self._record_scoring(monkeypatch)
+        assert self._recursive_null_rank_pvalue(monkeypatch) > 1e-3
+        assert sum(size for size, _ in calls) < 2000 * (2 + 4 + 8)
+        assert any(size == 0 and len(dictionary) for size, dictionary in calls)
 
     @staticmethod
     def _recursive_null_rank_pvalue(monkeypatch):
