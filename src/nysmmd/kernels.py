@@ -61,8 +61,9 @@ class GaussianKernel:
         matrices, [a, -|a|^2 / 2h^2, 1] @ [b / h^2, 1, -|b|^2 / 2h^2]',
         which is clamped at 0 (round-off could leave a positive exponent,
         so K <= 1 always) and exponentiated in place.  When both arguments
-        hold the same points the result is exactly symmetric with a unit
-        diagonal: the lower triangle is computed once and mirrored.
+        hold the same points they are centred and squared once, and the
+        result is exactly symmetric with a unit diagonal: the lower triangle
+        is computed once and mirrored.
 
         ``out``, a float64 array of shape (len(a), len(b)), receives the
         result and is returned; it lets blocked loops reuse one buffer.
@@ -75,15 +76,19 @@ class GaussianKernel:
         symmetric = a is b or (a.shape == b.shape and np.array_equal(a, b))
         d = a.shape[1]
         h2 = self.bandwidth**2
-        center = b.mean(axis=0)
+        center = np.add.reduce(b, axis=0) / len(b)  # b.mean(axis=0), bit for bit
         left = np.empty((a.shape[0], d + 2))
         right = np.empty((b.shape[0], d + 2))
-        np.subtract(a, center, out=left[:, :d])
         np.subtract(b, center, out=right[:, :d])
-        left[:, d] = np.einsum("ij,ij->i", left[:, :d], left[:, :d]) / (-2.0 * h2)
-        left[:, d + 1] = 1.0
         right[:, d] = 1.0
         right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d]) / (-2.0 * h2)
+        if symmetric:  # the same centred points and squares on both sides
+            left[:, :d] = right[:, :d]
+            left[:, d] = right[:, d + 1]
+        else:
+            np.subtract(a, center, out=left[:, :d])
+            left[:, d] = np.einsum("ij,ij->i", left[:, :d], left[:, :d]) / (-2.0 * h2)
+        left[:, d + 1] = 1.0
         right[:, :d] /= h2
         k = np.matmul(left, right.T, out=out)
         np.minimum(k, 0.0, out=k)
@@ -97,9 +102,12 @@ class GaussianKernel:
 def median_heuristic(points, seed: int | np.random.Generator = 0) -> float:
     """Median Euclidean distance over N = 2^14 + 1 random pairs of rows.
 
-    Each pair is an i.i.d. draw of two distinct rows: i uniform on [0, n)
-    and j = (i + U{1, ..., n - 1}) mod n, deterministic for a fixed seed
-    (an int, or a Generator, which the draw advances).
+    Each pair is an i.i.d. draw of two distinct rows, uniform over the
+    n (n - 1) ordered pairs: one rng.integers call draws every pair's code
+    c uniform on [0, n (n - 1)), decoded as i = c // (n - 1) and
+    j = c - i (n - 1), plus 1 when j >= i.  Deterministic for a fixed seed
+    (an int, or a Generator, which the draw advances); the words drawn
+    depend only on n.
     N is odd, so the result is one of the drawn distances (no midpoint is
     averaged), and it equals scipy's pdist distance of that pair bit for
     bit.  Time and storage are O(N * d) at any n.  The pair law
@@ -117,9 +125,11 @@ def median_heuristic(points, seed: int | np.random.Generator = 0) -> float:
     if n < 2:
         raise ValueError("median heuristic needs at least two points")
     rng = np.random.default_rng(seed)
-    first = rng.integers(0, n, size=_MEDIAN_PAIRS)
-    second = first + rng.integers(1, n, size=_MEDIAN_PAIRS)
-    second -= n * (second >= n)  # (first + offset) mod n, without a division
+    # code = first * (n - 1) + rank of second among the other n - 1 rows
+    second = rng.integers(0, n * (n - 1), size=_MEDIAN_PAIRS)
+    first = second // (n - 1)
+    second -= first * (n - 1)
+    second += second >= first
     # one row per coordinate; reducing over axis 0 adds the squares in order
     # of coordinate, as pdist does, so each distance is pdist's bit for bit
     columns = points.T

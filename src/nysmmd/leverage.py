@@ -71,12 +71,12 @@ def exact_krls(gram: np.ndarray, regularization: float) -> np.ndarray:
 
     Args:
         gram: Symmetric PSD kernel matrix of shape (n, n).
-        regularization: Positive ridge parameter lambda.
+        regularization: Positive, finite ridge parameter lambda.
 
     Returns:
         The n scores, all in [0, 1).
     """
-    if regularization <= 0:
+    if not 0 < regularization < np.inf:  # false for NaN too
         raise ValueError("regularization must be positive")
     eigenvalues, eigenvectors = psd_eigh(gram, "gram")
     shrink = eigenvalues / (eigenvalues + regularization * len(gram))
@@ -149,7 +149,7 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
     Args:
         points: Dataset of shape (n, d).
         kernel: Kernel used to form (sub)matrices on demand.
-        regularization: Target ridge parameter lambda.
+        regularization: Target ridge parameter lambda, positive and finite.
         seed: Seed for the sampling randomness: an int, or a Generator,
             which the draws advance.
 
@@ -158,7 +158,7 @@ def approx_krls(points, kernel: GaussianKernel, regularization: float,
         Nystrom-style estimates of the exact ones, capped at 1.
     """
     points = as_points(points)
-    if regularization <= 0:
+    if not 0 < regularization < np.inf:  # false for NaN too
         raise ValueError("regularization must be positive")
     n = points.shape[0]
     rng = np.random.default_rng(seed)
@@ -253,13 +253,14 @@ def sample_landmarks(points, ell: int, seed: int | np.random.Generator,
     tolerance = NystromMap.rank_tolerance * ell
     jitter = tolerance / 100.0
     gram = kernel.gram(drawn, drawn)
-    gram.flat[::ell + 1] += jitter
+    diagonal = np.einsum("ii->i", gram)  # a writable view
+    diagonal += jitter
     residuals = np.linalg.cholesky(gram).diagonal() ** 2 - jitter
     residuals[0] = np.inf  # draw 0 is always kept, so the search below ends
+    diagonal[:] = 1.0  # the kernel's unit diagonal, without the jitter
     while True:
         kept = residuals > tolerance
-        kept_gram = gram[kept][:, kept]
-        np.fill_diagonal(kept_gram, 1.0)  # the kernel's unit diagonal, without the jitter
+        kept_gram = gram if kept.all() else gram[kept][:, kept]
         inverse = certified_inverse_factor(kept_gram, NystromMap.rank_tolerance * kept.sum())
         if inverse is not None:
             return LandmarkSet(points=drawn[kept], inverse_factor=inverse)

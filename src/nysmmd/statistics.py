@@ -10,9 +10,11 @@ summed in basis coordinates and the map's linear factor is applied once, to
 the (P + 1) x r result.  T comes from the same GEMM as S: a block's label
 matrix and the r x (P + 2) sums share one layout, in which row and column 0
 hold T (the label row is all ones) and row and column 1 + p hold labeling p
-(0 the observed one, p >= 1 permutation p).  The product is formed as
-basis' labels', whose cost stays flat in r where labels @ basis runs into
-the BLAS's edge tiles.
+(0 the observed one, p >= 1 permutation p).  A pass over one block forms
+each batch's product as labels @ basis and adds it transposed to the sums,
+the faster orientation for its batches of a few dozen rows; a pass over
+more blocks forms basis' labels' for the P + 2 rows of each block.  The two
+orientations may round differently in the last bits at some shapes.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows, all drawn from one generator in a fixed order.
@@ -194,12 +196,12 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
 
     Row p of the (P + 1, feature width) result is mean_x phi - mean_y phi
     under labeling p.  One pass over the label blocks, evaluating each
-    block's basis once; one GEMM per yielded batch, basis' against its label
-    rows, adds to the same columns of the (dimension, P + 2) sums, which
-    hold T and then the labeled sums (see the module docstring).  The sums
-    are mapped to features after the pass; a one-block pass maps each batch
-    on its own, and looks after every batch but its last: after ceil(P / 5)
-    and after ceil(P / 2) permutations.
+    block's basis once; one GEMM per yielded batch, its label rows against
+    the basis (oriented by block count, see the module docstring), adds to
+    the same columns of the (dimension, P + 2) sums, which hold T and then
+    the labeled sums.  The sums are mapped to features after the pass; a
+    one-block pass maps each batch on its own, and looks after every batch
+    but its last: after ceil(P / 5) and after ceil(P / 2) permutations.
 
     With ``accept_at`` = m, a one-block pass stops at a look when at least
     m of the permuted statistics (row norms) so far strictly exceed row 0's
@@ -210,7 +212,8 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
     sums = np.zeros((feature_map.dimension, n_permutations + 2))
     # buffers reused by every block
     basis_buffer = np.empty((min(LABEL_BLOCK_ROWS, pooled.n), feature_map.dimension))
-    products = np.empty_like(sums)
+    one_block = pooled.n <= LABEL_BLOCK_ROWS
+    products = np.empty(sums.T.shape if one_block else sums.shape)
 
     def mapped(columns: slice) -> np.ndarray:
         coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, columns]
@@ -218,22 +221,26 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
         return feature_map.from_basis(coordinates.T)
 
     pieces, done = [], 1  # a one-block pass's mapped batches, and their end
+    norms = []  # with accept_at, the row norms of those batches
     for start, top, rows in _label_blocks(pooled, n_permutations, seed):
         size = rows.shape[1]
         if top == 0:  # a block's first batch; a later one reuses its basis
             basis = feature_map.basis(pooled.points[start:start + size],
                                       out=basis_buffer[:size])
         end = top + rows.shape[0]
-        sums[:, top:end] += np.matmul(basis.T, rows.T, out=products[:, top:end])
+        if one_block:
+            sums[:, top:end] += np.matmul(rows, basis, out=products[top:end]).T
+        else:
+            sums[:, top:end] += np.matmul(basis.T, rows.T, out=products[:, top:end])
         if end < sums.shape[1]:  # a one-block pass's batch before its last: a look
             pieces.append(mapped(slice(done, end)))
             done = end
             if accept_at is not None:
-                ran = np.concatenate(pieces)
-                statistics = np.linalg.norm(ran, axis=1)
+                norms.append(np.linalg.norm(pieces[-1], axis=1))
+                statistics = np.concatenate(norms)
                 if (np.count_nonzero(statistics[1:] > statistics[0]) >= accept_at
                         and statistics.max() > DEGENERATE_TIE_TOLERANCE):
-                    return ran
+                    return np.concatenate(pieces)
     return np.concatenate([*pieces, mapped(slice(done, None))])
 
 

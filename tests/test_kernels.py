@@ -173,6 +173,29 @@ class TestMedianHeuristic:
         assert set(counts) == {(a - b) ** 2 for a, b in itertools.combinations(values, 2)}
         assert chisquare(list(counts.values())).pvalue > 1e-3
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_decode_reaches_each_ordered_pair_once(self, n, monkeypatch):
+        # A generator whose one integers call returns the codes 0, 1, ...,
+        # n (n - 1) - 1 in turn: the rows the heuristic then gathers, first
+        # and second, name each ordered pair of distinct rows exactly once.
+        class Codes:
+            def integers(self, low, high, size):
+                assert (low, high) == (0, n * (n - 1))
+                return np.arange(size) % high
+
+        gathered, take = [], np.take
+
+        def recording(values, indices, axis):
+            gathered.append(indices.copy())
+            return take(values, indices, axis=axis)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Codes())
+        monkeypatch.setattr(np, "take", recording)
+        median_heuristic(np.arange(float(n))[:, None])
+        first, second = (rows[:n * (n - 1)].tolist() for rows in gathered)
+        assert sorted(zip(first, second)) == [
+            (i, j) for i in range(n) for j in range(n) if i != j]
+
     def test_degenerate_data_raises_instead_of_zero(self):
         points = np.zeros((5, 2))
         with pytest.raises(ValueError, match="zero"):

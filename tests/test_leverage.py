@@ -95,6 +95,19 @@ class TestExactKrls:
             exact_krls(np.eye(2), regularization)
 
 
+@pytest.mark.parametrize("regularization", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scores", ["exact", "approx"])
+def test_non_finite_regularization_is_refused(scores, regularization):
+    # NaN passes a `<= 0` check, and +inf would give all-zero scores
+    points = np.random.default_rng(8).standard_normal((50, 2))
+    kernel = GaussianKernel(1.0)
+    with pytest.raises(ValueError, match="^regularization must be positive$"):
+        if scores == "exact":
+            exact_krls(kernel.gram(points, points), regularization)
+        else:
+            approx_krls(points, kernel, regularization, 0)
+
+
 class TestPsdEigh:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError,

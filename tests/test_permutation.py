@@ -440,8 +440,9 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         # On the n = 500 + 500, ell = 32 level-study cell the landmark Gram
         # matrix is certified far from singular at the first tolerance, and
         # sample_landmarks inverts its Cholesky factor.  A test forms two kernel
-        # matrices, the landmarks' and the basis of its one label block, and
-        # its statistic is the plain numpy one over the eigen cutoff.
+        # matrices, the 32 draws' and the basis of its one label block against
+        # the landmarks kept (31 of them at this seed), and its statistic is
+        # the plain numpy one over the eigen cutoff.
         eigh_sizes, gram_shapes, returned = [], [], []
         original_eigh = linalg.psd_eigh
         original_gram = GaussianKernel.gram
@@ -470,8 +471,8 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         assert eigh_sizes == []
         ((drawn, also_drawn), (rows, width)) = gram_shapes
         assert drawn == also_drawn == 32
-        assert (rows, width) == (1000, 32)
         (landmarks,) = returned
+        assert (rows, width) == (1000, len(landmarks))
         assert outcome.statistic == pytest.approx(
             plain_numpy_statistic(x, y, landmarks, outcome.bandwidth), rel=1e-9)
 
@@ -541,9 +542,14 @@ print(json.dumps({name: [o.reject, o.statistics.tolist()]
         (15, 45, NystromMethod(8, "akrls"), 2000),  # unbalanced samples
         (30, 30, RffMethod(8), 2000),
         (30, 30, ExactMethod(), 2000),
-    ], ids=["nystrom-uniform", "akrls-unbalanced", "rff", "exact"])
+        (30, 30, NystromMethod(8, "exact_krls"), 2000),
+        (520, 520, NystromMethod(n_landmarks=8), 2000),  # two label blocks
+    ], ids=["nystrom-uniform", "akrls-unbalanced", "rff", "exact", "exact-krls",
+            "two-blocks"])
     def test_exact_level_small_sample(self, n_x, n_y, method, sims):
         # Null simulation: empirical rejection rate within 3 sigma of alpha.
+        # 1,040 pooled rows take two label blocks, whose pass forms
+        # basis' labels' and runs all P; the others take one block.
         alpha, n_perms = 0.1, 19
         rejects = 0
         for rep in range(sims):

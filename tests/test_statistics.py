@@ -582,7 +582,8 @@ class TestLabelStream:
         # pass multiplies rows 0 .. 41, then, unless it stops at the first
         # look, rows 42 .. 101 (up to ceil(199 / 2) = 100), then, unless it
         # stops at the second, rows 102 .. 200; a larger pass multiplies
-        # every block's 201 rows once.  accept_at is chosen from the
+        # every block's 201 rows once.  A one-block pass forms labels @ basis,
+        # a larger one basis' labels'.  accept_at is chosen from the
         # complete pass to stop at the given look.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
@@ -598,14 +599,18 @@ class TestLabelStream:
         labeled = []
 
         def recording(left, right, *args, **kwargs):
-            if left.shape[0] == fmap.dimension:  # not a kernel block's GEMM
-                labeled.append(right.shape[1])
+            # a kernel block's GEMM, (rows, d + 2) by (d + 2, r), matches neither
+            if left.shape[0] == fmap.dimension:
+                labeled.append(("basis' labels'", right.shape[1]))
+            elif right.shape == (n, fmap.dimension):
+                labeled.append(("labels @ basis", left.shape[0]))
             return matmul(left, right, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording)
         stats = permuted_statistics(pooled, fmap, 199, seed=1, accept_at=accept_at)
         assert stats.size == {None: 200, 1: 41, 2: 101}[look]
-        assert labeled == widths
+        orientation = "labels @ basis" if n <= LABEL_BLOCK_ROWS else "basis' labels'"
+        assert labeled == [(orientation, width) for width in widths]
 
     # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
