@@ -10,10 +10,11 @@ summed in basis coordinates and the map's linear factor is applied once, to
 the (P + 1) x r result.  T comes from the same GEMM as S: a block's label
 matrix and the r x (P + 2) sums share one layout, in which row and column 0
 hold T (the label row is all ones) and row and column 1 + p hold labeling p
-(0 the observed one, p >= 1 permutation p).  Each batch's product is
-formed as labels @ basis and added transposed to the sums: for batches of
-a few dozen rows and for a block's P + 2 rows alike it ran faster than
-basis' labels', which may round differently in the last bits.
+(0 the observed one, p >= 1 permutation p).  A pass over one block forms
+each batch's product as labels @ basis and adds it transposed to the sums,
+the faster orientation for its batches of a few dozen rows; a pass over
+more blocks forms basis' labels' for the P + 2 rows of each block.  The two
+orientations may round differently in the last bits at some shapes.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows, all drawn from one generator in a fixed order.
@@ -196,9 +197,9 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
     Row p of the (P + 1, feature width) result is mean_x phi - mean_y phi
     under labeling p.  One pass over the label blocks, evaluating each
     block's basis once; one GEMM per yielded batch, its label rows against
-    the basis, adds transposed to the same columns of the (dimension, P + 2)
-    sums, which hold T and then the labeled sums (see the module
-    docstring).  The sums are mapped to features after the pass; a
+    the basis (oriented by block count, see the module docstring), adds to
+    the same columns of the (dimension, P + 2) sums, which hold T and then
+    the labeled sums.  The sums are mapped to features after the pass; a
     one-block pass maps each batch on its own, and looks after every batch
     but its last: after ceil(P / 5) and after ceil(P / 2) permutations.
 
@@ -211,7 +212,8 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
     sums = np.zeros((feature_map.dimension, n_permutations + 2))
     # buffers reused by every block
     basis_buffer = np.empty((min(LABEL_BLOCK_ROWS, pooled.n), feature_map.dimension))
-    products = np.empty(sums.T.shape)
+    one_block = pooled.n <= LABEL_BLOCK_ROWS
+    products = np.empty(sums.T.shape if one_block else sums.shape)
 
     def mapped(columns: slice) -> np.ndarray:
         coordinates = ((1.0 / pooled.n_x + 1.0 / pooled.n_y) * sums[:, columns]
@@ -226,7 +228,10 @@ def accumulate_weighted_features(pooled: PooledSample, feature_map: FeatureMap,
             basis = feature_map.basis(pooled.points[start:start + size],
                                       out=basis_buffer[:size])
         end = top + rows.shape[0]
-        sums[:, top:end] += np.matmul(rows, basis, out=products[top:end]).T
+        if one_block:
+            sums[:, top:end] += np.matmul(rows, basis, out=products[top:end]).T
+        else:
+            sums[:, top:end] += np.matmul(basis.T, rows.T, out=products[:, top:end])
         if end < sums.shape[1]:  # a one-block pass's batch before its last: a look
             pieces.append(mapped(slice(done, end)))
             done = end

@@ -582,9 +582,9 @@ class TestLabelStream:
         # pass multiplies rows 0 .. 41, then, unless it stops at the first
         # look, rows 42 .. 101 (up to ceil(199 / 2) = 100), then, unless it
         # stops at the second, rows 102 .. 200; a larger pass multiplies
-        # every block's 201 rows once, each product as labels @ basis.
-        # accept_at is chosen from the complete pass to stop at the given
-        # look.
+        # every block's 201 rows once.  A one-block pass forms labels @ basis,
+        # a larger one basis' labels'.  accept_at is chosen from the
+        # complete pass to stop at the given look.
         rng = np.random.default_rng(n)
         pooled = PooledSample(points=rng.standard_normal((n, 3)),
                               n_x=n // 2, n_y=n - n // 2)
@@ -599,16 +599,18 @@ class TestLabelStream:
         labeled = []
 
         def recording(left, right, *args, **kwargs):
-            # a kernel block's GEMM, (rows, d + 2) by (d + 2, r), is not recorded
-            if right.shape[0] != pooled.points.shape[1] + 2:
-                assert right.shape[1] == fmap.dimension
-                labeled.append(left.shape[0])
+            # a kernel block's GEMM, (rows, d + 2) by (d + 2, r), matches neither
+            if left.shape[0] == fmap.dimension:
+                labeled.append(("basis' labels'", right.shape[1]))
+            elif right.shape == (n, fmap.dimension):
+                labeled.append(("labels @ basis", left.shape[0]))
             return matmul(left, right, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording)
         stats = permuted_statistics(pooled, fmap, 199, seed=1, accept_at=accept_at)
         assert stats.size == {None: 200, 1: 41, 2: 101}[look]
-        assert labeled == widths
+        orientation = "labels @ basis" if n <= LABEL_BLOCK_ROWS else "basis' labels'"
+        assert labeled == [(orientation, width) for width in widths]
 
     # ids without the digest, so that a re-pin keeps the test names
     @pytest.mark.parametrize("n, n_x, n_permutations, seed, digest", [
@@ -645,9 +647,11 @@ class TestLabelStream:
     def test_reused_buffers_match_fresh_blocks(self, n):
         # Reference: the same pass with fresh arrays for every block, the
         # permuted labels read back from permutation_weights below an
-        # all-ones row, whose row of the same product labels @ basis is the
-        # block total.  One block forms and maps its three batches
-        # apart: the ones row with labelings 0 .. ceil(49 / 5) = 10, then
+        # all-ones row, whose part of the product is the block total.  The
+        # product is the pass's own, labels @ basis for one block and
+        # basis' labels' for more, so the comparison is bit for bit whatever
+        # the BLAS.  One block forms and maps its three batches apart: the
+        # ones row with labelings 0 .. ceil(49 / 5) = 10, then
         # 11 .. ceil(49 / 2) = 25 and 26 .. 49 without a ones row.  A partial
         # last block or batch must not see stale rows of the shared label or
         # basis buffers.
@@ -668,7 +672,10 @@ class TestLabelStream:
                 points = pooled.points[block]
                 basis = fmap.basis(points, np.empty((len(points), fmap.dimension)))
                 for batch in batches:
-                    sums[:, batch] += (labels[batch, block] @ basis).T
+                    if n <= LABEL_BLOCK_ROWS:
+                        sums[:, batch] += (labels[batch, block] @ basis).T
+                    else:
+                        sums[:, batch] += basis.T @ labels[batch, block].T
             expected = np.linalg.norm(np.vstack([
                 fmap.from_basis(((1.0 / pooled.n_x + 1.0 / pooled.n_y)
                                  * sums[:, max(batch.start, 1):batch.stop]
